@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/assert.h"
@@ -48,7 +49,6 @@ Network::Network(sim::Simulator& simulator, const topo::Topology& topology,
   }
   deliver_.resize(topology.host_count());
   endpoints_.resize(topology.host_count());
-  inflight_.resize(topology.link_count());
   for (const topo::HostSpec& h : topology.hosts()) {
     endpoints_[static_cast<std::size_t>(h.id.value)] =
         std::make_unique<Endpoint>(*this, h.id);
@@ -88,17 +88,59 @@ sim::Duration Network::jitter() {
   return jitter_rng_.uniform_int(0, config_.jitter_max);
 }
 
-void Network::schedule_on_link(LinkId link, sim::Duration delay,
-                               std::function<void()> action) {
-  auto& pending = inflight_[static_cast<std::size_t>(link.value)];
-  // The cell lets the event remove its own registration when it fires.
-  auto cell = std::make_shared<sim::EventId>();
-  *cell = simulator_.after(
-      delay, [this, link, cell, action = std::move(action)] {
-        inflight_[static_cast<std::size_t>(link.value)].erase(cell->value);
-        action();
-      });
-  pending.insert(cell->value);
+void Network::launch(LinkId link, const LinkState::TxResult& tx,
+                     Packet&& packet, bool to_host) {
+  for (int c = 0; c < tx.copies; ++c) {
+    std::uint32_t slot = free_head_;
+    if (slot != kNoSlot) {
+      free_head_ = inflight_[slot].next_free;
+    } else {
+      slot = static_cast<std::uint32_t>(inflight_.size());
+      inflight_.emplace_back();
+    }
+    InFlight& f = inflight_[slot];
+    // Only a spontaneous duplicate costs a copy; the last copy takes the
+    // packet itself.
+    if (c + 1 < tx.copies) {
+      f.packet = packet;
+    } else {
+      f.packet = std::move(packet);
+    }
+    f.link = link;
+    f.to_host = to_host;
+    f.event = simulator_.after(tx.arrival_offset[c] + jitter(),
+                               [this, slot] { land(slot); });
+  }
+}
+
+void Network::release(std::uint32_t slot) {
+  InFlight& f = inflight_[slot];
+  f.link = kNoLink;
+  f.event = sim::EventId{};
+  f.next_free = free_head_;
+  free_head_ = slot;
+}
+
+std::size_t Network::in_flight() const {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      inflight_, [](const InFlight& f) { return f.link.valid(); }));
+}
+
+void Network::land(std::uint32_t slot) {
+  // Moved out first: the handlers below may launch packets, which can
+  // grow the slab and reuse this slot.
+  Packet p = std::move(inflight_[slot].packet);
+  const bool to_host = inflight_[slot].to_host;
+  release(slot);
+  if (!to_host) {
+    arrive_at_server(std::move(p));
+    return;
+  }
+  const auto idx = static_cast<std::size_t>(p.d.to.value);
+  RBCAST_ASSERT_MSG(deliver_[idx] != nullptr,
+                    "message addressed to unregistered host");
+  if (observer_ != nullptr) observer_->on_deliver(p.d);
+  deliver_[idx](p.d);
 }
 
 void Network::send(HostId from, HostId to, std::any payload,
@@ -142,16 +184,10 @@ void Network::send(HostId from, HostId to, std::any payload,
   }
   p.at = hs.server;
   ++p.d.hops;
-  for (int c = 0; c < tx.copies; ++c) {
-    Packet copy = p;
-    schedule_on_link(hs.access_link, tx.arrival_offset[c] + jitter(),
-                     [this, q = std::move(copy)]() mutable {
-                       arrive_at_server(std::move(q));
-                     });
-  }
+  launch(hs.access_link, tx, std::move(p), false);
 }
 
-void Network::arrive_at_server(Packet p) {
+void Network::arrive_at_server(Packet&& p) {
   const topo::HostSpec& dst = topology_.host(p.d.to);
   if (p.at == dst.server) {
     deliver_to_host(std::move(p));
@@ -186,22 +222,14 @@ void Network::arrive_at_server(Packet p) {
     drop(p.d, DropReason::kRandomLoss);
     return;
   }
-  const bool expensive =
-      ls.spec().link_class == topo::LinkClass::kExpensive;
-  const ServerId next = ls.spec().other_end(p.at);
-  for (int c = 0; c < tx.copies; ++c) {
-    Packet copy = p;
-    copy.at = next;
-    copy.d.expensive = copy.d.expensive || expensive;
-    ++copy.d.hops;
-    schedule_on_link(choice.link, tx.arrival_offset[c] + jitter(),
-                     [this, q = std::move(copy)]() mutable {
-                       arrive_at_server(std::move(q));
-                     });
-  }
+  p.at = ls.spec().other_end(p.at);
+  p.d.expensive =
+      p.d.expensive || ls.spec().link_class == topo::LinkClass::kExpensive;
+  ++p.d.hops;
+  launch(choice.link, tx, std::move(p), false);
 }
 
-void Network::deliver_to_host(Packet p) {
+void Network::deliver_to_host(Packet&& p) {
   const topo::HostSpec& dst = topology_.host(p.d.to);
   LinkState& access = link_state(dst.access_link);
   if (!access.up()) {
@@ -216,19 +244,8 @@ void Network::deliver_to_host(Packet p) {
   }
   // Spontaneous duplication on the last hop delivers the message twice —
   // the protocol must cope, so keep both copies.
-  for (int c = 0; c < tx.copies; ++c) {
-    Packet copy = p;
-    ++copy.d.hops;
-    schedule_on_link(
-        dst.access_link, tx.arrival_offset[c] + jitter(),
-        [this, q = std::move(copy)] {
-          const auto idx = static_cast<std::size_t>(q.d.to.value);
-          RBCAST_ASSERT_MSG(deliver_[idx] != nullptr,
-                            "message addressed to unregistered host");
-          if (observer_ != nullptr) observer_->on_deliver(q.d);
-          deliver_[idx](q.d);
-        });
-  }
+  ++p.d.hops;
+  launch(dst.access_link, tx, std::move(p), true);
 }
 
 void Network::drop(const Delivery& d, DropReason reason) {
@@ -245,11 +262,13 @@ void Network::set_link_up(LinkId link, bool up) {
   if (!up) {
     // A failing link loses everything in flight on it, silently — the
     // paper's failure model ("messages can ... be lost at any point").
-    auto& pending = inflight_[static_cast<std::size_t>(link.value)];
-    for (std::uint64_t event : pending) {
-      simulator_.cancel(sim::EventId{event});
+    for (std::uint32_t slot = 0; slot < inflight_.size(); ++slot) {
+      InFlight& f = inflight_[slot];
+      if (f.link != link) continue;
+      simulator_.cancel(f.event);
+      f.packet = Packet{};
+      release(slot);
     }
-    pending.clear();
   }
   if (!ls.spec().is_access) {
     routing_.notify_change();

@@ -5,10 +5,19 @@
 // destination, and a received message carries the cost bit. Everything else
 // — loss, duplication, reordering, link failures, routing transients — is
 // invisible to the application, exactly as assumed in Section 2.
+//
+// In-flight slab: a packet crossing a link lives in a network-owned slot
+// vector, not in the scheduled closure. The arrival event captures only
+// `[this, slot]`, which std::function stores inline, and the packet is
+// moved from hop to hop; only a spontaneous duplicate copies it. Freed
+// slots are recycled through an intrusive free list, so once the slab
+// has grown to the run's peak in-flight count a hop allocates nothing.
+// Each slot records its link and arrival event, which is how a failing
+// link cancels exactly what is in flight on it.
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "net/link.h"
@@ -90,6 +99,14 @@ class Network {
   // Installs the metrics observer (nullptr to remove).
   void set_observer(NetObserver* observer) { observer_ = observer; }
 
+  // Packets currently crossing a link (every copy counts).
+  [[nodiscard]] std::size_t in_flight() const;
+  // In-flight slots ever allocated; the high-water mark of in_flight(),
+  // since freed slots are reused.
+  [[nodiscard]] std::size_t in_flight_capacity() const {
+    return inflight_.size();
+  }
+
  private:
   struct Packet {
     Delivery d;
@@ -97,20 +114,33 @@ class Network {
     int ttl{0};
   };
 
+  // One slab slot. `link` is kNoLink while the slot is free.
+  struct InFlight {
+    Packet packet;
+    LinkId link{kNoLink};
+    sim::EventId event{};
+    bool to_host{false};  // last hop: hand to the destination on arrival
+    std::uint32_t next_free{0};
+  };
+
   class Endpoint;
 
   LinkState& link_state(LinkId id);
   [[nodiscard]] const LinkState& link_state(LinkId id) const;
-  void arrive_at_server(Packet packet);
-  void deliver_to_host(Packet packet);
+  void arrive_at_server(Packet&& packet);
+  void deliver_to_host(Packet&& packet);
   void drop(const Delivery& d, DropReason reason);
   [[nodiscard]] sim::Duration jitter();
 
-  // Schedules `action` to fire after `delay`, tied to `link`: if the link
-  // goes down first, the event is cancelled — a failing link loses
-  // everything in flight on it.
-  void schedule_on_link(LinkId link, sim::Duration delay,
-                        std::function<void()> action);
+  // Puts the `tx.copies` copies of `packet` on `link`, each arriving at
+  // its `tx.arrival_offset` plus jitter: at the far server, or at the
+  // destination host when `to_host`. If the link goes down first, they
+  // are lost with everything else in flight on it.
+  void launch(LinkId link, const LinkState::TxResult& tx, Packet&& packet,
+              bool to_host);
+  // Arrival event of slab slot `slot`.
+  void land(std::uint32_t slot);
+  void release(std::uint32_t slot);
 
   sim::Simulator& simulator_;
   const topo::Topology& topology_;
@@ -124,8 +154,10 @@ class Network {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   util::Rng jitter_rng_;
   std::uint64_t epoch_{0};
-  // In-flight arrival events per link; killed when the link goes down.
-  std::vector<std::set<std::uint64_t>> inflight_;
+  // The in-flight slab and the head of its free list (kNoSlot when empty).
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::vector<InFlight> inflight_;
+  std::uint32_t free_head_{kNoSlot};
 };
 
 }  // namespace rbcast::net

@@ -10,29 +10,52 @@ namespace {
 // Below this size the heap is left alone: compacting tiny heaps would churn
 // for no measurable memory win.
 constexpr std::size_t kMinCompactSize = 64;
+constexpr std::uint64_t kMaxSeq = std::uint64_t{1}
+                                  << (64 - EventQueue::kSlotBits);
 }  // namespace
 
 EventId EventQueue::schedule(TimePoint t, Action action) {
   RBCAST_ASSERT_MSG(action != nullptr, "null event action");
-  const std::uint64_t seq = next_seq_++;
-  heap_.push_back(Entry{t, seq});  // analyze:allow(hot-alloc) amortized heap growth; event pooling is the scale-PR's zero-alloc task
+  RBCAST_ASSERT_MSG(next_seq_ < kMaxSeq, "event sequence space exhausted");
+  std::uint32_t slot = free_head_;
+  if (slot != kNoSlot) {
+    free_head_ = slots_[slot].next_free;
+  } else {
+    RBCAST_ASSERT_MSG(slots_.size() < (std::size_t{1} << kSlotBits),
+                      "too many pending events");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();  // analyze:allow(hot-alloc) amortized slot growth up to the run's peak pending count; freed slots are reused
+  }
+  const std::uint64_t id = (next_seq_++ << kSlotBits) | slot;
+  slots_[slot].action = std::move(action);
+  slots_[slot].id = id;
+  heap_.push_back(Entry{t, id});  // analyze:allow(hot-alloc) amortized heap growth, bounded by compaction at twice the live count
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  actions_.emplace(seq, std::move(action));  // analyze:allow(hot-alloc) node-per-event map; replaced by a slab in the zero-alloc event path work
   ++live_;
-  RBCAST_PARANOID_ASSERT(actions_.size() == live_);
   RBCAST_PARANOID_ASSERT(heap_.size() >= live_);
-  return EventId{seq};
+  return EventId{id};
 }
 
 bool EventQueue::cancel(EventId id) {
-  auto it = actions_.find(id.value);
-  if (it == actions_.end()) return false;
-  actions_.erase(it);
-  --live_;
+  if (!id.valid()) return false;
+  const std::uint32_t slot = slot_of(id.value);
+  if (slot >= slots_.size() || slots_[slot].id != id.value) return false;
+  release(slot);
   maybe_compact();
-  RBCAST_PARANOID_ASSERT(actions_.size() == live_);
   RBCAST_PARANOID_ASSERT(heap_.size() >= live_);
   return true;
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  // Destroyed on return, once the slot is back on the free list: a
+  // captured object's destructor may itself schedule or cancel.
+  const Action doomed = std::move(s.action);
+  s.action = nullptr;
+  s.id = 0;
+  s.next_free = free_head_;
+  free_head_ = slot;
+  --live_;
 }
 
 void EventQueue::maybe_compact() {
@@ -40,16 +63,13 @@ void EventQueue::maybe_compact() {
   // O(heap) but at least half the heap is dead when it runs, so the cost
   // amortizes to O(1) per cancellation.
   if (heap_.size() < kMinCompactSize || heap_.size() - live_ <= live_) return;
-  std::erase_if(heap_, [this](const Entry& e) {
-    return actions_.find(e.seq) == actions_.end();
-  });
+  std::erase_if(heap_, [this](const Entry& e) { return !is_live(e); });
   std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
   RBCAST_PARANOID_ASSERT(heap_.size() == live_);
 }
 
 void EventQueue::skip_cancelled() const {
-  while (!heap_.empty() &&
-         actions_.find(heap_.front().seq) == actions_.end()) {
+  while (!heap_.empty() && !is_live(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
     heap_.pop_back();
   }
@@ -67,12 +87,9 @@ EventQueue::Fired EventQueue::pop() {
   const Entry top = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
   heap_.pop_back();
-  auto it = actions_.find(top.seq);
-  RBCAST_ASSERT(it != actions_.end());
-  Fired fired{top.time, std::move(it->second)};
-  actions_.erase(it);
-  --live_;
-  RBCAST_PARANOID_ASSERT(actions_.size() == live_);
+  const std::uint32_t slot = slot_of(top.id);
+  Fired fired{top.time, std::move(slots_[slot].action)};
+  release(slot);
   RBCAST_PARANOID_ASSERT(heap_.size() >= live_);
   return fired;
 }

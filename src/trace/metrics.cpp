@@ -12,12 +12,29 @@ const util::Accumulator kEmptyAccumulator{};
 }
 
 Metrics::Metrics(sim::Simulator& simulator, net::Network& network)
-    : simulator_(simulator), network_(network) {}
+    : simulator_(simulator),
+      network_(network),
+      link_busy_(network.topology().link_count(), 0) {}
 
 void Metrics::attach() { network_.set_observer(this); }
 
-bool Metrics::is_data_kind(const std::string& kind) {
-  return kind == "data" || kind == "gapfill" || kind == "data_retx";
+Metrics::KindSlots& Metrics::kind_slots(const std::string& kind) {
+  for (KindSlots& k : kinds_) {
+    if (k.kind == kind) return k;
+  }
+  kinds_.push_back(KindSlots{.kind = kind});
+  return kinds_.back();
+}
+
+void Metrics::add(std::uint64_t*& slot,
+                  std::initializer_list<std::string_view> name,
+                  std::uint64_t by) {
+  if (slot == nullptr) {
+    std::string key;
+    for (std::string_view part : name) key += part;
+    slot = &counters_.slot(key);
+  }
+  *slot += by;
 }
 
 bool Metrics::crosses_clusters(HostId a, HostId b) {
@@ -30,30 +47,34 @@ bool Metrics::crosses_clusters(HostId a, HostId b) {
 }
 
 void Metrics::on_host_send(const net::Delivery& d) {
-  counters_.inc("send." + d.kind);
-  counters_.inc("send_bytes." + d.kind, d.bytes);
+  KindSlots& k = kind_slots(d.kind);
+  add(k.send, {"send.", d.kind});
+  add(k.send_bytes, {"send_bytes.", d.kind}, d.bytes);
   if (crosses_clusters(d.from, d.to)) {
-    counters_.inc("send.intercluster." + d.kind);
-    counters_.inc("send_bytes.intercluster." + d.kind, d.bytes);
+    add(k.send_intercluster, {"send.intercluster.", d.kind});
+    add(k.send_bytes_intercluster, {"send_bytes.intercluster.", d.kind},
+        d.bytes);
   }
 }
 
 void Metrics::on_deliver(const net::Delivery& d) {
-  counters_.inc("deliver." + d.kind);
+  add(kind_slots(d.kind).deliver, {"deliver.", d.kind});
 }
 
 void Metrics::on_drop(const net::Delivery& d, net::DropReason reason) {
-  counters_.inc(std::string("drop.") + to_string(reason));
-  counters_.inc("drop_kind." + d.kind);
+  add(drop_[static_cast<std::size_t>(reason)], {"drop.", to_string(reason)});
+  add(kind_slots(d.kind).drop_kind, {"drop_kind.", d.kind});
 }
 
 void Metrics::on_link_transmit(LinkId link, const net::Delivery& d) {
   const auto& spec = network_.topology().link(link);
-  const char* cls = topo::to_string(spec.link_class);
-  counters_.inc(std::string("link.") + cls);
-  counters_.inc(std::string("link.") + cls + "." + d.kind);
-  counters_.inc(std::string("link_bytes.") + cls, d.bytes);
-  link_busy_[link] += spec.transmission_time(d.bytes);
+  const auto cls = static_cast<std::size_t>(spec.link_class);
+  const std::string_view cls_name = topo::to_string(spec.link_class);
+  add(link_[cls], {"link.", cls_name});
+  add(kind_slots(d.kind).link[cls], {"link.", cls_name, ".", d.kind});
+  add(link_bytes_[cls], {"link_bytes.", cls_name}, d.bytes);
+  link_busy_[static_cast<std::size_t>(link.value)] +=
+      spec.transmission_time(d.bytes);
 }
 
 void Metrics::on_queue_backlog(ServerId server, LinkId /*link*/,
@@ -121,8 +142,8 @@ std::size_t Metrics::delivered_count(Seq seq) const {
 }
 
 sim::Duration Metrics::link_busy_time(LinkId link) const {
-  auto it = link_busy_.find(link);
-  return it != link_busy_.end() ? it->second : 0;
+  const auto idx = static_cast<std::size_t>(link.value);
+  return link.valid() && idx < link_busy_.size() ? link_busy_[idx] : 0;
 }
 
 double Metrics::link_utilization(LinkId link) const {
@@ -135,10 +156,11 @@ double Metrics::link_utilization(LinkId link) const {
 LinkId Metrics::busiest_trunk() const {
   LinkId best = kNoLink;
   sim::Duration best_busy = 0;
-  for (const auto& [link, busy] : link_busy_) {
+  for (std::size_t idx = 0; idx < link_busy_.size(); ++idx) {
+    const LinkId link{static_cast<LinkId::value_type>(idx)};
     if (network_.topology().link(link).is_access) continue;
-    if (busy > best_busy) {
-      best_busy = busy;
+    if (link_busy_[idx] > best_busy) {
+      best_busy = link_busy_[idx];
       best = link;
     }
   }
@@ -200,8 +222,12 @@ void Metrics::write_latencies_csv(std::ostream& os) const {
 
 void Metrics::reset() {
   counters_.clear();
+  kinds_.clear();
+  link_.fill(nullptr);
+  link_bytes_.fill(nullptr);
+  drop_.fill(nullptr);
   backlog_.clear();
-  link_busy_.clear();
+  std::fill(link_busy_.begin(), link_busy_.end(), 0);
   window_start_ = simulator_.now();
   broadcast_at_.clear();
   first_delivery_.clear();

@@ -14,10 +14,13 @@
 // ground-truth clusters at the moment of sending.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/message.h"
@@ -33,6 +36,10 @@ using util::Seq;
 class Metrics : public net::NetObserver {
  public:
   Metrics(sim::Simulator& simulator, net::Network& network);
+
+  // Not copyable: the resolved counter slots point into this counters_.
+  Metrics(const Metrics&) = delete;
+  Metrics& operator=(const Metrics&) = delete;
 
   // Registers itself as the network observer.
   void attach();
@@ -112,17 +119,46 @@ class Metrics : public net::NetObserver {
   void reset();
 
  private:
+  static constexpr std::size_t kLinkClasses =
+      static_cast<std::size_t>(topo::LinkClass::kExpensive) + 1;
+  static constexpr std::size_t kDropReasons =
+      static_cast<std::size_t>(net::DropReason::kQueueOverflow) + 1;
+
+  // Where the per-packet counters of one message kind live in counters_.
+  // Each pointer is resolved on the counter's first increment, so a
+  // counter that never fires never appears, exactly as with inc(); after
+  // that an increment builds no string and does no map lookup.
+  struct KindSlots {
+    std::string kind;
+    std::uint64_t* send{nullptr};
+    std::uint64_t* send_bytes{nullptr};
+    std::uint64_t* send_intercluster{nullptr};
+    std::uint64_t* send_bytes_intercluster{nullptr};
+    std::uint64_t* deliver{nullptr};
+    std::uint64_t* drop_kind{nullptr};
+    std::array<std::uint64_t*, kLinkClasses> link{};  // link.<class>.<kind>
+  };
+
   [[nodiscard]] bool crosses_clusters(HostId a, HostId b);
-  [[nodiscard]] static bool is_data_kind(const std::string& kind);
+  [[nodiscard]] KindSlots& kind_slots(const std::string& kind);
+  // Adds `by` to the counter named by concatenating `name`, resolving
+  // `slot` first if this is its first use.
+  void add(std::uint64_t*& slot, std::initializer_list<std::string_view> name,
+           std::uint64_t by = 1);
 
   sim::Simulator& simulator_;
   net::Network& network_;
 
   util::CounterMap counters_;
-  // Ordered: busiest_trunk() iterates link_busy_ and breaks utilization
-  // ties by iteration order, which must be stable across runs.
+  // Slot caches into counters_; reset() drops them with the counters.
+  std::vector<KindSlots> kinds_;
+  std::array<std::uint64_t*, kLinkClasses> link_{};        // link.<class>
+  std::array<std::uint64_t*, kLinkClasses> link_bytes_{};  // link_bytes.<class>
+  std::array<std::uint64_t*, kDropReasons> drop_{};        // drop.<reason>
   std::map<ServerId, util::Accumulator> backlog_;
-  std::map<LinkId, sim::Duration> link_busy_;
+  // Wire time per link, indexed by LinkId; busiest_trunk() breaks
+  // utilization ties by link id.
+  std::vector<sim::Duration> link_busy_;
   sim::TimePoint window_start_{0};
 
   std::map<Seq, sim::TimePoint> broadcast_at_;

@@ -96,6 +96,10 @@ class Histogram {
 class CounterMap {
  public:
   void inc(const std::string& name, std::uint64_t by = 1) { m_[name] += by; }
+  // The counter `name` itself, created at 0 if absent. The reference stays
+  // valid until clear(), so a hot path can resolve a name once and then
+  // increment through it without building the string again.
+  [[nodiscard]] std::uint64_t& slot(const std::string& name) { return m_[name]; }
   [[nodiscard]] std::uint64_t get(const std::string& name) const;
   [[nodiscard]] const std::map<std::string, std::uint64_t>& all() const {
     return m_;

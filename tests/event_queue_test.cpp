@@ -138,5 +138,94 @@ TEST(EventQueue, ManyInterleavedOperations) {
   EXPECT_EQ(fired, 50);
 }
 
+TEST(EventQueue, StaleIdCannotCancelSlotsNextOccupant) {
+  // The cancelled event's slot is reused by the next schedule; the old
+  // handle must not reach the new occupant.
+  EventQueue q;
+  bool fired = false;
+  const EventId stale = q.schedule(10, [] {});
+  ASSERT_TRUE(q.cancel(stale));
+  const EventId fresh = q.schedule(20, [&] { fired = true; });
+  EXPECT_EQ(q.slot_capacity(), 1u);  // same slot
+  EXPECT_NE(fresh, stale);
+  EXPECT_FALSE(q.cancel(stale));
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().action();
+  EXPECT_TRUE(fired);
+}
+
+TEST(EventQueue, CancelAfterFireReturnsFalseOnceSlotIsReused) {
+  EventQueue q;
+  bool fired = false;
+  const EventId done = q.schedule(10, [] {});
+  q.pop().action();
+  q.schedule(20, [&] { fired = true; });
+  EXPECT_EQ(q.slot_capacity(), 1u);
+  EXPECT_FALSE(q.cancel(done));
+  ASSERT_EQ(q.size(), 1u);
+  q.pop().action();
+  EXPECT_TRUE(fired);
+}
+
+TEST(EventQueue, SimultaneousEventsStayFifoAcrossSlotReuse) {
+  // Free slots in scrambled order, then schedule same-time events into
+  // them: the later-scheduled events sit in lower slots, but firing order
+  // must follow scheduling order, not slot order.
+  EventQueue q;
+  std::vector<EventId> filler;
+  for (int i = 0; i < 8; ++i) filler.push_back(q.schedule(100, [] {}));
+  for (int i : {5, 1, 6, 2, 7, 3}) {
+    ASSERT_TRUE(q.cancel(filler[static_cast<std::size_t>(i)]));
+  }
+  std::vector<int> fired;
+  for (int i = 0; i < 6; ++i) {
+    q.schedule(5, [&fired, i] { fired.push_back(i); });
+  }
+  EXPECT_EQ(q.slot_capacity(), 8u);  // all six landed in freed slots
+  while (q.next_time() == 5) q.pop().action();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(EventQueue, NeverIssuesTheNullId) {
+  EventQueue q;
+  EXPECT_FALSE(q.cancel(EventId{0}));
+  for (int round = 0; round < 1000; ++round) {
+    const EventId id = q.schedule(round, [] {});
+    EXPECT_TRUE(id.valid());
+    if (round % 3 == 0) {
+      q.cancel(id);
+    } else {
+      q.pop();
+    }
+  }
+  EXPECT_FALSE(q.cancel(EventId{0}));
+}
+
+TEST(EventQueue, ChurnRecyclesSlots) {
+  // Timers disarmed and re-armed far in the future, next to a stream of
+  // near events that fire and are replaced: the slot vector stays at the
+  // peak live count and the heap at most twice that (above the compaction
+  // floor), however many events pass through.
+  EventQueue q;
+  constexpr int kEach = 16;
+  constexpr TimePoint kFar = 1'000'000;
+  std::vector<EventId> timers;
+  for (int i = 0; i < kEach; ++i) {
+    timers.push_back(q.schedule(kFar + i, [] {}));
+    q.schedule(i, [] {});
+  }
+  TimePoint t = kEach;
+  for (int round = 0; round < 20000; ++round) {
+    const auto k = static_cast<std::size_t>(round % kEach);
+    ASSERT_TRUE(q.cancel(timers[k]));
+    timers[k] = q.schedule(kFar + round, [] {});
+    ASSERT_LT(q.pop().time, kFar);
+    q.schedule(++t, [] {});
+    ASSERT_EQ(q.size(), 2u * kEach);
+    EXPECT_EQ(q.slot_capacity(), 2u * kEach);
+    EXPECT_LE(q.backing_size(), 2u * std::max<std::size_t>(2 * kEach, 64));
+  }
+}
+
 }  // namespace
 }  // namespace rbcast::sim

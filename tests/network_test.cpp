@@ -15,6 +15,7 @@ struct Received {
   bool expensive;
   std::string payload;
   sim::TimePoint at;
+  int hops;
 };
 
 struct Harness {
@@ -32,7 +33,8 @@ struct Harness {
       network->register_host(h.id, [this, id = h.id](const Delivery& d) {
         inbox[static_cast<std::size_t>(id.value)].push_back(
             Received{d.from, d.expensive,
-                     std::any_cast<std::string>(d.payload), sim.now()});
+                     std::any_cast<std::string>(d.payload), sim.now(),
+                     d.hops});
       });
     }
   }
@@ -436,6 +438,103 @@ TEST(Network, JitterCausesReorderingOnSharedPath) {
     }
   }
   EXPECT_TRUE(out_of_order);
+}
+
+TEST(Network, LinkFailureCancelsExactlyThePacketsOnThatLink) {
+  topo::ClusteredWanOptions options;
+  options.clusters = 2;
+  options.hosts_per_cluster = 2;
+  options.shape = topo::TrunkShape::kLine;
+  const auto wan = make_clustered_wan(options);
+  Harness h;
+  h.init(wan.topology);
+  const HostId near = wan.cluster_hosts[0][1];
+  const HostId far = wan.cluster_hosts[1][0];
+
+  // Three messages queue on the ~70 ms-per-message trunk; a large local
+  // message is still on its 10 Mbit/s access link at the failure.
+  for (int i = 0; i < 3; ++i) h.send(HostId{0}, far, "doomed", 500);
+  h.sim.run_until(sim::milliseconds(29));
+  h.send(HostId{0}, near, "local", 5000);
+  h.sim.run_until(sim::milliseconds(30));
+  ASSERT_EQ(h.network->in_flight(), 4u);
+  const std::size_t pending = h.sim.pending_events();
+  h.network->set_link_up(wan.trunks[0], false);
+  EXPECT_EQ(h.network->in_flight(), 1u);
+  // Three arrivals cancelled, one routing recompute scheduled.
+  EXPECT_EQ(h.sim.pending_events(), pending - 3 + 1);
+  h.sim.run_until(sim::seconds(1));
+  h.network->set_link_up(wan.trunks[0], true);
+  h.sim.run_until(sim::seconds(2));
+  EXPECT_TRUE(h.inbox[static_cast<std::size_t>(far.value)].empty());
+  EXPECT_EQ(h.inbox[static_cast<std::size_t>(near.value)].size(), 1u);
+  EXPECT_EQ(h.network->in_flight(), 0u);
+
+  // The cancelled packets' slots are reused, not leaked.
+  const std::size_t capacity = h.network->in_flight_capacity();
+  for (int i = 0; i < 3; ++i) h.send(HostId{0}, far, "again", 500);
+  h.sim.run_until(sim::seconds(5));
+  EXPECT_EQ(h.inbox[static_cast<std::size_t>(far.value)].size(), 3u);
+  EXPECT_EQ(h.network->in_flight_capacity(), capacity);
+}
+
+// Host 0 and host 1 at either end of a two-trunk cheap chain: four hops.
+// Only the last one, server 2 -> host 1, may duplicate.
+topo::Topology chain_with_duplicating_last_hop(double duplication) {
+  topo::Topology t;
+  const ServerId s0 = t.add_server();
+  const ServerId s1 = t.add_server();
+  const ServerId s2 = t.add_server();
+  t.add_link(s0, s1, topo::LinkClass::kCheap);
+  t.add_link(s1, s2, topo::LinkClass::kCheap);
+  t.add_host(s0);
+  topo::LinkParams last = topo::LinkParams::cheap_defaults();
+  last.duplication_probability = duplication;
+  t.add_host(s2, last);
+  return t;
+}
+
+TEST(Network, LastHopDuplicateCarriesItsOwnHopCount) {
+  Harness h;
+  h.init(chain_with_duplicating_last_hop(1.0));
+  h.send(HostId{0}, HostId{1}, "twice");
+  h.sim.run_until(sim::seconds(1));
+  ASSERT_EQ(h.inbox[1].size(), 2u);
+  for (const Received& r : h.inbox[1]) {
+    EXPECT_EQ(r.payload, "twice");
+    EXPECT_EQ(r.hops, 4);
+  }
+  EXPECT_LT(h.inbox[1][0].at, h.inbox[1][1].at);
+}
+
+// A payload that counts its copies (moves are free).
+struct CopyCounted {
+  int* copies;
+  explicit CopyCounted(int* c) : copies(c) {}
+  CopyCounted(const CopyCounted& o) : copies(o.copies) { ++*copies; }
+  CopyCounted(CopyCounted&&) noexcept = default;
+};
+
+TEST(Network, MultiHopPathNeverCopiesThePayload) {
+  sim::Simulator simulator;
+  const util::RngFactory rngs{1};
+  const topo::Topology topology = chain_with_duplicating_last_hop(0.0);
+  Network network(simulator, topology, NetConfig{}, rngs);
+  int copies = 0;
+  int delivered = 0;
+  int hops = 0;
+  network.register_host(HostId{0}, [](const Delivery&) {});
+  network.register_host(HostId{1}, [&](const Delivery& d) {
+    ASSERT_NE(std::any_cast<CopyCounted>(&d.payload), nullptr);
+    ++delivered;
+    hops = d.hops;
+  });
+  network.send(HostId{0}, HostId{1}, std::any(CopyCounted(&copies)), 100,
+               "data");
+  simulator.run_until(sim::seconds(1));
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(hops, 4);
+  EXPECT_EQ(copies, 0);
 }
 
 }  // namespace

@@ -11,11 +11,16 @@
 //   rbcast_check --clusters 0,0,1 --walks 5000 # random-walk mode
 //   rbcast_check --mutant double-delivery      # watch the checker catch it
 //   rbcast_check --determinism-check           # replay gate (see below)
+//   rbcast_check --determinism-check --expect tests/data/determinism_digests.txt
 #include <cstdlib>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "rbcast.h"
@@ -32,6 +37,12 @@ namespace {
 // trace::EventLog::digest()). Any hidden nondeterminism — hash-order
 // iteration, unseeded randomness, address-dependent tie-breaks — shows up
 // as a digest mismatch. CI runs this under ASan/UBSan.
+//
+// Run-vs-run agreement cannot catch a change that reorders events the
+// same way every time, so --expect FILE also compares each digest with a
+// pinned value. FILE holds one `<seed> <plain|batch> <topology> <digest>`
+// line per scenario (digest in hex; `#` starts a comment). A scenario with
+// no line for the current seed and mode fails the check.
 
 struct DeterminismScenario {
   std::string name;
@@ -71,23 +82,80 @@ std::uint64_t run_once(const topo::Topology& topology, std::uint64_t seed,
   return experiment.events().digest();
 }
 
-int run_determinism_check(std::uint64_t seed, bool batch) {
-  bool ok = true;
+// (seed, "plain"|"batch", topology name) -> pinned digest.
+using PinnedDigests =
+    std::map<std::tuple<std::uint64_t, std::string, std::string>,
+             std::uint64_t>;
+
+std::optional<PinnedDigests> read_pinned_digests(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << "cannot open " << path << "\n";
+    return std::nullopt;
+  }
+  PinnedDigests pinned;
+  std::string line;
+  int line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    std::istringstream fields(line.substr(0, line.find('#')));
+    if ((fields >> std::ws).eof()) continue;  // blank or comment-only line
+    std::uint64_t seed = 0;
+    std::string mode, name, digest;
+    char* end = nullptr;
+    const bool well_formed = (fields >> seed >> mode >> name >> digest) &&
+                             (mode == "plain" || mode == "batch");
+    const std::uint64_t value =
+        well_formed ? std::strtoull(digest.c_str(), &end, 16) : 0;
+    if (!well_formed || *end != '\0') {
+      std::cerr << path << ":" << line_no
+                << ": expected <seed> <plain|batch> <topology> <digest>\n";
+      return std::nullopt;
+    }
+    pinned[{seed, mode, name}] = value;
+  }
+  return pinned;
+}
+
+int run_determinism_check(std::uint64_t seed, bool batch,
+                          const PinnedDigests* pinned) {
+  bool repeats = true;
+  bool as_pinned = true;
+  const std::string mode = batch ? "batch" : "plain";
   std::cout << "determinism check: two runs per topology, seed " << seed
-            << (batch ? ", batching on" : "") << "\n";
+            << (batch ? ", batching on" : "")
+            << (pinned != nullptr ? ", against pinned digests" : "") << "\n";
   for (DeterminismScenario& scenario : determinism_scenarios()) {
     const std::uint64_t first = run_once(scenario.topology, seed, batch);
     const std::uint64_t second = run_once(scenario.topology, seed, batch);
-    const bool match = first == second;
-    ok = ok && match;
+    std::string verdict = first == second ? "OK" : "MISMATCH";
+    if (pinned != nullptr) {
+      auto it = pinned->find({seed, mode, scenario.name});
+      if (it == pinned->end()) {
+        verdict += ", NOT PINNED";
+        as_pinned = false;
+      } else if (it->second != first) {
+        std::ostringstream expected;
+        expected << std::hex << std::setfill('0') << std::setw(16)
+                 << it->second;
+        verdict += ", PINNED " + expected.str();
+        as_pinned = false;
+      }
+    }
+    repeats = repeats && first == second;
     std::cout << "  " << std::left << std::setw(24) << scenario.name
-              << " digest " << std::hex << std::setw(16) << first << " / "
-              << std::setw(16) << second << std::dec
-              << (match ? "  OK" : "  MISMATCH") << "\n";
+              << std::right << " digest " << std::hex << std::setfill('0')
+              << std::setw(16) << first << " / " << std::setw(16) << second
+              << std::dec << std::setfill(' ') << "  " << verdict << "\n";
   }
-  std::cout << (ok ? "result: all event logs bit-identical\n"
-                   : "result: NONDETERMINISM detected\n");
-  return ok ? 0 : 1;
+  if (!repeats) {
+    std::cout << "result: NONDETERMINISM detected\n";
+  } else if (!as_pinned) {
+    std::cout << "result: runs repeat, but do not match the pinned digests\n";
+  } else {
+    std::cout << "result: all event logs bit-identical\n";
+  }
+  return repeats && as_pinned ? 0 : 1;
 }
 
 void usage() {
@@ -110,6 +178,8 @@ void usage() {
       "                    seed and require identical event-log digests\n"
       "  --batch           with --determinism-check: enable transport\n"
       "                    coalescing (batch_flush_delay 5ms) in the runs\n"
+      "  --expect FILE     with --determinism-check: also require each\n"
+      "                    digest to equal its pinned value in FILE\n"
       "  --help            this text\n";
 }
 
@@ -128,6 +198,7 @@ int main(int argc, char** argv) {
   bool clusters_given = false;
   bool determinism_check = false;
   bool batch = false;
+  std::string expect_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -167,6 +238,13 @@ int main(int argc, char** argv) {
       determinism_check = true;
     } else if (arg == "--batch") {
       batch = true;
+    } else if (arg == "--expect") {
+      const char* path = value();
+      if (path == nullptr) {
+        std::cerr << "--expect needs a file\n";
+        return 2;
+      }
+      expect_path = path;
     } else if (arg == "--mutant") {
       const std::string m = value();
       if (m == "double-delivery") {
@@ -182,7 +260,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (determinism_check) return run_determinism_check(seed, batch);
+  if (determinism_check) {
+    if (expect_path.empty()) return run_determinism_check(seed, batch, nullptr);
+    const auto pinned = read_pinned_digests(expect_path);
+    if (!pinned) return 2;
+    return run_determinism_check(seed, batch, &*pinned);
+  }
   if (!clusters_given) {
     config.cluster_of.clear();
     for (int i = 0; i < config.hosts; ++i) config.cluster_of.push_back(i);
