@@ -1,7 +1,7 @@
 // Multiple-source broadcast (Section 2): two database sites generate
 // updates concurrently, each running its own single-source protocol
-// instance; every host subscribes to both streams over one network
-// endpoint.
+// instance; every host subscribes to both streams over one transport
+// attachment.
 //
 // Demonstrates core::MultiSourceNode: per-stream parent graphs (each
 // rooted at its own source), interleaved delivery, and per-stream
@@ -29,6 +29,7 @@ int main() {
   sim::Simulator simulator;
   util::RngFactory rngs(7);
   net::Network network(simulator, wan.topology, net::NetConfig{}, rngs);
+  transport::SimTransport transport(simulator, network);
   net::FaultPlan faults(simulator, network);
 
   const auto all = wan.topology.host_ids();
@@ -39,13 +40,10 @@ int main() {
   for (HostId h : all) {
     const auto idx = static_cast<std::size_t>(h.value);
     nodes.push_back(std::make_unique<core::MultiSourceNode>(
-        simulator, network.endpoint(h), sources, all, core::Config{}, rngs,
+        transport, h, sources, all, core::Config{}, rngs,
         [&delivered, idx](HostId source, util::Seq, std::string_view) {
           ++delivered[idx][source];
         }));
-    network.register_host(h, [&nodes, idx](const net::Delivery& d) {
-      nodes[idx]->on_delivery(d);
-    });
   }
   for (auto& node : nodes) node->start();
 

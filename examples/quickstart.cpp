@@ -68,5 +68,5 @@ int main() {
   // inter-cluster transmission per message.
   std::cout << "inter-cluster data transmissions for 10+1 messages: "
             << experiment.metrics().intercluster_data_sends() << "\n";
-  return 0;
+  return experiment.all_delivered() ? 0 : 1;
 }

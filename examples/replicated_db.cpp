@@ -11,7 +11,7 @@
 // partition heals. At the end, every replica must agree exactly.
 //
 // This example wires the protocol layer by hand (no harness) to show the
-// full public API: Network, HostEndpoint, BroadcastHost, FaultPlan.
+// full public API: Network, SimTransport, BroadcastHost, FaultPlan.
 //
 //   $ ./replicated_db
 #include <iostream>
@@ -64,6 +64,7 @@ int main() {
   sim::Simulator simulator;
   util::RngFactory rngs(2026);
   net::Network network(simulator, wan.topology, net::NetConfig{}, rngs);
+  transport::SimTransport transport(simulator, network);
   net::FaultPlan faults(simulator, network);
 
   const auto all_hosts = wan.topology.host_ids();
@@ -74,14 +75,11 @@ int main() {
   for (HostId h : all_hosts) {
     auto* replica = &replicas[static_cast<std::size_t>(h.value)];
     hosts.push_back(std::make_unique<core::BroadcastHost>(
-        simulator, network.endpoint(h), source, all_hosts, core::Config{},
+        transport, h, source, all_hosts, core::Config{},
         rngs.stream("jitter", h.value),
         [replica](util::Seq seq, std::string_view body) {
           replica->apply(seq, body);
         }));
-    network.register_host(h, [&hosts, h](const net::Delivery& d) {
-      hosts[static_cast<std::size_t>(h.value)]->on_delivery(d);
-    });
   }
   for (auto& host : hosts) host->start();
 

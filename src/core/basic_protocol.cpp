@@ -21,20 +21,23 @@ const char* kind_of(const BasicMessage& m) {
   return std::holds_alternative<BasicData>(m) ? "data" : "ack";
 }
 
-BasicSource::BasicSource(util::Scheduler& scheduler,
-                         net::HostEndpoint& endpoint,
+BasicSource::BasicSource(transport::Transport& transport, HostId self,
                          std::vector<HostId> all_hosts, BasicConfig config,
                          util::Rng rng)
-    : scheduler_(scheduler),
-      endpoint_(endpoint),
+    : transport_(transport),
+      endpoint_(transport.attach(
+          self, [this](const net::Delivery& d) { on_delivery(d); })),
       config_(config),
       rng_(rng) {
   for (HostId h : all_hosts) {
-    if (h != endpoint_.self()) destinations_.push_back(h);
+    if (h != self) destinations_.push_back(h);
   }
   retransmit_task_ = std::make_unique<util::PeriodicTask>(
-      scheduler_, config_.retransmit_period, [this] { retransmit_round(); });
+      transport.scheduler(), config_.retransmit_period,
+      [this] { retransmit_round(); });
 }
+
+BasicSource::~BasicSource() { transport_.detach(self()); }
 
 void BasicSource::start() {
   retransmit_task_->start(
@@ -101,9 +104,14 @@ void BasicSource::retransmit_round() {
   }
 }
 
-BasicReceiver::BasicReceiver(net::HostEndpoint& endpoint,
+BasicReceiver::BasicReceiver(transport::Transport& transport, HostId self,
                              AppDeliverFn app_deliver)
-    : endpoint_(endpoint), app_deliver_(std::move(app_deliver)) {}
+    : transport_(transport),
+      endpoint_(transport.attach(
+          self, [this](const net::Delivery& d) { on_delivery(d); })),
+      app_deliver_(std::move(app_deliver)) {}
+
+BasicReceiver::~BasicReceiver() { transport_.detach(self()); }
 
 void BasicReceiver::on_delivery(const net::Delivery& delivery) {
   const auto* message = std::any_cast<BasicMessage>(&delivery.payload);

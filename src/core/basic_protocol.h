@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "net/message.h"
+#include "transport/transport.h"
 #include "util/scheduler.h"
 #include "util/rng.h"
 #include "util/seq_set.h"
@@ -53,9 +54,15 @@ struct BasicConfig {
 // The source role of the basic algorithm.
 class BasicSource {
  public:
-  BasicSource(util::Scheduler& scheduler, net::HostEndpoint& endpoint,
+  // Attaches `self` to `transport` (which must outlive this object) and
+  // runs retransmissions on its scheduler; the destructor detaches.
+  BasicSource(transport::Transport& transport, HostId self,
               std::vector<HostId> all_hosts, BasicConfig config,
               util::Rng rng);
+  ~BasicSource();
+
+  BasicSource(const BasicSource&) = delete;
+  BasicSource& operator=(const BasicSource&) = delete;
 
   void start();
 
@@ -81,7 +88,7 @@ class BasicSource {
  private:
   void retransmit_round();
 
-  util::Scheduler& scheduler_;
+  transport::Transport& transport_;
   net::HostEndpoint& endpoint_;
   std::vector<HostId> destinations_;  // all hosts except self
   BasicConfig config_;
@@ -100,7 +107,14 @@ class BasicReceiver {
  public:
   using AppDeliverFn = std::function<void(Seq, const std::string& body)>;
 
-  BasicReceiver(net::HostEndpoint& endpoint, AppDeliverFn app_deliver = {});
+  // Attaches `self` to `transport` (which must outlive this object); the
+  // destructor detaches.
+  BasicReceiver(transport::Transport& transport, HostId self,
+                AppDeliverFn app_deliver = {});
+  ~BasicReceiver();
+
+  BasicReceiver(const BasicReceiver&) = delete;
+  BasicReceiver& operator=(const BasicReceiver&) = delete;
 
   void on_delivery(const net::Delivery& delivery);
 
@@ -115,6 +129,7 @@ class BasicReceiver {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
+  transport::Transport& transport_;
   net::HostEndpoint& endpoint_;
   AppDeliverFn app_deliver_;
   util::SeqSet received_;

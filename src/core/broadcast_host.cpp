@@ -8,19 +8,28 @@
 
 namespace rbcast::core {
 
-BroadcastHost::BroadcastHost(util::Scheduler& scheduler,
-                             net::HostEndpoint& endpoint, HostId source,
-                             std::vector<HostId> all_hosts, Config config,
-                             util::Rng rng, AppDeliverFn app_deliver)
-    : scheduler_(scheduler),
-      endpoint_(endpoint),
-      source_(source),
+namespace {
+
+HostId checked_source(HostId source) {
+  RBCAST_CHECK_ARG(source.valid(), "invalid source id");
+  return source;
+}
+
+}  // namespace
+
+BroadcastHost::BroadcastHost(transport::Transport& transport, HostId self,
+                             HostId source, std::vector<HostId> all_hosts,
+                             Config config, util::Rng rng,
+                             AppDeliverFn app_deliver)
+    : transport_(transport),
+      scheduler_(transport.scheduler()),
+      source_(checked_source(source)),
       config_(std::move(config)),
-      state_(endpoint.self(), std::move(all_hosts), source),
+      state_(self, std::move(all_hosts), source),
+      endpoint_(transport.attach(
+          self, [this](const net::Delivery& d) { on_delivery(d); })),
       rng_(rng),
       app_deliver_(std::move(app_deliver)) {
-  RBCAST_CHECK_ARG(source.valid(), "invalid source id");
-
   attach_task_ = std::make_unique<util::PeriodicTask>(
       scheduler_, config_.attach_period, [this] { attachment_round(); });
   info_intra_task_ = std::make_unique<util::PeriodicTask>(
@@ -40,24 +49,11 @@ BroadcastHost::BroadcastHost(util::Scheduler& scheduler,
       scheduler_, maintenance_period, [this] { maintenance_round(); });
 }
 
-BroadcastHost::BroadcastHost(transport::Transport& transport, HostId self,
-                             HostId source, std::vector<HostId> all_hosts,
-                             Config config, util::Rng rng,
-                             AppDeliverFn app_deliver)
-    : BroadcastHost(transport.scheduler(),
-                    transport.attach(self,
-                                     [this](const net::Delivery& d) {
-                                       on_delivery(d);
-                                     }),
-                    source, std::move(all_hosts), std::move(config), rng,
-                    std::move(app_deliver)) {
-  transport_ = &transport;
-}
-
 BroadcastHost::~BroadcastHost() {
   // Detach before members die so an in-flight delivery can never reach a
-  // half-destroyed host.
-  if (transport_ != nullptr) transport_->detach(self());
+  // half-destroyed host, and drop the one timer no PeriodicTask owns.
+  transport_.detach(self());
+  if (attach_timer_.valid()) scheduler_.cancel(attach_timer_);
   if (metrics_registry_ != nullptr) {
     for (const std::string& name : metrics_names_) {
       metrics_registry_->unregister(name, metrics_labels_);

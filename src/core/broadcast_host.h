@@ -1,11 +1,12 @@
 // BroadcastHost — the complete protocol automaton running on one host.
 //
 // Glues the pure pieces (HostState, the attachment procedure, the gap-fill
-// planners) to the simulator (periodic activations, timeouts) and to the
-// network endpoint (the paper's single-destination send + cost-bit
-// delivery). One instance runs per participating host; the instance whose
-// id equals `source` plays the source role (generates the stream, never
-// runs the attachment procedure, is the root of the host parent graph).
+// planners) to a transport::Transport: its scheduler drives the periodic
+// activations and timeouts, its endpoint is the paper's single-destination
+// send, and its upcall is the cost-bit delivery. One instance runs per
+// participating host; the instance whose id equals `source` plays the
+// source role (generates the stream, never runs the attachment procedure,
+// is the root of the host parent graph).
 //
 // Delivery semantics offered to the application: every broadcast message is
 // delivered exactly once per host, not necessarily in order — the paper
@@ -41,17 +42,12 @@ class BroadcastHost {
   // it must outlive the callback.
   using AppDeliverFn = std::function<void(Seq, std::string_view body)>;
 
-  // `endpoint` must outlive this object. `rng` drives only phase jitter of
-  // the periodic tasks (so hosts do not act in lock-step).
-  BroadcastHost(util::Scheduler& scheduler, net::HostEndpoint& endpoint,
-                HostId source, std::vector<HostId> all_hosts, Config config,
-                util::Rng rng, AppDeliverFn app_deliver = {});
-
-  // Transport-backed construction: attaches `self` to `transport` (which
-  // must outlive this object), wiring on_delivery as the upcall and
-  // running the periodic tasks on the transport's scheduler. The same
-  // host code runs over the simulator (SimTransport) and real sockets
-  // (UdpTransport); the destructor detaches.
+  // Attaches `self` to `transport` (which must outlive this object),
+  // wiring on_delivery as the upcall and running the periodic tasks on the
+  // transport's scheduler. The same host code runs over the simulator
+  // (SimTransport) and real sockets (UdpTransport); the destructor
+  // detaches. `rng` drives only phase jitter of the periodic tasks (so
+  // hosts do not act in lock-step).
   BroadcastHost(transport::Transport& transport, HostId self, HostId source,
                 std::vector<HostId> all_hosts, Config config, util::Rng rng,
                 AppDeliverFn app_deliver = {});
@@ -61,11 +57,10 @@ class BroadcastHost {
   BroadcastHost(const BroadcastHost&) = delete;
   BroadcastHost& operator=(const BroadcastHost&) = delete;
 
-  // Arms the periodic activities. Call once, after the network knows how
-  // to deliver to this host.
+  // Arms the periodic activities. Call once.
   void start();
 
-  // Network upcall: a message for this host arrived (with its cost bit).
+  // Transport upcall: a message for this host arrived (with its cost bit).
   void on_delivery(const net::Delivery& delivery);
 
   // Source API: appends the next message to the broadcast stream.
@@ -168,13 +163,14 @@ class BroadcastHost {
                       HostId from);
   [[nodiscard]] std::set<HostId> current_exclusions();
 
+  transport::Transport& transport_;
   util::Scheduler& scheduler_;
-  net::HostEndpoint& endpoint_;
-  // Set only by the Transport-backed constructor; the destructor detaches.
-  transport::Transport* transport_{nullptr};
   HostId source_;
   Config config_;
   HostState state_;
+  // Initialized after the members that validate the constructor's
+  // arguments, so a rejected construction never leaves `self` attached.
+  net::HostEndpoint& endpoint_;
   util::Rng rng_;
   AppDeliverFn app_deliver_;
   ProtocolObserver* observer_{nullptr};

@@ -7,8 +7,15 @@
 namespace rbcast::core {
 
 namespace {
+
 constexpr std::size_t kHeaderBytes = 24;
+
+GossipConfig checked(const GossipConfig& config) {
+  RBCAST_CHECK_ARG(config.fanout >= 1, "gossip fanout must be >= 1");
+  return config;
 }
+
+}  // namespace
 
 std::size_t wire_size(const GossipMessage& m) {
   if (const auto* digest = std::get_if<GossipDigest>(&m)) {
@@ -21,23 +28,26 @@ const char* kind_of(const GossipMessage& m) {
   return std::holds_alternative<GossipDigest>(m) ? "gossip_digest" : "data";
 }
 
-GossipNode::GossipNode(util::Scheduler& scheduler, net::HostEndpoint& endpoint,
+GossipNode::GossipNode(transport::Transport& transport, HostId self,
                        HostId source, std::vector<HostId> all_hosts,
                        GossipConfig config, util::Rng rng,
                        AppDeliverFn app_deliver)
-    : scheduler_(scheduler),
-      endpoint_(endpoint),
+    : transport_(transport),
       source_(source),
-      config_(config),
+      config_(checked(config)),
+      endpoint_(transport.attach(
+          self, [this](const net::Delivery& d) { on_delivery(d); })),
       rng_(rng),
       app_deliver_(std::move(app_deliver)) {
-  RBCAST_CHECK_ARG(config_.fanout >= 1, "gossip fanout must be >= 1");
   for (HostId h : all_hosts) {
-    if (h != endpoint_.self()) peers_.push_back(h);
+    if (h != self) peers_.push_back(h);
   }
   round_task_ = std::make_unique<util::PeriodicTask>(
-      scheduler_, config_.gossip_period, [this] { gossip_round(); });
+      transport.scheduler(), config_.gossip_period,
+      [this] { gossip_round(); });
 }
+
+GossipNode::~GossipNode() { transport_.detach(self()); }
 
 void GossipNode::start() {
   round_task_->start(util::phase_jitter(rng_, config_.gossip_period));

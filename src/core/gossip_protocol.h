@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "net/message.h"
+#include "transport/transport.h"
 #include "util/scheduler.h"
 #include "util/rng.h"
 #include "util/seq_set.h"
@@ -66,10 +67,12 @@ class GossipNode {
  public:
   using AppDeliverFn = std::function<void(Seq, const std::string& body)>;
 
-  GossipNode(util::Scheduler& scheduler, net::HostEndpoint& endpoint,
-             HostId source, std::vector<HostId> all_hosts,
-             GossipConfig config, util::Rng rng,
-             AppDeliverFn app_deliver = {});
+  // Attaches `self` to `transport` (which must outlive this object) and
+  // runs gossip rounds on its scheduler; the destructor detaches.
+  GossipNode(transport::Transport& transport, HostId self, HostId source,
+             std::vector<HostId> all_hosts, GossipConfig config,
+             util::Rng rng, AppDeliverFn app_deliver = {});
+  ~GossipNode();
 
   GossipNode(const GossipNode&) = delete;
   GossipNode& operator=(const GossipNode&) = delete;
@@ -101,11 +104,13 @@ class GossipNode {
   void push_missing(HostId to, const SeqSet& peer_info);
   void send(HostId to, GossipMessage m);
 
-  util::Scheduler& scheduler_;
-  net::HostEndpoint& endpoint_;
+  transport::Transport& transport_;
   HostId source_;
-  std::vector<HostId> peers_;  // everyone but self
   GossipConfig config_;
+  // Initialized after config_ is validated, so a rejected construction
+  // never leaves `self` attached.
+  net::HostEndpoint& endpoint_;
+  std::vector<HostId> peers_;  // everyone but self
   util::Rng rng_;
   AppDeliverFn app_deliver_;
 

@@ -6,48 +6,83 @@
 
 namespace rbcast::core {
 
-void MultiSourceNode::MuxEndpoint::send(HostId to, std::any payload,
-                                        std::size_t bytes, std::string kind,
-                                        net::TraceId trace_id) {
+namespace {
+
+// Rejects a bad stream list (or a `self` its instances would reject)
+// before the node attaches.
+std::vector<HostId> checked_sources(std::vector<HostId> sources,
+                                    const std::vector<HostId>& all_hosts,
+                                    HostId self) {
+  auto participates = [&all_hosts](HostId h) {
+    return std::find(all_hosts.begin(), all_hosts.end(), h) != all_hosts.end();
+  };
+  RBCAST_CHECK_ARG(participates(self), "self must be among all_hosts");
+  RBCAST_CHECK_ARG(!sources.empty(), "need at least one source");
+  for (auto it = sources.begin(); it != sources.end(); ++it) {
+    RBCAST_CHECK_ARG(participates(*it),
+                     "every source must be a participating host");
+    RBCAST_CHECK_ARG(std::find(sources.begin(), it, *it) == it,
+                     "duplicate source");
+  }
+  return sources;
+}
+
+}  // namespace
+
+net::HostEndpoint& MultiSourceNode::MuxTransport::attach(
+    HostId host, net::DeliveryFn deliver) {
+  RBCAST_ASSERT_MSG(host == self() && deliver_ == nullptr,
+                    "one instance per stream, running on this host");
+  deliver_ = std::move(deliver);
+  return *this;
+}
+
+void MultiSourceNode::MuxTransport::send(HostId to, std::any payload,
+                                         std::size_t bytes, std::string kind,
+                                         net::TraceId trace_id) {
   auto* inner = std::any_cast<ProtocolMessage>(&payload);
   RBCAST_ASSERT_MSG(inner != nullptr,
                     "mux endpoint expects protocol messages");
   // +4 bytes: the stream-source demux field in the packet header.
-  real_.send(to, std::any(MuxMessage{stream_source_, std::move(*inner)}),
-             bytes + 4, std::move(kind), trace_id);
+  endpoint_.send(to, std::any(MuxMessage{stream_source_, std::move(*inner)}),
+                 bytes + 4, std::move(kind), trace_id);
 }
 
-MultiSourceNode::MultiSourceNode(util::Scheduler& scheduler,
-                                 net::HostEndpoint& endpoint,
+void MultiSourceNode::MuxTransport::deliver(
+    const net::Delivery& delivery) const {
+  if (deliver_ != nullptr) deliver_(delivery);
+}
+
+MultiSourceNode::MultiSourceNode(transport::Transport& transport, HostId self,
                                  std::vector<HostId> sources,
                                  std::vector<HostId> all_hosts,
                                  const Config& config,
                                  const util::RngFactory& rngs,
                                  AppDeliverFn app_deliver)
-    : endpoint_(endpoint),
-      sources_(std::move(sources)),
-      app_deliver_(std::move(app_deliver)) {
-  RBCAST_CHECK_ARG(!sources_.empty(), "need at least one source");
+    : transport_(transport),
+      sources_(checked_sources(std::move(sources), all_hosts, self)),
+      app_deliver_(std::move(app_deliver)),
+      endpoint_(transport.attach(
+          self, [this](const net::Delivery& d) { on_delivery(d); })) {
   for (HostId source : sources_) {
-    RBCAST_CHECK_ARG(std::find(all_hosts.begin(), all_hosts.end(), source) !=
-                         all_hosts.end(),
-                     "every source must be a participating host");
-    RBCAST_CHECK_ARG(!instances_.contains(source), "duplicate source");
-    auto mux = std::make_unique<MuxEndpoint>(endpoint_, source);
+    auto& mux = streams_[source];
+    mux = std::make_unique<MuxTransport>(transport_, endpoint_, source);
     auto deliver = [this, source](Seq seq, std::string_view body) {
       if (app_deliver_) app_deliver_(source, seq, body);
     };
-    auto instance = std::make_unique<BroadcastHost>(
-        scheduler, *mux, source, all_hosts, config,
-        // Independent jitter stream per (host, stream) pair.
-        rngs.stream("msrc.jitter",
-                    static_cast<std::int64_t>(endpoint_.self().value) * 4096 +
-                        source.value),
-        std::move(deliver));
-    mux_endpoints_.emplace(source, std::move(mux));
-    instances_.emplace(source, std::move(instance));
+    instances_.emplace(
+        source,
+        std::make_unique<BroadcastHost>(
+            *mux, self, source, all_hosts, config,
+            // Independent jitter stream per (host, stream) pair.
+            rngs.stream("msrc.jitter",
+                        static_cast<std::int64_t>(self.value) * 4096 +
+                            source.value),
+            std::move(deliver)));
   }
 }
+
+MultiSourceNode::~MultiSourceNode() { transport_.detach(self()); }
 
 void MultiSourceNode::start() {
   for (auto& [source, instance] : instances_) instance->start();
@@ -57,13 +92,13 @@ void MultiSourceNode::on_delivery(const net::Delivery& delivery) {
   const auto* mux = std::any_cast<MuxMessage>(&delivery.payload);
   RBCAST_ASSERT_MSG(mux != nullptr,
                     "MultiSourceNode received a foreign payload");
-  auto it = instances_.find(mux->stream_source);
-  RBCAST_ASSERT_MSG(it != instances_.end(), "unknown stream source");
+  auto it = streams_.find(mux->stream_source);
+  RBCAST_ASSERT_MSG(it != streams_.end(), "unknown stream source");
 
   net::Delivery unwrapped = delivery;
   unwrapped.payload = std::any(mux->inner);
   if (unwrapped.bytes >= 4) unwrapped.bytes -= 4;
-  it->second->on_delivery(unwrapped);
+  it->second->deliver(unwrapped);
 }
 
 Seq MultiSourceNode::broadcast(std::string body) {

@@ -8,7 +8,7 @@
 //
 // MultiSourceNode does exactly that: it runs one independent BroadcastHost
 // instance per source on each host, multiplexed over the host's single
-// network endpoint. Each instance maintains its own host parent graph
+// transport attachment. Each instance maintains its own host parent graph
 // (rooted at its source), its own INFO/MAP state and its own periodic
 // activities; messages are tagged with the owning source on the wire.
 #pragma once
@@ -22,6 +22,7 @@
 #include "core/broadcast_host.h"
 #include "core/config.h"
 #include "net/message.h"
+#include "transport/transport.h"
 #include "util/scheduler.h"
 #include "util/rng.h"
 
@@ -42,10 +43,13 @@ class MultiSourceNode {
 
   // `sources` lists every broadcast stream in the system (each must be a
   // member of `all_hosts`); a protocol instance is created for each.
-  MultiSourceNode(util::Scheduler& scheduler, net::HostEndpoint& endpoint,
+  // Attaches `self` to `transport` (which must outlive this object) once
+  // for all streams; the destructor detaches.
+  MultiSourceNode(transport::Transport& transport, HostId self,
                   std::vector<HostId> sources, std::vector<HostId> all_hosts,
                   const Config& config, const util::RngFactory& rngs,
                   AppDeliverFn app_deliver = {});
+  ~MultiSourceNode();
 
   MultiSourceNode(const MultiSourceNode&) = delete;
   MultiSourceNode& operator=(const MultiSourceNode&) = delete;
@@ -53,7 +57,7 @@ class MultiSourceNode {
   // Arms every instance's periodic activities.
   void start();
 
-  // Network upcall: demultiplexes to the owning instance.
+  // Transport upcall: demultiplexes to the owning instance.
   void on_delivery(const net::Delivery& delivery);
 
   // Broadcasts on this host's own stream. Precondition: is_source().
@@ -77,26 +81,47 @@ class MultiSourceNode {
   [[nodiscard]] std::size_t total_deliveries() const;
 
  private:
-  // Adapter handed to each inner BroadcastHost: wraps outgoing protocol
-  // messages into MuxMessage envelopes on the shared endpoint.
-  class MuxEndpoint final : public net::HostEndpoint {
+  // One stream's view of the host's transport, handed to that stream's
+  // BroadcastHost: scheduler() is the real one, attach() records the
+  // instance's upcall (what on_delivery routes the stream's messages to)
+  // and returns this object as the endpoint, which wraps every outgoing
+  // protocol message into a MuxMessage envelope on the shared endpoint.
+  class MuxTransport final : public transport::Transport,
+                             public net::HostEndpoint {
    public:
-    MuxEndpoint(net::HostEndpoint& real, HostId stream_source)
-        : real_(real), stream_source_(stream_source) {}
-    [[nodiscard]] HostId self() const override { return real_.self(); }
+    MuxTransport(transport::Transport& real, net::HostEndpoint& endpoint,
+                 HostId stream_source)
+        : real_(real), endpoint_(endpoint), stream_source_(stream_source) {}
+
+    [[nodiscard]] util::Scheduler& scheduler() override {
+      return real_.scheduler();
+    }
+    net::HostEndpoint& attach(HostId host, net::DeliveryFn deliver) override;
+    void detach(HostId /*host*/) override { deliver_ = nullptr; }
+
+    [[nodiscard]] HostId self() const override { return endpoint_.self(); }
     void send(HostId to, std::any payload, std::size_t bytes,
               std::string kind, net::TraceId trace_id) override;
 
+    void deliver(const net::Delivery& delivery) const;
+
    private:
-    net::HostEndpoint& real_;
+    transport::Transport& real_;
+    net::HostEndpoint& endpoint_;
     HostId stream_source_;
+    net::DeliveryFn deliver_;
   };
 
-  net::HostEndpoint& endpoint_;
+  transport::Transport& transport_;
   std::vector<HostId> sources_;
   AppDeliverFn app_deliver_;
-  // Keyed by source id; iteration order deterministic.
-  std::map<HostId, std::unique_ptr<MuxEndpoint>> mux_endpoints_;
+  // Initialized after sources_ is validated, so a rejected construction
+  // never leaves `self` attached.
+  net::HostEndpoint& endpoint_;
+  // Keyed by source id; iteration order deterministic. The mux transports
+  // are declared first so they outlive the instances that detach from
+  // them.
+  std::map<HostId, std::unique_ptr<MuxTransport>> streams_;
   std::map<HostId, std::unique_ptr<BroadcastHost>> instances_;
 };
 

@@ -22,9 +22,10 @@ Experiment::Experiment(topo::Topology topology, ScenarioOptions options)
 
   network_ = std::make_unique<net::Network>(simulator_, topology_,
                                             options_.net, rngs_);
-  // Config::batch_flush_delay > 0 turns on transport-level coalescing;
-  // the default (0) keeps SimTransport on its zero-overhead forwarding
-  // path, which the determinism digests are pinned under.
+  // Config::batch_flush_delay > 0 turns on transport-level coalescing for
+  // every protocol kind, baselines included; the default (0) keeps
+  // SimTransport on its zero-overhead forwarding path, which the
+  // determinism digests are pinned under.
   transport_ = std::make_unique<transport::SimTransport>(
       simulator_, *network_,
       transport::CoalescerConfig{options_.protocol.batch_flush_delay,
@@ -112,33 +113,23 @@ Experiment::Experiment(topo::Topology topology, ScenarioOptions options)
       };
       gossip_nodes_[static_cast<std::size_t>(h.value)] =
           std::make_unique<core::GossipNode>(
-              simulator_, network_->endpoint(h), options_.source, all_hosts,
-              options_.gossip, rngs_.stream("host.jitter", h.value),
-              std::move(deliver));
-      network_->register_host(h, [this, h](const net::Delivery& d) {
-        gossip_nodes_[static_cast<std::size_t>(h.value)]->on_delivery(d);
-      });
+              *transport_, h, options_.source, all_hosts, options_.gossip,
+              rngs_.stream("host.jitter", h.value), std::move(deliver));
     }
   } else {
     basic_receivers_.resize(all_hosts.size());
     for (HostId h : all_hosts) {
       if (h == options_.source) {
         basic_source_ = std::make_unique<core::BasicSource>(
-            simulator_, network_->endpoint(h), all_hosts, options_.basic,
+            *transport_, h, all_hosts, options_.basic,
             rngs_.stream("host.jitter", h.value));
-        network_->register_host(h, [this](const net::Delivery& d) {
-          basic_source_->on_delivery(d);
-        });
       } else {
         auto deliver = [this, h](util::Seq seq, const std::string&) {
           metrics_->record_delivery(h, seq);
         };
         basic_receivers_[static_cast<std::size_t>(h.value)] =
-            std::make_unique<core::BasicReceiver>(network_->endpoint(h),
+            std::make_unique<core::BasicReceiver>(*transport_, h,
                                                   std::move(deliver));
-        network_->register_host(h, [this, h](const net::Delivery& d) {
-          basic_receivers_[static_cast<std::size_t>(h.value)]->on_delivery(d);
-        });
       }
     }
   }

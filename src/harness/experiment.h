@@ -1,9 +1,10 @@
 // Experiment — one-call wiring of a complete scenario.
 //
 // Owns the simulator, the network built over a given topology, the metrics
-// registry, a fault plan, and a full set of protocol hosts (either the
-// paper's protocol or the basic baseline). Tests, examples and every bench
-// binary are written against this class.
+// registry, a fault plan, and a full set of protocol hosts (the paper's
+// protocol or one of the baselines), every one attached through a single
+// transport::SimTransport. Tests, examples and every bench binary are
+// written against this class.
 #pragma once
 
 #include <memory>
@@ -131,8 +132,8 @@ class Experiment {
 
   [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
   [[nodiscard]] net::Network& network() { return *network_; }
-  // The transport the paper hosts run over — benches read its coalescer
-  // stats to report datagram amortization when batching is on.
+  // The transport every protocol's hosts run over — benches read its
+  // coalescer stats to report datagram amortization when batching is on.
   [[nodiscard]] transport::SimTransport& transport() { return *transport_; }
   // The Byzantine decorator, when a schedule was given (else nullptr).
   [[nodiscard]] ByzantineTransport* byzantine() {
@@ -180,9 +181,10 @@ class Experiment {
   // registrations never dangle while snapshots are possible.
   util::MetricsRegistry registry_;
   std::unique_ptr<net::Network> network_;
-  // Paper hosts run over the Transport seam (SimTransport is a pure
-  // forwarding adapter, so the wiring change is digest-invisible);
-  // declared before the hosts so it outlives them.
+  // Every protocol's hosts attach through this Transport seam
+  // (SimTransport is a pure forwarding adapter when batching is off, so
+  // the wiring is digest-invisible); declared before the hosts so it
+  // outlives them.
   std::unique_ptr<transport::SimTransport> transport_;
   // Byzantine decorator over transport_ (ScenarioOptions::byzantine);
   // declared after the transport it wraps and before the hosts that

@@ -135,9 +135,10 @@ class NetObserverFanout final : public NetObserver {
   std::vector<NetObserver*> observers_;
 };
 
-// The sending interface a protocol host holds. Production hosts get the
-// Network-backed implementation; protocol unit tests plug in a scripted
-// fake (tests/support/fake_network.h).
+// The sending interface a protocol host holds, handed out by
+// transport::Transport::attach: the Network-backed implementation in
+// simulation, a socket binding over UDP, or the scripted fake protocol
+// unit tests use (tests/support/fake_network.h).
 class HostEndpoint {
  public:
   virtual ~HostEndpoint() = default;

@@ -64,8 +64,10 @@ class Network {
 
   // --- host side ----------------------------------------------------------
 
-  // Registers the delivery upcall for `host`. Must be called once per host
-  // before any message addressed to it is sent.
+  // Registers (or replaces) the delivery upcall for `host`; call it before
+  // any message addressed to it is sent. This and endpoint() are the
+  // backing of transport::SimTransport, the only caller in src/ —
+  // protocol code attaches through the Transport seam instead.
   void register_host(HostId host, DeliveryFn deliver);
 
   // The sending interface handed to the protocol instance running on

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "transport/wire.h"
+#include "util/assert.h"
 
 namespace rbcast::transport {
 
@@ -75,8 +76,11 @@ SimTransport::SimTransport(sim::Simulator& simulator, net::Network& network,
 SimTransport::~SimTransport() = default;
 
 net::HostEndpoint& SimTransport::attach(HostId host, net::DeliveryFn deliver) {
+  RBCAST_CHECK_ARG(!attached_.contains(host),
+                   "sim transport: host already attached");
   if (!coalesce_.enabled()) {
     network_.register_host(host, std::move(deliver));
+    attached_.insert(host);
     return network_.endpoint(host);
   }
   // Receive side: unpack batch deliveries into per-frame upcalls sharing
@@ -106,6 +110,7 @@ net::HostEndpoint& SimTransport::attach(HostId host, net::DeliveryFn deliver) {
   if (ep == nullptr) {
     ep = std::make_unique<BatchingEndpoint>(*this, host);
   }
+  attached_.insert(host);
   return *ep;
 }
 
@@ -113,6 +118,7 @@ void SimTransport::detach(HostId host) {
   // Network has no unregister; park a sink so in-flight messages that
   // arrive after the host died are silently discarded, as the paper's
   // network would discard messages to a crashed host.
+  if (attached_.erase(host) == 0) return;
   auto it = endpoints_.find(host.value);
   if (it != endpoints_.end()) it->second->flush_all();
   network_.register_host(host, [](const net::Delivery&) {});

@@ -1,12 +1,15 @@
 // SimTransport — the Transport over the discrete-event simulator.
 //
+// Every simulated protocol — the paper's hosts, both baselines, the
+// multi-source node — attaches through this class, and it is the only
+// caller of Network::register_host and Network::endpoint in src/.
+//
 // With batching off (the default CoalescerConfig) this is a pure
-// forwarding adapter: attach() is exactly the Network::register_host +
-// Network::endpoint pair every composition root used to call by hand, and
-// scheduler() is the simulator itself. No state, no extra events, no RNG
-// draws — a run wired through SimTransport is bit-for-bit identical (same
-// EventLog::digest()) to one wired directly, which is what the
-// determinism gate holds this adapter to.
+// forwarding adapter: attach() is exactly Network::register_host +
+// Network::endpoint, and scheduler() is the simulator itself. No extra
+// events, no RNG draws — a run wired through SimTransport is bit-for-bit
+// identical (same EventLog::digest()) to one wired directly, which is what
+// the determinism gate holds this adapter to.
 //
 // With batching on, each attached host sends through a
 // transport::Coalescer: frames to the same destination ride one network
@@ -19,6 +22,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "net/network.h"
@@ -46,11 +50,13 @@ class SimTransport final : public Transport {
 
   [[nodiscard]] util::Scheduler& scheduler() override { return simulator_; }
 
+  // Throws std::invalid_argument if `host` is already attached; attach it
+  // again only after detach().
   net::HostEndpoint& attach(HostId host, net::DeliveryFn deliver) override;
 
   // Network keeps registrations for its whole lifetime; detaching just
   // disconnects the upcall (and flushes any frames still coalescing) so a
-  // destroyed host is never called back.
+  // destroyed host is never called back. A no-op for an unattached host.
   void detach(HostId host) override;
 
   [[nodiscard]] bool batching() const { return coalesce_.enabled(); }
@@ -75,6 +81,7 @@ class SimTransport final : public Transport {
   sim::Simulator& simulator_;
   net::Network& network_;
   CoalescerConfig coalesce_;
+  std::set<HostId> attached_;
   // Batched endpoints outlive detach(): a host destructor may still hold
   // the reference while tearing down. Ordered for deterministic teardown.
   std::map<HostId::value_type, std::unique_ptr<BatchingEndpoint>> endpoints_;

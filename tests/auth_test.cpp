@@ -152,14 +152,10 @@ struct Cluster {
     for (int i = 0; i < n; ++i) {
       const HostId id{i};
       nodes.push_back(std::make_unique<BroadcastHost>(
-          sim, hub.endpoint(id), source, all, config,
-          rngs.stream("jitter", i),
+          hub, id, source, all, config, rngs.stream("jitter", i),
           [this, i](Seq seq, std::string_view) {
             delivered[static_cast<std::size_t>(i)].push_back(seq);
           }));
-      hub.register_host(id, [this, i](const net::Delivery& d) {
-        nodes[static_cast<std::size_t>(i)]->on_delivery(d);
-      });
     }
   }
 

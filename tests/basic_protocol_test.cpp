@@ -25,20 +25,14 @@ struct Fixture {
     for (int i = 0; i < n; ++i) all.push_back(HostId{i});
     delivered.resize(static_cast<std::size_t>(n));
     util::RngFactory rngs(3);
-    source = std::make_unique<BasicSource>(sim, hub.endpoint(HostId{0}), all,
-                                           config, rngs.stream("src"));
-    hub.register_host(HostId{0}, [this](const net::Delivery& d) {
-      source->on_delivery(d);
-    });
+    source = std::make_unique<BasicSource>(hub, HostId{0}, all, config,
+                                           rngs.stream("src"));
     receivers.resize(static_cast<std::size_t>(n));
     for (int i = 1; i < n; ++i) {
       receivers[static_cast<std::size_t>(i)] = std::make_unique<BasicReceiver>(
-          hub.endpoint(HostId{i}), [this, i](Seq seq, std::string_view) {
+          hub, HostId{i}, [this, i](Seq seq, std::string_view) {
             delivered[static_cast<std::size_t>(i)].push_back(seq);
           });
-      hub.register_host(HostId{i}, [this, i](const net::Delivery& d) {
-        receivers[static_cast<std::size_t>(i)]->on_delivery(d);
-      });
     }
   }
 

@@ -43,14 +43,10 @@ struct Cluster {
     for (int i = 0; i < n; ++i) {
       const HostId id{i};
       nodes.push_back(std::make_unique<BroadcastHost>(
-          sim, hub.endpoint(id), source, all, config,
-          rngs.stream("jitter", i),
+          hub, id, source, all, config, rngs.stream("jitter", i),
           [this, i](Seq seq, std::string_view) {
             delivered[static_cast<std::size_t>(i)].push_back(seq);
           }));
-      hub.register_host(id, [this, i](const net::Delivery& d) {
-        nodes[static_cast<std::size_t>(i)]->on_delivery(d);
-      });
     }
   }
 
@@ -214,15 +210,22 @@ TEST(BroadcastHost, AttachTimeoutMovesToNextCandidate) {
       .kind = "info",
       .sent_at = 0,
       .hops = 1});
-  // Host 0 must answer attach requests: hand-craft its state so it accepts.
-  c.hub.register_host(HostId{0}, [&](const net::Delivery& d) {
-    c.node(0).on_delivery(d);
-  });
-
   c.node(2).run_attachment_now();  // candidate: host 1 (max 5) -> times out
   c.run_for(sim::milliseconds(500));
   EXPECT_GE(c.node(2).counters().attach_timeouts, 1u);
   EXPECT_EQ(c.node(2).parent(), HostId{0});  // fell back to next candidate
+}
+
+TEST(BroadcastHost, DestroyedMidHandshakeLeavesNoPendingTimer) {
+  Cluster c(2);
+  c.start_all();
+  c.node(0).broadcast("m1");
+  while (c.node(1).counters().attach_attempts == 0) ASSERT_TRUE(c.sim.step());
+  // The request is in flight and the ack timeout armed; the destructor
+  // must detach and cancel that timeout.
+  c.nodes[1].reset();
+  c.run_for(sim::seconds(1));
+  EXPECT_TRUE(c.node(0).state().is_child(HostId{1}));
 }
 
 TEST(BroadcastHost, DetachNoticeRemovesChild) {

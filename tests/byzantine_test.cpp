@@ -35,6 +35,8 @@ struct Rig {
   ByzantineTransport byz;
   // Everything delivered to each host, in order.
   std::vector<std::vector<ProtocolMessage>> got;
+  // What each host sends through (interposed for Byzantine hosts).
+  std::vector<net::HostEndpoint*> endpoints;
 
   explicit Rig(int n, ByzantineSchedule schedule)
       : wan(make_wan(n)),
@@ -43,11 +45,12 @@ struct Rig {
         byz(inner, std::move(schedule), HostId{0}) {
     got.resize(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      byz.attach(HostId{i}, [this, i](const net::Delivery& d) {
-        if (const auto* m = std::any_cast<ProtocolMessage>(&d.payload)) {
-          got[static_cast<std::size_t>(i)].push_back(*m);
-        }
-      });
+      endpoints.push_back(
+          &byz.attach(HostId{i}, [this, i](const net::Delivery& d) {
+            if (const auto* m = std::any_cast<ProtocolMessage>(&d.payload)) {
+              got[static_cast<std::size_t>(i)].push_back(*m);
+            }
+          }));
     }
   }
 
@@ -58,17 +61,9 @@ struct Rig {
     return make_clustered_wan(opts);
   }
 
-  net::HostEndpoint& endpoint(int i) {
-    return byz.attach(HostId{i}, [](const net::Delivery&) {});
-  }
-
   void send(int from, int to, ProtocolMessage m) {
-    // Re-attaching returns the same (possibly interposed) endpoint.
-    byz.attach(HostId{from}, [this, from](const net::Delivery& d) {
-      if (const auto* pm = std::any_cast<ProtocolMessage>(&d.payload)) {
-        got[static_cast<std::size_t>(from)].push_back(*pm);
-      }
-    }).send(HostId{to}, std::any(m), core::wire_size(m), core::kind_of(m), 0);
+    endpoints[static_cast<std::size_t>(from)]->send(
+        HostId{to}, std::any(m), core::wire_size(m), core::kind_of(m), 0);
   }
 
   void run() { sim.run_until(sim.now() + sim::seconds(1)); }

@@ -90,6 +90,45 @@ TEST(Experiment, BasicProtocolModeWiresBaseline) {
   EXPECT_GE(e.basic_source().counters().first_sends, 2u);
 }
 
+// Every protocol attaches through the experiment's SimTransport, so
+// Config::batch_flush_delay coalesces the baselines' frames too.
+void expect_batched_delivery(ProtocolKind kind) {
+  ScenarioOptions options = fast_options();
+  options.protocol_kind = kind;
+  options.protocol.batch_flush_delay = sim::milliseconds(5);
+  options.basic.retransmit_period = sim::milliseconds(500);
+  options.gossip.gossip_period = sim::milliseconds(500);
+  Experiment e(topo::make_clustered_wan({.clusters = 2, .hosts_per_cluster = 3})
+                   .topology,
+               options);
+  ASSERT_TRUE(e.transport().batching());
+  e.start();
+  constexpr int kMessages = 20;
+  e.broadcast_stream(kMessages, sim::milliseconds(1), sim::seconds(1));
+  e.run_until_delivered(sim::seconds(120));
+
+  EXPECT_TRUE(e.all_delivered());
+  for (util::Seq seq = 1; seq <= kMessages; ++seq) {
+    EXPECT_EQ(e.metrics().delivered_count(seq), e.host_count()) << seq;
+  }
+  if (kind == ProtocolKind::kGossip) {
+    for (HostId h : e.topology().host_ids()) {
+      EXPECT_EQ(e.gossip_node(h).counters().deliveries,
+                static_cast<std::uint64_t>(kMessages))
+          << h;
+    }
+  }
+  EXPECT_GT(e.transport().coalescer_stats().batches_flushed, 0u);
+}
+
+TEST(Experiment, BasicBaselineRunsOverTheBatchingTransport) {
+  expect_batched_delivery(ProtocolKind::kBasic);
+}
+
+TEST(Experiment, GossipBaselineRunsOverTheBatchingTransport) {
+  expect_batched_delivery(ProtocolKind::kGossip);
+}
+
 TEST(Experiment, SourceCanBeAnyHost) {
   ScenarioOptions options = fast_options();
   options.source = HostId{2};

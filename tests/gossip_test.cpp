@@ -6,6 +6,7 @@
 #include "harness/experiment.h"
 #include "net/fault_plan.h"
 #include "topo/generators.h"
+#include "transport/sim_transport.h"
 
 namespace rbcast::core {
 namespace {
@@ -31,11 +32,16 @@ TEST(Gossip, RejectsZeroFanout) {
   util::RngFactory rngs{1};
   auto wan = topo::make_single_cluster(2);
   net::Network network(simulator, wan.topology, net::NetConfig{}, rngs);
+  transport::SimTransport transport(simulator, network);
   GossipConfig config;
   config.fanout = 0;
-  EXPECT_THROW(GossipNode(simulator, network.endpoint(HostId{0}), HostId{0},
+  EXPECT_THROW(GossipNode(transport, HostId{0}, HostId{0},
                           wan.topology.host_ids(), config, util::Rng(1)),
                std::invalid_argument);
+  // A rejected construction leaves nothing attached.
+  EXPECT_NO_THROW(GossipNode(transport, HostId{0}, HostId{0},
+                             wan.topology.host_ids(), GossipConfig{},
+                             util::Rng(1)));
 }
 
 TEST(Gossip, EpidemicSpreadsTheWholeStream) {
@@ -89,15 +95,13 @@ TEST(Gossip, PullLegFetchesWhatTheDigestRevealed) {
   util::RngFactory rngs{1};
   auto wan = topo::make_single_cluster(2);
   net::Network network(simulator, wan.topology, net::NetConfig{}, rngs);
+  transport::SimTransport transport(simulator, network);
 
   std::vector<std::unique_ptr<GossipNode>> nodes;
   for (HostId h : wan.topology.host_ids()) {
     nodes.push_back(std::make_unique<GossipNode>(
-        simulator, network.endpoint(h), HostId{0}, wan.topology.host_ids(),
-        GossipConfig{}, rngs.stream("g", h.value)));
-    network.register_host(h, [&nodes, h](const net::Delivery& d) {
-      nodes[static_cast<std::size_t>(h.value)]->on_delivery(d);
-    });
+        transport, h, HostId{0}, wan.topology.host_ids(), GossipConfig{},
+        rngs.stream("g", h.value)));
   }
   nodes[0]->broadcast("m1");
   nodes[0]->broadcast("m2");
@@ -125,8 +129,9 @@ TEST(Gossip, DuplicatesAreCounted) {
   util::RngFactory rngs{1};
   auto wan = topo::make_single_cluster(2);
   net::Network network(simulator, wan.topology, net::NetConfig{}, rngs);
-  GossipNode node(simulator, network.endpoint(HostId{1}), HostId{0},
-                  wan.topology.host_ids(), GossipConfig{}, util::Rng(1));
+  transport::SimTransport transport(simulator, network);
+  GossipNode node(transport, HostId{1}, HostId{0}, wan.topology.host_ids(),
+                  GossipConfig{}, util::Rng(1));
   for (int copy = 0; copy < 3; ++copy) {
     node.on_delivery(net::Delivery{
         .from = HostId{0},

@@ -9,6 +9,7 @@
 #include "net/fault_plan.h"
 #include "net/network.h"
 #include "topo/generators.h"
+#include "transport/sim_transport.h"
 
 namespace rbcast::core {
 namespace {
@@ -31,6 +32,7 @@ struct Fixture {
   util::RngFactory rngs{17};
   topo::Wan wan;
   std::unique_ptr<net::Network> network;
+  std::unique_ptr<transport::SimTransport> transport;
   std::vector<std::unique_ptr<MultiSourceNode>> nodes;
   // delivered[host][source] -> seqs in arrival order
   std::vector<std::map<HostId, std::vector<Seq>>> delivered;
@@ -41,18 +43,16 @@ struct Fixture {
     wan = make_clustered_wan(options);
     network = std::make_unique<net::Network>(simulator, wan.topology,
                                              net::NetConfig{}, rngs);
+    transport = std::make_unique<transport::SimTransport>(simulator, *network);
     const auto all = wan.topology.host_ids();
     delivered.resize(all.size());
     for (HostId h : all) {
       const auto idx = static_cast<std::size_t>(h.value);
       nodes.push_back(std::make_unique<MultiSourceNode>(
-          simulator, network->endpoint(h), sources, all, fast_config(), rngs,
+          *transport, h, sources, all, fast_config(), rngs,
           [this, idx](HostId source, Seq seq, std::string_view) {
             delivered[idx][source].push_back(seq);
           }));
-      network->register_host(h, [this, idx](const net::Delivery& d) {
-        nodes[idx]->on_delivery(d);
-      });
     }
     for (auto& node : nodes) node->start();
   }
@@ -150,20 +150,22 @@ TEST(MultiSource, RejectsBadConfiguration) {
   util::RngFactory rngs{1};
   auto wan = topo::make_single_cluster(2);
   net::Network network(simulator, wan.topology, net::NetConfig{}, rngs);
+  transport::SimTransport transport(simulator, network);
   // Unknown source host.
-  EXPECT_THROW(MultiSourceNode(simulator, network.endpoint(HostId{0}),
-                               {HostId{9}}, wan.topology.host_ids(),
-                               Config{}, rngs),
+  EXPECT_THROW(MultiSourceNode(transport, HostId{0}, {HostId{9}},
+                               wan.topology.host_ids(), Config{}, rngs),
                std::invalid_argument);
   // Duplicate sources.
-  EXPECT_THROW(MultiSourceNode(simulator, network.endpoint(HostId{0}),
-                               {HostId{0}, HostId{0}},
+  EXPECT_THROW(MultiSourceNode(transport, HostId{0}, {HostId{0}, HostId{0}},
                                wan.topology.host_ids(), Config{}, rngs),
                std::invalid_argument);
   // Empty source list.
-  EXPECT_THROW(MultiSourceNode(simulator, network.endpoint(HostId{0}), {},
+  EXPECT_THROW(MultiSourceNode(transport, HostId{0}, {},
                                wan.topology.host_ids(), Config{}, rngs),
                std::invalid_argument);
+  // A rejected construction leaves nothing attached.
+  EXPECT_NO_THROW(MultiSourceNode(transport, HostId{0}, {HostId{0}},
+                                  wan.topology.host_ids(), Config{}, rngs));
 }
 
 TEST(MultiSource, TotalDeliveriesAggregatesStreams) {

@@ -1,6 +1,7 @@
-// Test double for the network: a hub that connects protocol hosts with
-// scriptable per-pair cost bits, drops and delays — so protocol logic can
-// be exercised without the full net substrate.
+// Test double for the network: a transport::Transport that connects
+// protocol hosts with scriptable per-pair cost bits, drops and delays — so
+// protocol logic can be exercised without the full net substrate, through
+// the same constructors production code uses.
 #pragma once
 
 #include <functional>
@@ -13,12 +14,13 @@
 
 #include "net/message.h"
 #include "sim/simulator.h"
+#include "transport/transport.h"
 #include "util/assert.h"
 #include "util/ids.h"
 
 namespace rbcast::testing {
 
-class FakeHub {
+class FakeHub final : public transport::Transport {
  public:
   explicit FakeHub(sim::Simulator& simulator) : simulator_(simulator) {}
 
@@ -37,17 +39,18 @@ class FakeHub {
   // One-way base delay from any host to any other.
   sim::Duration delay{sim::milliseconds(1)};
 
-  [[nodiscard]] net::HostEndpoint& endpoint(HostId id) {
-    auto it = endpoints_.find(id);
-    if (it == endpoints_.end()) {
-      it = endpoints_.emplace(id, std::make_unique<Endpoint>(*this, id)).first;
-    }
-    return *it->second;
+  [[nodiscard]] util::Scheduler& scheduler() override { return simulator_; }
+
+  // Endpoints live as long as the hub; detach() only stops deliveries.
+  net::HostEndpoint& attach(HostId id, net::DeliveryFn deliver) override {
+    RBCAST_CHECK_ARG(receivers_.emplace(id, std::move(deliver)).second,
+                     "fake hub: host already attached");
+    auto& endpoint = endpoints_[id];
+    if (endpoint == nullptr) endpoint = std::make_unique<Endpoint>(*this, id);
+    return *endpoint;
   }
 
-  void register_host(HostId id, net::DeliveryFn deliver) {
-    receivers_[id] = std::move(deliver);
-  }
+  void detach(HostId id) override { receivers_.erase(id); }
 
   // Marks the (symmetric) pair as connected only via expensive links:
   // deliveries between them carry cost bit 1.

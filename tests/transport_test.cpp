@@ -86,6 +86,38 @@ TEST(SimTransport, DetachSilencesTheUpcallWithoutUnregistering) {
   EXPECT_EQ(delivered, 0);
 }
 
+TEST(SimTransport, RejectsASecondAttachUntilDetach) {
+  sim::Simulator sim;
+  topo::ClusteredWanOptions opts;
+  opts.clusters = 1;
+  opts.hosts_per_cluster = 2;
+  topo::Wan wan = make_clustered_wan(opts);
+  util::RngFactory rngs(3);
+  net::Network network(sim, wan.topology, net::NetConfig{}, rngs);
+  // Both the forwarding and the batching paths keep one attach per host.
+  for (const CoalescerConfig coalesce :
+       {CoalescerConfig{}, CoalescerConfig{sim::milliseconds(5), 1200}}) {
+    SimTransport transport(sim, network, coalesce);
+    int first = 0;
+    int second = 0;
+    net::HostEndpoint& ep0 =
+        transport.attach(HostId{0}, [](const net::Delivery&) {});
+    transport.attach(HostId{1}, [&](const net::Delivery&) { ++first; });
+    EXPECT_THROW(
+        transport.attach(HostId{1}, [&](const net::Delivery&) { ++second; }),
+        std::invalid_argument);
+
+    transport.detach(HostId{1});
+    transport.attach(HostId{1}, [&](const net::Delivery&) { ++second; });
+    ep0.send(HostId{1}, std::any{std::string("x")}, 16, "data", 0);
+    sim.run_for(sim::seconds(1));
+    EXPECT_EQ(first, 0);
+    EXPECT_EQ(second, 1);
+    transport.detach(HostId{0});
+    transport.detach(HostId{1});
+  }
+}
+
 // --- UdpTransport -----------------------------------------------------------
 
 UdpTransport::Config two_host_config() {

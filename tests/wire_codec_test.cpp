@@ -462,8 +462,7 @@ TEST(BroadcastHostCounters, MalformedPayloadCountedAndDropped) {
   sim::Simulator sim;
   rbcast::testing::FakeHub hub(sim);
   const std::vector<HostId> all{HostId{0}, HostId{1}};
-  BroadcastHost host(sim, hub.endpoint(HostId{1}), HostId{0}, all, Config{},
-                     util::Rng(1));
+  BroadcastHost host(hub, HostId{1}, HostId{0}, all, Config{}, util::Rng(1));
 
   net::Delivery d;
   d.from = HostId{0};

@@ -127,9 +127,10 @@ void usage() {
       "                     (analyze with rbcast_trace)\n"
       "  --chrome-trace F   also write a Chrome/Perfetto trace_event file\n"
       "  --batch-flush-ms N coalesce same-destination frames for up to\n"
-      "                     N ms (the batched data plane; default 0 =\n"
-      "                     off). Coalescer counters then appear in the\n"
-      "                     trace's \"registry\" metric records\n"
+      "                     N ms (the batched data plane, for every\n"
+      "                     --protocol; default 0 = off). Coalescer\n"
+      "                     counters then appear in the trace's\n"
+      "                     \"registry\" metric records\n"
       "  --sample-period-ms N\n"
       "                     metric time-series period when tracing\n"
       "                     (default 1000; 0 disables sampling)\n"
