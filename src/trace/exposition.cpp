@@ -1,6 +1,7 @@
 #include "trace/exposition.h"
 
 #include <cctype>
+#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -11,45 +12,14 @@ namespace rbcast::trace {
 
 namespace {
 
-// Shortest round-trippable double, matching the JSONL sink's convention
-// (no locale, capped precision) so every exposition format agrees on how
-// a value prints.
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
-}
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
+// Prometheus sample values print like JSON numbers; the non-finite ones
+// take the text format's own spellings.
+void write_prom_value(std::ostream& os, double v) {
+  if (std::isfinite(v)) {
+    util::write_json_number(os, v);
+  } else {
+    os << (std::isnan(v) ? "NaN" : v > 0 ? "+Inf" : "-Inf");
   }
-  os << '"';
 }
 
 const char* kind_name(util::MetricSnapshot::Kind kind) {
@@ -79,41 +49,34 @@ std::string series(const std::string& name, const std::string& labels,
 
 void write_metric_json(std::ostream& os, const util::MetricSnapshot& m) {
   os << "{\"name\":";
-  write_escaped(os, m.name);
+  util::write_json_string(os, m.name);
   os << ",\"labels\":";
-  write_escaped(os, m.labels);
+  util::write_json_string(os, m.labels);
   os << ",\"kind\":\"" << kind_name(m.kind) << "\"";
   switch (m.kind) {
     case util::MetricSnapshot::Kind::kCounter:
       os << ",\"value\":" << m.counter;
       break;
     case util::MetricSnapshot::Kind::kGauge:
-      os << ",\"value\":" << fmt_double(m.gauge);
+      os << ",\"value\":";
+      util::write_json_number(os, m.gauge);
       break;
     case util::MetricSnapshot::Kind::kHistogram: {
       os << ",\"bounds\":[";
       for (std::size_t i = 0; i < m.bounds.size(); ++i) {
-        os << (i > 0 ? "," : "") << fmt_double(m.bounds[i]);
+        if (i > 0) os << ",";
+        util::write_json_number(os, m.bounds[i]);
       }
       os << "],\"cumulative\":[";
       for (std::size_t i = 0; i < m.cumulative.size(); ++i) {
         os << (i > 0 ? "," : "") << m.cumulative[i];
       }
-      os << "],\"count\":" << m.count << ",\"sum\":" << fmt_double(m.sum);
+      os << "],\"count\":" << m.count << ",\"sum\":";
+      util::write_json_number(os, m.sum);
       break;
     }
   }
   os << "}";
-}
-
-std::uint64_t member_u64(const util::Json& obj, const char* key,
-                         const char* context) {
-  const double v = util::json_num_or(obj, key, 0, context);
-  if (v < 0) {
-    throw std::invalid_argument(std::string(context) + ": '" + key +
-                                "' must be non-negative");
-  }
-  return static_cast<std::uint64_t>(v);
 }
 
 }  // namespace
@@ -148,18 +111,24 @@ void write_prometheus(std::ostream& os,
         os << series(name, m.labels) << " " << m.counter << "\n";
         break;
       case util::MetricSnapshot::Kind::kGauge:
-        os << series(name, m.labels) << " " << fmt_double(m.gauge) << "\n";
+        os << series(name, m.labels) << " ";
+        write_prom_value(os, m.gauge);
+        os << "\n";
         break;
       case util::MetricSnapshot::Kind::kHistogram: {
         for (std::size_t i = 0; i < m.bounds.size(); ++i) {
-          os << series(name + "_bucket", m.labels,
-                       "le=\"" + fmt_double(m.bounds[i]) + "\"")
-             << " " << m.cumulative[i] << "\n";
+          std::ostringstream le;
+          le << "le=\"";
+          write_prom_value(le, m.bounds[i]);
+          le << "\"";
+          os << series(name + "_bucket", m.labels, le.str()) << " "
+             << m.cumulative[i] << "\n";
         }
         os << series(name + "_bucket", m.labels, "le=\"+Inf\"") << " "
            << m.count << "\n";
-        os << series(name + "_sum", m.labels) << " " << fmt_double(m.sum)
-           << "\n";
+        os << series(name + "_sum", m.labels) << " ";
+        write_prom_value(os, m.sum);
+        os << "\n";
         os << series(name + "_count", m.labels) << " " << m.count << "\n";
         break;
       }
@@ -178,8 +147,9 @@ void write_metrics_json(std::ostream& os,
 }
 
 void write_status_json(std::ostream& os, const StatusDoc& doc) {
-  os << "{\"now_s\":" << fmt_double(doc.now_s)
-     << ",\"ready\":" << (doc.ready ? "true" : "false")
+  os << "{\"now_s\":";
+  util::write_json_number(os, doc.now_s);
+  os << ",\"ready\":" << (doc.ready ? "true" : "false")
      << ",\"source\":" << doc.source
      << ",\"messages_expected\":" << doc.messages_expected
      << ",\"messages_sent\":" << doc.messages_sent << ",\"hosts\":[";
@@ -220,10 +190,10 @@ StatusDoc parse_status_json(const std::string& text) {
   StatusDoc doc;
   doc.now_s = util::json_num_or(root, "now_s", 0, kContext);
   doc.ready = util::json_bool_or(root, "ready", false, kContext);
-  doc.source = util::json_int_or(root, "source", -1, kContext);
+  doc.source = util::json_i64_or(root, "source", -1, kContext);
   doc.messages_expected =
-      util::json_int_or(root, "messages_expected", 0, kContext);
-  doc.messages_sent = util::json_int_or(root, "messages_sent", 0, kContext);
+      util::json_i64_or(root, "messages_expected", 0, kContext);
+  doc.messages_sent = util::json_i64_or(root, "messages_sent", 0, kContext);
 
   const util::Json* hosts = root.find("hosts");
   if (hosts != nullptr) {
@@ -232,29 +202,23 @@ StatusDoc parse_status_json(const std::string& text) {
     }
     for (const util::Json& h : hosts->items) {
       HostStatus hs;
-      hs.id = util::json_int_or(h, "id", -1, kContext);
+      hs.id = util::json_i64_or(h, "id", -1, kContext);
       hs.source = util::json_bool_or(h, "source", false, kContext);
-      hs.parent = util::json_int_or(h, "parent", -1, kContext);
+      hs.parent = util::json_i64_or(h, "parent", -1, kContext);
       hs.orphan = util::json_bool_or(h, "orphan", false, kContext);
       hs.leader = util::json_bool_or(h, "leader", false, kContext);
-      hs.info_count = member_u64(h, "info_count", kContext);
-      hs.max_seq = util::json_int_or(h, "max_seq", 0, kContext);
-      hs.deliveries = member_u64(h, "deliveries", kContext);
-      hs.decode_errors = member_u64(h, "decode_errors", kContext);
+      hs.info_count = util::json_u64_or(h, "info_count", 0, kContext);
+      hs.max_seq = util::json_i64_or(h, "max_seq", 0, kContext);
+      hs.deliveries = util::json_u64_or(h, "deliveries", 0, kContext);
+      hs.decode_errors = util::json_u64_or(h, "decode_errors", 0, kContext);
       // Absent in documents from pre-auth nodes: default 0, not an error.
-      if (h.find("auth_rejects") != nullptr) {
-        hs.auth_rejects = member_u64(h, "auth_rejects", kContext);
-      }
+      hs.auth_rejects = util::json_u64_or(h, "auth_rejects", 0, kContext);
       if (const util::Json* cluster = h.find("cluster"); cluster != nullptr) {
         if (cluster->type != util::Json::Type::kArray) {
           throw std::invalid_argument("status: 'cluster' must be an array");
         }
         for (const util::Json& member : cluster->items) {
-          if (member.type != util::Json::Type::kNumber) {
-            throw std::invalid_argument(
-                "status: 'cluster' must hold numbers");
-          }
-          hs.cluster.push_back(static_cast<std::int64_t>(member.number));
+          hs.cluster.push_back(util::json_i64(member, "status: 'cluster'"));
         }
       }
       doc.hosts.push_back(std::move(hs));
@@ -273,13 +237,13 @@ StatusDoc parse_status_json(const std::string& text) {
       const std::string kind = util::json_str_or(m, "kind", "", kContext);
       if (kind == "counter") {
         ms.kind = util::MetricSnapshot::Kind::kCounter;
-        ms.counter = member_u64(m, "value", kContext);
+        ms.counter = util::json_u64_or(m, "value", 0, kContext);
       } else if (kind == "gauge") {
         ms.kind = util::MetricSnapshot::Kind::kGauge;
         ms.gauge = util::json_num_or(m, "value", 0, kContext);
       } else if (kind == "histogram") {
         ms.kind = util::MetricSnapshot::Kind::kHistogram;
-        ms.count = member_u64(m, "count", kContext);
+        ms.count = util::json_u64_or(m, "count", 0, kContext);
         ms.sum = util::json_num_or(m, "sum", 0, kContext);
         const util::Json* bounds = m.find("bounds");
         const util::Json* cumulative = m.find("cumulative");
@@ -291,14 +255,10 @@ StatusDoc parse_status_json(const std::string& text) {
               "status: histogram needs matching 'bounds'/'cumulative'");
         }
         for (const util::Json& b : bounds->items) {
-          ms.bounds.push_back(b.number);
+          ms.bounds.push_back(util::json_double(b, "status: 'bounds'"));
         }
         for (const util::Json& c : cumulative->items) {
-          if (c.number < 0) {
-            throw std::invalid_argument(
-                "status: histogram counts must be non-negative");
-          }
-          ms.cumulative.push_back(static_cast<std::uint64_t>(c.number));
+          ms.cumulative.push_back(util::json_u64(c, "status: 'cumulative'"));
         }
       } else {
         throw std::invalid_argument("status: unknown metric kind '" + kind +

@@ -1,274 +1,18 @@
 #include "trace/trace_reader.h"
 
 #include <algorithm>
-#include <cctype>
 #include <istream>
 #include <iterator>
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+
+#include "util/json.h"
 
 namespace rbcast::trace {
 
 namespace {
-
-// Minimal recursive-descent JSON scanner. Two clients: the JSONL record
-// parser (flat objects, typed leaves only) and the structural validator
-// (arbitrary nesting, value shape ignored).
-class Cursor {
- public:
-  explicit Cursor(const std::string& text) : s_(text) {}
-
-  void skip_ws() {
-    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t' ||
-                              s_[i_] == '\n' || s_[i_] == '\r')) {
-      ++i_;
-    }
-  }
-
-  [[nodiscard]] bool eof() const { return i_ >= s_.size(); }
-  [[nodiscard]] char peek() const { return eof() ? '\0' : s_[i_]; }
-  char take() { return eof() ? '\0' : s_[i_++]; }
-
-  bool expect(char c) {
-    if (peek() != c) return false;
-    ++i_;
-    return true;
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::char_traits<char>::length(word);
-    if (s_.compare(i_, n, word) != 0) return false;
-    i_ += n;
-    return true;
-  }
-
-  [[nodiscard]] std::size_t pos() const { return i_; }
-
- private:
-  const std::string& s_;
-  std::size_t i_{0};
-};
-
-void append_utf8(std::string* out, unsigned cp) {
-  if (cp < 0x80) {
-    out->push_back(static_cast<char>(cp));
-  } else if (cp < 0x800) {
-    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else {
-    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  }
-}
-
-bool parse_string(Cursor& c, std::string* out, std::string* error) {
-  if (!c.expect('"')) {
-    *error = "expected string";
-    return false;
-  }
-  out->clear();
-  while (true) {
-    if (c.eof()) {
-      *error = "unterminated string";
-      return false;
-    }
-    const char ch = c.take();
-    if (ch == '"') return true;
-    if (ch != '\\') {
-      out->push_back(ch);
-      continue;
-    }
-    const char esc = c.take();
-    switch (esc) {
-      case '"':
-        out->push_back('"');
-        break;
-      case '\\':
-        out->push_back('\\');
-        break;
-      case '/':
-        out->push_back('/');
-        break;
-      case 'n':
-        out->push_back('\n');
-        break;
-      case 't':
-        out->push_back('\t');
-        break;
-      case 'r':
-        out->push_back('\r');
-        break;
-      case 'b':
-        out->push_back('\b');
-        break;
-      case 'f':
-        out->push_back('\f');
-        break;
-      case 'u': {
-        unsigned cp = 0;
-        for (int k = 0; k < 4; ++k) {
-          const char h = c.take();
-          if (!std::isxdigit(static_cast<unsigned char>(h))) {
-            *error = "bad \\u escape";
-            return false;
-          }
-          cp = cp * 16 + static_cast<unsigned>(
-                             std::isdigit(static_cast<unsigned char>(h))
-                                 ? h - '0'
-                                 : std::tolower(h) - 'a' + 10);
-        }
-        append_utf8(out, cp);
-        break;
-      }
-      default:
-        *error = "bad escape";
-        return false;
-    }
-  }
-}
-
-bool parse_number(Cursor& c, FieldValue* out, std::string* error) {
-  std::string digits;
-  bool is_double = false;
-  if (c.peek() == '-') digits.push_back(c.take());
-  if (!std::isdigit(static_cast<unsigned char>(c.peek()))) {
-    *error = "expected number";
-    return false;
-  }
-  while (std::isdigit(static_cast<unsigned char>(c.peek()))) {
-    digits.push_back(c.take());
-  }
-  const std::size_t int_digits = digits.size() - (digits[0] == '-' ? 1 : 0);
-  if (int_digits > 1 && digits[digits.size() - int_digits] == '0') {
-    *error = "leading zero";
-    return false;
-  }
-  if (c.peek() == '.') {
-    is_double = true;
-    digits.push_back(c.take());
-    if (!std::isdigit(static_cast<unsigned char>(c.peek()))) {
-      *error = "bad fraction";
-      return false;
-    }
-    while (std::isdigit(static_cast<unsigned char>(c.peek()))) {
-      digits.push_back(c.take());
-    }
-  }
-  if (c.peek() == 'e' || c.peek() == 'E') {
-    is_double = true;
-    digits.push_back(c.take());
-    if (c.peek() == '+' || c.peek() == '-') digits.push_back(c.take());
-    if (!std::isdigit(static_cast<unsigned char>(c.peek()))) {
-      *error = "bad exponent";
-      return false;
-    }
-    while (std::isdigit(static_cast<unsigned char>(c.peek()))) {
-      digits.push_back(c.take());
-    }
-  }
-  try {
-    if (is_double) {
-      *out = std::stod(digits);
-    } else if (digits[0] == '-') {
-      *out = static_cast<std::int64_t>(std::stoll(digits));
-    } else {
-      *out = static_cast<std::uint64_t>(std::stoull(digits));
-    }
-  } catch (const std::exception&) {
-    *error = "number out of range";
-    return false;
-  }
-  return true;
-}
-
-// A scalar JSON value (what the JSONL schema allows as field values).
-bool parse_scalar(Cursor& c, FieldValue* out, std::string* error) {
-  c.skip_ws();
-  const char ch = c.peek();
-  if (ch == '"') {
-    std::string s;
-    if (!parse_string(c, &s, error)) return false;
-    *out = std::move(s);
-    return true;
-  }
-  if (ch == 't') {
-    if (!c.literal("true")) {
-      *error = "bad literal";
-      return false;
-    }
-    *out = true;
-    return true;
-  }
-  if (ch == 'f') {
-    if (!c.literal("false")) {
-      *error = "bad literal";
-      return false;
-    }
-    *out = false;
-    return true;
-  }
-  if (ch == '-' || std::isdigit(static_cast<unsigned char>(ch))) {
-    return parse_number(c, out, error);
-  }
-  *error = "unsupported value (JSONL fields are scalars)";
-  return false;
-}
-
-// Arbitrary JSON value, structure only (validator). Depth-capped so a
-// hostile file cannot blow the stack.
-bool skip_value(Cursor& c, int depth, std::string* error) {
-  if (depth > 64) {
-    *error = "nesting too deep";
-    return false;
-  }
-  c.skip_ws();
-  const char ch = c.peek();
-  if (ch == '{') {
-    c.take();
-    c.skip_ws();
-    if (c.expect('}')) return true;
-    while (true) {
-      c.skip_ws();
-      std::string key;
-      if (!parse_string(c, &key, error)) return false;
-      c.skip_ws();
-      if (!c.expect(':')) {
-        *error = "expected ':'";
-        return false;
-      }
-      if (!skip_value(c, depth + 1, error)) return false;
-      c.skip_ws();
-      if (c.expect(',')) continue;
-      if (c.expect('}')) return true;
-      *error = "expected ',' or '}'";
-      return false;
-    }
-  }
-  if (ch == '[') {
-    c.take();
-    c.skip_ws();
-    if (c.expect(']')) return true;
-    while (true) {
-      if (!skip_value(c, depth + 1, error)) return false;
-      c.skip_ws();
-      if (c.expect(',')) continue;
-      if (c.expect(']')) return true;
-      *error = "expected ',' or ']'";
-      return false;
-    }
-  }
-  if (ch == 'n') {
-    if (!c.literal("null")) {
-      *error = "bad literal";
-      return false;
-    }
-    return true;
-  }
-  FieldValue scratch;
-  return parse_scalar(c, &scratch, error);
-}
 
 std::int64_t to_int(const FieldValue& v, std::int64_t fallback) {
   if (const auto* i = std::get_if<std::int64_t>(&v)) return *i;
@@ -300,74 +44,42 @@ void write_field_value(std::ostream& os, const FieldValue& value) {
 
 bool parse_jsonl_line(const std::string& line, TraceRecord* out,
                       std::string* error) {
-  Cursor c(line);
-  c.skip_ws();
-  if (!c.expect('{')) {
-    *error = "expected '{'";
+  using Type = util::Json::Type;
+  try {
+    util::Json root = util::parse_json(line, "trace record");
+    if (root.type != Type::kObject) {
+      throw std::invalid_argument("expected '{'");
+    }
+    *out = TraceRecord{};
+    for (auto& [key, json] : root.members) {
+      if (key == "t") {
+        out->at = util::json_i64(json, "\"t\"");
+      } else if (key == "host") {
+        out->host = HostId{static_cast<HostId::value_type>(
+            util::json_i64(json, "\"host\""))};
+      } else if (key == "cat" || key == "ev") {
+        if (json.type != Type::kString) {
+          throw std::invalid_argument("\"" + key + "\" must be a string");
+        }
+        (key == "cat" ? out->category : out->name) = std::move(json.str);
+      } else if (json.type == Type::kNumber) {
+        out->field(std::move(key),
+                   std::visit([](auto n) { return FieldValue{n}; },
+                              json.number));
+      } else if (json.type == Type::kString) {
+        out->field(std::move(key), std::move(json.str));
+      } else if (json.type == Type::kBool) {
+        out->field(std::move(key), json.boolean);
+      } else {
+        throw std::invalid_argument(
+            "unsupported value (JSONL fields are scalars)");
+      }
+    }
+    return true;
+  } catch (const std::invalid_argument& e) {
+    *error = e.what();
     return false;
   }
-  *out = TraceRecord{};
-  bool first = true;
-  while (true) {
-    c.skip_ws();
-    if (c.expect('}')) break;
-    if (!first && !c.expect(',')) {
-      *error = "expected ','";
-      return false;
-    }
-    c.skip_ws();
-    // A leading comma before the first pair (or after the last) is
-    // malformed; parse_string reports it as "expected string".
-    std::string key;
-    if (!parse_string(c, &key, error)) return false;
-    c.skip_ws();
-    if (!c.expect(':')) {
-      *error = "expected ':'";
-      return false;
-    }
-    FieldValue value;
-    if (!parse_scalar(c, &value, error)) return false;
-    first = false;
-
-    if (key == "t") {
-      if (std::holds_alternative<std::string>(value) ||
-          std::holds_alternative<bool>(value)) {
-        *error = "\"t\" must be a number";
-        return false;
-      }
-      out->at = to_int(value, 0);
-    } else if (key == "cat") {
-      if (const auto* s = std::get_if<std::string>(&value)) {
-        out->category = *s;
-      } else {
-        *error = "\"cat\" must be a string";
-        return false;
-      }
-    } else if (key == "ev") {
-      if (const auto* s = std::get_if<std::string>(&value)) {
-        out->name = *s;
-      } else {
-        *error = "\"ev\" must be a string";
-        return false;
-      }
-    } else if (key == "host") {
-      if (std::holds_alternative<std::string>(value) ||
-          std::holds_alternative<bool>(value)) {
-        *error = "\"host\" must be a number";
-        return false;
-      }
-      out->host = HostId{
-          static_cast<HostId::value_type>(to_int(value, kNoHost.value))};
-    } else {
-      out->field(std::move(key), std::move(value));
-    }
-  }
-  c.skip_ws();
-  if (!c.eof()) {
-    *error = "trailing characters after record";
-    return false;
-  }
-  return true;
 }
 
 bool read_jsonl(std::istream& is, std::vector<TraceRecord>* out,
@@ -391,20 +103,13 @@ bool read_jsonl(std::istream& is, std::vector<TraceRecord>* out,
 }
 
 bool json_syntax_valid(const std::string& text, std::string* error) {
-  Cursor c(text);
-  std::string local;
-  if (!skip_value(c, 0, &local)) {
-    std::ostringstream os;
-    os << local << " at offset " << c.pos();
-    *error = os.str();
+  try {
+    (void)util::parse_json(text, "document");
+    return true;
+  } catch (const std::invalid_argument& e) {
+    *error = e.what();
     return false;
   }
-  c.skip_ws();
-  if (!c.eof()) {
-    *error = "trailing characters after document";
-    return false;
-  }
-  return true;
 }
 
 const FieldValue* find_field(const TraceRecord& r, const std::string& key) {

@@ -2,8 +2,10 @@
 // rbcast_trace CLI.
 //
 // The reader understands exactly the flat one-object-per-line format
-// JsonlSink writes (schema in PROTOCOL.md) and reconstructs TraceRecords,
-// so the write path and the read path share one type. The query layer
+// JsonlSink writes (schema in PROTOCOL.md): each line goes through
+// util::parse_json, the repo's one JSON codec, and the resulting object
+// is mapped onto a TraceRecord, so the write path and the read path share
+// one type. Integers come back exact to 64 bits. The query layer
 // answers the questions an experimenter asks of a finished run:
 //
 //  * summarize   — record counts per category/event, hosts seen, time
@@ -14,8 +16,8 @@
 //  * convergence — the attachment/cycle-break timeline and when the tree
 //                  last changed shape.
 //
-// json_syntax_valid() is a standalone structural JSON checker used to
-// verify Chrome/Perfetto exports parse (tests and the CLI's --check).
+// json_syntax_valid() wraps util::parse_json as a yes/no check; the
+// trace tests use it to verify Chrome/Perfetto exports parse.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,9 @@ namespace rbcast::trace {
 // --- parsing ---------------------------------------------------------------
 
 // Parses one JSONL trace line into `out`. Returns false (and sets
-// `error`) on malformed input. Unknown top-level keys become fields, so
+// `error`) on malformed input, on a non-scalar field (null, arrays and
+// objects are rejected), on a non-number "t"/"host" or a non-string
+// "cat"/"ev". Unknown top-level keys become fields in line order, so
 // the reader tolerates schema extensions.
 [[nodiscard]] bool parse_jsonl_line(const std::string& line, TraceRecord* out,
                                     std::string* error);
@@ -42,9 +46,9 @@ namespace rbcast::trace {
                               std::vector<TraceRecord>* out,
                               std::string* error);
 
-// Structural syntax check: `text` must be exactly one valid JSON value
-// (the Chrome trace_event export is one JSON array). Rejects trailing
-// garbage; does not validate any schema.
+// Syntax check: `text` must be exactly one valid JSON value (the Chrome
+// trace_event export is one JSON array), as util::parse_json reads it.
+// Does not validate any schema.
 [[nodiscard]] bool json_syntax_valid(const std::string& text,
                                      std::string* error);
 

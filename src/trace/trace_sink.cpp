@@ -5,41 +5,11 @@
 #include <sstream>
 
 #include "core/config.h"
+#include "util/json.h"
 
 namespace rbcast::trace {
 
 namespace {
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 void write_value(std::ostream& os, const FieldValue& value) {
   std::visit(
@@ -48,14 +18,9 @@ void write_value(std::ostream& os, const FieldValue& value) {
         if constexpr (std::is_same_v<T, bool>) {
           os << (v ? "true" : "false");
         } else if constexpr (std::is_same_v<T, double>) {
-          // Shortest round-trippable form keeps output platform-stable
-          // (no locale, fixed precision cap).
-          std::ostringstream tmp;
-          tmp.precision(12);
-          tmp << v;
-          os << tmp.str();
+          util::write_json_number(os, v);
         } else if constexpr (std::is_same_v<T, std::string>) {
-          write_escaped(os, v);
+          util::write_json_string(os, v);
         } else {
           os << v;
         }
@@ -74,13 +39,13 @@ bool numeric(const FieldValue& value) {
 
 void JsonlSink::record(const TraceRecord& r) {
   os_ << "{\"t\":" << r.at << ",\"cat\":";
-  write_escaped(os_, r.category);
+  util::write_json_string(os_, r.category);
   os_ << ",\"ev\":";
-  write_escaped(os_, r.name);
+  util::write_json_string(os_, r.name);
   os_ << ",\"host\":" << r.host.value;
   for (const auto& [key, value] : r.fields) {
     os_ << ',';
-    write_escaped(os_, key);
+    util::write_json_string(os_, key);
     os_ << ':';
     write_value(os_, value);
   }
@@ -109,7 +74,7 @@ void ChromeTraceSink::name_track(int tid, const std::string& name) {
   begin_event();
   os_ << R"({"name":"thread_name","ph":"M","pid":1,"tid":)" << tid
       << R"(,"args":{"name":)";
-  write_escaped(os_, name);
+  util::write_json_string(os_, name);
   os_ << "}}";
 }
 
@@ -129,7 +94,7 @@ void ChromeTraceSink::record(const TraceRecord& r) {
         std::visit([&label](const auto& v) { label << v; }, value);
       }
     }
-    write_escaped(os_, label.str());
+    util::write_json_string(os_, label.str());
     os_ << "}}";
   }
   name_track(tid, r.host.valid() ? "h" + std::to_string(r.host.value)
@@ -139,7 +104,7 @@ void ChromeTraceSink::record(const TraceRecord& r) {
     // One counter event per record; numeric fields become series.
     begin_event();
     os_ << R"({"name":)";
-    write_escaped(os_, r.name);
+    util::write_json_string(os_, r.name);
     os_ << R"(,"cat":"metric","ph":"C","ts":)" << r.at
         << R"(,"pid":1,"args":{)";
     bool first_field = true;
@@ -147,7 +112,7 @@ void ChromeTraceSink::record(const TraceRecord& r) {
       if (!numeric(value)) continue;
       if (!first_field) os_ << ',';
       first_field = false;
-      write_escaped(os_, key);
+      util::write_json_string(os_, key);
       os_ << ':';
       write_value(os_, value);
     }
@@ -157,16 +122,16 @@ void ChromeTraceSink::record(const TraceRecord& r) {
 
   begin_event();
   os_ << R"({"name":)";
-  write_escaped(os_, r.name);
+  util::write_json_string(os_, r.name);
   os_ << R"(,"cat":)";
-  write_escaped(os_, r.category);
+  util::write_json_string(os_, r.category);
   os_ << R"(,"ph":"i","s":"t","ts":)" << r.at << R"(,"pid":1,"tid":)" << tid
       << R"(,"args":{)";
   bool first_field = true;
   for (const auto& [key, value] : r.fields) {
     if (!first_field) os_ << ',';
     first_field = false;
-    write_escaped(os_, key);
+    util::write_json_string(os_, key);
     os_ << ':';
     write_value(os_, value);
   }

@@ -428,6 +428,26 @@ TEST(Ratchet, MalformedBaselineFailsClosed) {
   EXPECT_FALSE(ratchet_from_json("{\"findings\": [1, 2]}").has_value());
 }
 
+TEST(Ratchet, OutOfRangeOrMalformedCountsFailClosed) {
+  // 4294967308 = 2^32 + 12: must not wrap to a count of 12.
+  EXPECT_FALSE(ratchet_from_json(
+                   R"({"findings": {"hot-alloc": 4294967308}, "waivers": {}})")
+                   .has_value());
+  EXPECT_FALSE(
+      ratchet_from_json(R"({"findings": {"hot-alloc": -1}, "waivers": {}})")
+          .has_value());
+  EXPECT_FALSE(
+      ratchet_from_json(R"({"findings": {"hot-alloc": 1.5}, "waivers": {}})")
+          .has_value());
+  EXPECT_FALSE(
+      ratchet_from_json(R"({"findings": {"bad\q": 1}, "waivers": {}})")
+          .has_value());
+  const auto max = ratchet_from_json(
+      R"({"findings": {"hot-alloc": 2147483647}, "waivers": {}})");
+  ASSERT_TRUE(max.has_value());
+  EXPECT_EQ(max->findings.at("hot-alloc"), 2147483647);
+}
+
 TEST(Ratchet, CompareFlagsRegression) {
   Ratchet base, cur;
   base.findings = {{"hot-alloc", 1}};

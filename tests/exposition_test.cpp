@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -166,6 +167,23 @@ TEST(StatusJson, RoundTripsThroughUtilJson) {
   EXPECT_DOUBLE_EQ(parsed.metrics[2].sum, 9.102);
 
   // Serialization is byte-stable: render(parse(render(x))) == render(x).
+  EXPECT_EQ(status_json(parsed), text);
+}
+
+TEST(StatusJson, ControlCharactersAndLargeCountersRoundTripExactly) {
+  StatusDoc doc = sample_doc();
+  // A label with a control character is written as \u0001, and a counter
+  // above 2^53 has no exact double: both must come back unchanged.
+  doc.metrics[0].labels = "peer=\"a\x01b\"";
+  doc.metrics[0].counter = (std::uint64_t{1} << 53) + 1;
+  doc.hosts[0].deliveries = (std::uint64_t{1} << 53) + 1;
+  const std::string text = status_json(doc);
+  const StatusDoc parsed = parse_status_json(text);
+  ASSERT_EQ(parsed.metrics.size(), doc.metrics.size());
+  EXPECT_EQ(parsed.metrics[0].labels, doc.metrics[0].labels);
+  EXPECT_EQ(parsed.metrics[0].counter, doc.metrics[0].counter);
+  ASSERT_EQ(parsed.hosts.size(), 1u);
+  EXPECT_EQ(parsed.hosts[0].deliveries, doc.hosts[0].deliveries);
   EXPECT_EQ(status_json(parsed), text);
 }
 

@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <functional>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
+#include <variant>
 
 #include "analyze/source_scanner.h"
 #include "lint/lint_engine.h"
+#include "util/json.h"
 
 namespace rbcast::analyze {
 
@@ -405,29 +408,6 @@ void find_cycles(const std::map<std::string, std::set<std::string>>& graph,
   }
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 LayerSpec default_layer_spec() {
@@ -633,23 +613,29 @@ Ratchet count(const AnalysisResult& result) {
 std::string to_json(const AnalysisResult& result) {
   const Ratchet r = count(result);
   std::ostringstream os;
+  // One report entry: {"file": ..., "line": N, "rule": ..., "<key>": ...}.
+  auto entry = [&os](const std::string& file, int line,
+                     const std::string& rule, const char* key,
+                     const std::string& text, bool last) {
+    os << "    {\"file\": ";
+    util::write_json_string(os, file);
+    os << ", \"line\": " << line << ", \"rule\": ";
+    util::write_json_string(os, rule);
+    os << ", \"" << key << "\": ";
+    util::write_json_string(os, text);
+    os << "}" << (last ? "" : ",") << "\n";
+  };
   os << "{\n  \"findings\": [\n";
   for (std::size_t i = 0; i < result.findings.size(); ++i) {
     const Finding& f = result.findings[i];
-    os << "    {\"file\": \"" << json_escape(f.file)
-       << "\", \"line\": " << f.line << ", \"rule\": \""
-       << json_escape(f.rule) << "\", \"message\": \""
-       << json_escape(f.message) << "\"}"
-       << (i + 1 < result.findings.size() ? "," : "") << "\n";
+    entry(f.file, f.line, f.rule, "message", f.message,
+          i + 1 == result.findings.size());
   }
   os << "  ],\n  \"waivers\": [\n";
   for (std::size_t i = 0; i < result.waivers.size(); ++i) {
     const Waiver& w = result.waivers[i];
-    os << "    {\"file\": \"" << json_escape(w.file)
-       << "\", \"line\": " << w.line << ", \"rule\": \""
-       << json_escape(w.rule) << "\", \"reason\": \""
-       << json_escape(w.reason) << "\"}"
-       << (i + 1 < result.waivers.size() ? "," : "") << "\n";
+    entry(w.file, w.line, w.rule, "reason", w.reason,
+          i + 1 == result.waivers.size());
   }
   os << "  ],\n  \"counts\": " << ratchet_to_json(r) << "\n}\n";
   return os.str();
@@ -663,7 +649,8 @@ std::string ratchet_to_json(const Ratchet& r) {
     for (const auto& [rule, n] : m) {
       if (!first) os << ", ";
       first = false;
-      os << "\"" << json_escape(rule) << "\": " << n;
+      util::write_json_string(os, rule);
+      os << ": " << n;
     }
     os << "}";
   };
@@ -678,102 +665,48 @@ std::string ratchet_to_json(const Ratchet& r) {
 
 namespace {
 
-// Minimal parser for the exact baseline shape:
-//   {"findings": {"rule": int, ...}, "waivers": {...}}
-// Anything else returns nullopt (the gate fails closed on a mangled
-// baseline rather than silently passing).
-struct JsonCursor {
-  std::string_view s;
-  std::size_t i{0};
-
-  void skip_ws() {
-    while (i < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[i]))) {
-      ++i;
-    }
+// One per-rule count map of the baseline; nullopt unless every value is
+// an integer in [0, INT_MAX].
+std::optional<std::map<std::string, int>> count_map(const util::Json& v) {
+  if (v.type != util::Json::Type::kObject) return std::nullopt;
+  std::map<std::string, int> out;
+  for (const auto& [rule, n] : v.members) {
+    if (n.type != util::Json::Type::kNumber) return std::nullopt;
+    const auto* count = std::get_if<std::uint64_t>(&n.number);
+    if (count == nullptr || !std::in_range<int>(*count)) return std::nullopt;
+    out[rule] = static_cast<int>(*count);
   }
-  bool eat(char c) {
-    skip_ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return i < s.size() && s[i] == c;
-  }
-  std::optional<std::string> string() {
-    skip_ws();
-    if (!eat('"')) return std::nullopt;
-    std::string out;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\' && i + 1 < s.size()) ++i;
-      out.push_back(s[i]);
-      ++i;
-    }
-    if (!eat('"')) return std::nullopt;
-    return out;
-  }
-  std::optional<int> integer() {
-    skip_ws();
-    bool neg = false;
-    if (i < s.size() && s[i] == '-') {
-      neg = true;
-      ++i;
-    }
-    if (i >= s.size() || !std::isdigit(static_cast<unsigned char>(s[i]))) {
-      return std::nullopt;
-    }
-    long v = 0;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-      v = v * 10 + (s[i] - '0');
-      ++i;
-    }
-    return static_cast<int>(neg ? -v : v);
-  }
-  std::optional<std::map<std::string, int>> int_map() {
-    if (!eat('{')) return std::nullopt;
-    std::map<std::string, int> out;
-    if (eat('}')) return out;
-    while (true) {
-      auto key = string();
-      if (!key || !eat(':')) return std::nullopt;
-      auto val = integer();
-      if (!val) return std::nullopt;
-      out[*key] = *val;
-      if (eat('}')) return out;
-      if (!eat(',')) return std::nullopt;
-    }
-  }
-};
+  return out;
+}
 
 }  // namespace
 
+// The baseline shape is exactly {"findings": {"rule": n, ...}, "waivers":
+// {...}}. Anything else returns nullopt: the gate fails closed on a
+// mangled baseline rather than silently passing.
 std::optional<Ratchet> ratchet_from_json(std::string_view json) {
-  JsonCursor c{json};
-  if (!c.eat('{')) return std::nullopt;
+  util::Json root;
+  try {
+    root = util::parse_json(std::string(json), "analysis baseline");
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+  if (root.type != util::Json::Type::kObject) return std::nullopt;
   Ratchet r;
   bool saw_findings = false;
   bool saw_waivers = false;
-  if (c.eat('}')) return std::nullopt;
-  while (true) {
-    auto key = c.string();
-    if (!key || !c.eat(':')) return std::nullopt;
-    auto m = c.int_map();
+  for (const auto& [key, value] : root.members) {
+    auto m = count_map(value);
     if (!m) return std::nullopt;
-    if (*key == "findings") {
+    if (key == "findings") {
       r.findings = std::move(*m);
       saw_findings = true;
-    } else if (*key == "waivers") {
+    } else if (key == "waivers") {
       r.waivers = std::move(*m);
       saw_waivers = true;
     } else {
       return std::nullopt;
     }
-    if (c.eat('}')) break;
-    if (!c.eat(',')) return std::nullopt;
   }
   if (!saw_findings || !saw_waivers) return std::nullopt;
   return r;

@@ -122,8 +122,7 @@ NodeConfig load_config(const std::string& path) {
   }
 
   cfg.source = HostId{util::json_int_or(root, "source", 0, kContext)};
-  cfg.seed = static_cast<std::uint64_t>(
-      util::json_num_or(root, "seed", 1, kContext));
+  cfg.seed = util::json_u64_or(root, "seed", 1, kContext);
   cfg.messages = util::json_int_or(root, "messages", 20, kContext);
   cfg.interval = ms_or(root, "interval_ms", cfg.interval);
   cfg.run_for = util::from_seconds(
@@ -141,8 +140,7 @@ NodeConfig load_config(const std::string& path) {
     cfg.impairment.reorder = util::json_num_or(*imp, "reorder", 0, kContext);
     cfg.impairment.delay_max =
         ms_or(*imp, "delay_max_ms", cfg.impairment.delay_max);
-    cfg.impairment.seed = static_cast<std::uint64_t>(
-        util::json_num_or(*imp, "seed", 0, kContext));
+    cfg.impairment.seed = util::json_u64_or(*imp, "seed", 0, kContext);
   }
 
   // Real-time defaults are much tighter than the simulator's: a localhost

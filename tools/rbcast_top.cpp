@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "trace/exposition.h"
+#include "util/json.h"
 #include "util/table.h"
 
 using namespace rbcast;
@@ -459,14 +460,6 @@ void render_table(const Options& options, const std::vector<Sample>& current,
   std::cout << std::flush;
 }
 
-std::string fmt_json_double(double v) {
-  if (std::isnan(v) || std::isinf(v)) return "null";
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
-}
-
 void render_json(const Options& options, const std::vector<Sample>& current,
                  const std::vector<Sample>& previous) {
   const Fleet fleet = aggregate(current);
@@ -476,8 +469,9 @@ void render_json(const Options& options, const std::vector<Sample>& current,
   for (std::size_t i = 0; i < current.size(); ++i) {
     const Sample& s = current[i];
     if (i > 0) os << ",";
-    os << "{\"endpoint\":\"" << options.endpoints[i] << "\""
-       << ",\"reachable\":" << (s.reachable ? "true" : "false")
+    os << "{\"endpoint\":";
+    util::write_json_string(os, options.endpoints[i]);
+    os << ",\"reachable\":" << (s.reachable ? "true" : "false")
        << ",\"ready\":" << (s.ready ? "true" : "false")
        << ",\"hosts\":" << s.hosts
        << ",\"converged_hosts\":" << s.converged_hosts
@@ -499,14 +493,17 @@ void render_json(const Options& options, const std::vector<Sample>& current,
      << ",\"leaders\":" << fleet.sum.leaders
      << ",\"decode_errors\":" << fleet.sum.decode_errors
      << ",\"auth_rejects\":" << fleet.sum.auth_rejects
-     << ",\"p99_s\":" << fmt_json_double(delta_p99(fleet_prev.sum, fleet.sum))
-     << ",\"frames_per_datagram\":"
-     << (fleet.sum.batches_flushed == 0
-             ? "null"
-             : fmt_json_double(
-                   static_cast<double>(fleet.sum.frames_enqueued) /
-                   static_cast<double>(fleet.sum.batches_flushed)))
-     << "}}";
+     << ",\"p99_s\":";
+  util::write_json_number(os, delta_p99(fleet_prev.sum, fleet.sum));
+  os << ",\"frames_per_datagram\":";
+  if (fleet.sum.batches_flushed == 0) {
+    os << "null";
+  } else {
+    util::write_json_number(os,
+                            static_cast<double>(fleet.sum.frames_enqueued) /
+                                static_cast<double>(fleet.sum.batches_flushed));
+  }
+  os << "}}";
   std::cout << os.str() << "\n" << std::flush;
 }
 
