@@ -100,6 +100,9 @@ void BroadcastHost::register_metrics(util::MetricsRegistry& registry,
       {"host.auth_rejects",
        "Data frames dropped for a missing or invalid authentication tag",
        &Counters::auth_rejects},
+      {"host.unknown_sender_drops",
+       "Deliveries dropped because the sender is not a known peer",
+       &Counters::unknown_sender},
   };
   for (const Field& f : kFields) {
     registry.register_counter_fn(
@@ -176,6 +179,14 @@ void BroadcastHost::on_delivery(const net::Delivery& delivery) {
     ++counters_.decode_errors;
     return;
   }
+  // Likewise a sender that is not a peer — a UDP frame's `from` is whatever
+  // its writer put there. Past this point `from` always has a slot.
+  const HostId from = delivery.from;
+  if (!from.valid() || from == self() ||
+      state_.slot(from) == HostState::npos) {
+    ++counters_.unknown_sender;
+    return;
+  }
 
   // Authentication gate (Config::auth_enabled): a data frame whose tag is
   // missing or does not verify is dropped here, before *any* bookkeeping —
@@ -192,14 +203,13 @@ void BroadcastHost::on_delivery(const net::Delivery& delivery) {
     }
   }
 
-  const HostId from = delivery.from;
   // "This set can be updated when a message (of any kind ...) is received
   // from another host j" — the cost-bit rule, unless cluster knowledge is
   // static or disabled.
   if (config_.cluster_knowledge == Config::ClusterKnowledge::kDynamic) {
     state_.update_cluster_from_cost_bit(from, delivery.expensive);
   }
-  last_heard_[from] = scheduler_.now();
+  peer_book(from).last_heard = scheduler_.now();
   if (from == state_.parent()) last_parent_heard_ = scheduler_.now();
 
   std::visit(
@@ -449,21 +459,23 @@ void BroadcastHost::detach_from_parent(bool notify, bool timeout) {
 }
 
 void BroadcastHost::info_round_intra() {
-  // Frequent exchange with cluster members and parent-graph neighbors.
-  std::set<HostId> recipients(state_.cluster().begin(),
-                              state_.cluster().end());
-  for (HostId n : state_.neighbors()) recipients.insert(n);
-  recipients.erase(self());
+  // Frequent exchange with cluster members and parent-graph neighbors
+  // (cluster ∪ children ∪ {parent} \ {self}), in ascending id order.
+  info_targets_.assign(state_.cluster().begin(), state_.cluster().end());
+  info_targets_.insert(info_targets_.end(), state_.children().begin(),
+                       state_.children().end());
+  if (state_.parent().valid()) info_targets_.push_back(state_.parent());
+  std::sort(info_targets_.begin(), info_targets_.end());
+  info_targets_.erase(std::unique(info_targets_.begin(), info_targets_.end()),
+                      info_targets_.end());
+  std::erase(info_targets_, self());
   const InfoMsg msg{state_.info(), state_.parent()};
-  for (HostId j : recipients) {
+  for (HostId j : info_targets_) {
     // A data message that piggybacked our INFO to j within the last round
     // already did this round's job (Section 6) — skip the standalone report.
-    if (config_.piggyback_info) {
-      auto it = last_piggyback_.find(j);
-      if (it != last_piggyback_.end() &&
-          scheduler_.now() - it->second < config_.info_period_intra) {
-        continue;
-      }
+    if (config_.piggyback_info &&
+        scheduler_.now() < peer_book(j).piggyback_until) {
+      continue;
     }
     send_message(j, msg);
   }
@@ -473,11 +485,12 @@ void BroadcastHost::info_round_inter() {
   // Rare exchange with everyone else; this is what lets remote hosts
   // discover who is ahead (attachment options I.3/II.3) and what feeds
   // non-neighbor gap filling.
-  std::set<HostId> skip(state_.cluster().begin(), state_.cluster().end());
-  for (HostId n : state_.neighbors()) skip.insert(n);
   const InfoMsg msg{state_.info(), state_.parent()};
   for (HostId j : state_.all_hosts()) {
-    if (j == self() || skip.contains(j)) continue;
+    if (j == self() || state_.in_cluster(j) || state_.is_child(j) ||
+        j == state_.parent()) {
+      continue;
+    }
     send_message(j, msg);
   }
 }
@@ -509,11 +522,9 @@ void BroadcastHost::gapfill_round_far() {
   // Non-neighbors (the Section 4.4 extension): any up-to-date host can
   // fill them, so each host serves only a small random subset per round —
   // see Config::far_fill_targets for why.
-  std::set<HostId> neighbor_set;
-  for (HostId n : state_.neighbors()) neighbor_set.insert(n);
   std::vector<HostId> behind;
   for (HostId j : state_.all_hosts()) {
-    if (j == self() || neighbor_set.contains(j)) continue;
+    if (j == self() || state_.is_child(j) || j == state_.parent()) continue;
     const SeqSet offered = recent_offers(j);
     if (!plan_far_gapfill(state_, j, 1, &offered).empty()) behind.push_back(j);
   }
@@ -547,18 +558,17 @@ void BroadcastHost::maintenance_round() {
   // Child liveness (engineering necessity; see Config::child_timeout).
   std::vector<HostId> stale;
   for (HostId child : state_.children()) {
-    auto it = last_heard_.find(child);
-    const util::TimePoint heard = it != last_heard_.end() ? it->second : 0;
-    if (now - heard > config_.child_timeout) stale.push_back(child);
+    if (now - peer_book(child).last_heard > config_.child_timeout) {
+      stale.push_back(child);
+    }
   }
   for (HostId child : stale) state_.remove_child(child);
 
   // Lapsed-offer sweep: keeps the optimistic-offer table bounded even for
   // peers no planner asks about anymore (e.g. removed children).
-  for (auto host_it = offered_.begin(); host_it != offered_.end();) {
-    std::erase_if(host_it->second,
-                  [now](const auto& kv) { return kv.second <= now; });
-    host_it = host_it->second.empty() ? offered_.erase(host_it) : ++host_it;
+  for (PeerBook& peer : peers_) {
+    std::erase_if(peer.offered,
+                  [now](const PeerBook::Offer& o) { return o.expires <= now; });
   }
 
   // Section 6 pruning: discard state for the prefix every host is known to
@@ -586,7 +596,8 @@ void BroadcastHost::send_message(HostId to, ProtocolMessage m) {
     // A piggybacked INFO set freshens the peer like a standalone report;
     // remember when so info_round_intra() can skip the redundant packet.
     if (data->piggyback.has_value()) {
-      last_piggyback_[to] = scheduler_.now();
+      peer_book(to).piggyback_until =
+          scheduler_.now() + config_.info_period_intra;
     }
   }
   endpoint_.send(to, std::any(std::move(m)), bytes, kind, trace_id);
@@ -614,8 +625,25 @@ void BroadcastHost::send_gapfill(HostId to, Seq seq) {
   if (observer_ != nullptr) observer_->on_gapfill_offered(self(), to, seq);
 }
 
+BroadcastHost::PeerBook& BroadcastHost::peer_book(HostId j) {
+  const std::size_t k = state_.slot(j);
+  RBCAST_ASSERT_MSG(k != HostState::npos, "peer is not among all_hosts");
+  if (peers_.empty()) peers_.resize(state_.all_hosts().size());  // once
+  return peers_[k];
+}
+
 void BroadcastHost::note_offered(HostId to, Seq seq) {
-  offered_[to][seq] = scheduler_.now() + config_.gapfill_suppress_period;
+  auto& offers = peer_book(to).offered;
+  const util::TimePoint expires =
+      scheduler_.now() + config_.gapfill_suppress_period;
+  auto it = std::lower_bound(
+      offers.begin(), offers.end(), seq,
+      [](const PeerBook::Offer& o, Seq q) { return o.seq < q; });
+  if (it != offers.end() && it->seq == seq) {
+    it->expires = expires;
+  } else {
+    offers.insert(it, PeerBook::Offer{seq, expires});
+  }
 }
 
 void BroadcastHost::clear_refuted_offers(HostId from, const SeqSet& reported) {
@@ -624,28 +652,19 @@ void BroadcastHost::clear_refuted_offers(HostId from, const SeqSet& reported) {
   // spurious re-offer): drop the suppression so the next round re-sends
   // without waiting for the time-based expiry. This is what keeps the
   // suppression from delaying genuine loss recovery.
-  auto it = offered_.find(from);
-  if (it == offered_.end()) return;
-  std::erase_if(it->second,
-                [&](const auto& kv) { return !reported.contains(kv.first); });
-  if (it->second.empty()) offered_.erase(it);
+  std::erase_if(
+      peer_book(from).offered,
+      [&](const PeerBook::Offer& o) { return !reported.contains(o.seq); });
 }
 
 SeqSet BroadcastHost::recent_offers(HostId j) {
-  SeqSet live;
-  auto host_it = offered_.find(j);
-  if (host_it == offered_.end()) return live;
   const util::TimePoint now = scheduler_.now();
-  auto& per_seq = host_it->second;
-  for (auto it = per_seq.begin(); it != per_seq.end();) {
-    if (it->second <= now) {
-      it = per_seq.erase(it);  // lapsed: re-offers allowed again
-    } else {
-      live.insert(it->first);
-      ++it;
-    }
-  }
-  if (per_seq.empty()) offered_.erase(host_it);
+  auto& offers = peer_book(j).offered;
+  // Lapsed offers go: re-offers are allowed again.
+  std::erase_if(offers,
+                [now](const PeerBook::Offer& o) { return o.expires <= now; });
+  SeqSet live;
+  for (const PeerBook::Offer& o : offers) live.insert(o.seq);
   return live;
 }
 

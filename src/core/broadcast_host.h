@@ -99,6 +99,10 @@ class BroadcastHost {
     // Rejected frames leave every bit of protocol state untouched — not
     // even liveness or cluster bookkeeping may trust them.
     std::uint64_t auth_rejects{0};
+    // Deliveries whose claimed sender is invalid, this host itself, or not
+    // among all_hosts: dropped before any bookkeeping, like decode errors —
+    // an unknown sender must not join CLUSTER_i or become a send target.
+    std::uint64_t unknown_sender{0};
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
@@ -108,6 +112,10 @@ class BroadcastHost {
   // Forces one gap-fill round now (tests).
   void run_gapfill_neighbor_now() { gapfill_round_neighbor(); }
   void run_gapfill_far_now() { gapfill_round_far(); }
+
+  // Forces one INFO round now (tests).
+  void run_info_intra_now() { info_round_intra(); }
+  void run_info_inter_now() { info_round_inter(); }
 
   // Seeds CLUSTER_i (static cluster knowledge mode, or "some information
   // to the contrary" at initialization — Section 4.2). Call before start().
@@ -161,6 +169,9 @@ class BroadcastHost {
   void detach_from_parent(bool notify, bool timeout);
   void accept_message(Seq seq, const Payload& body, bool was_new_max,
                       HostId from);
+  struct PeerBook;
+  // The bookkeeping entry of member `j`; sizes peers_ on first use.
+  [[nodiscard]] PeerBook& peer_book(HostId j);
   [[nodiscard]] std::set<HostId> current_exclusions();
 
   transport::Transport& transport_;
@@ -191,16 +202,30 @@ class BroadcastHost {
 
   // Liveness bookkeeping.
   util::TimePoint last_parent_heard_{0};
-  std::map<HostId, util::TimePoint> last_heard_;
 
-  // Piggyback suppression (Config::piggyback_info): when a data message
-  // carrying our INFO set just went to a neighbor, the next intra-cluster
-  // INFO round skips that neighbor — the report already rode along.
-  std::map<HostId, util::TimePoint> last_piggyback_;
+  // Per-peer bookkeeping, indexed by HostState::slot(): empty until first
+  // used, then sized to all_hosts for good. Every peer it is asked about is
+  // a member (on_delivery drops the rest).
+  struct PeerBook {
+    util::TimePoint last_heard{0};  // 0 = never heard
+    // Piggyback suppression (Config::piggyback_info): when a data message
+    // carrying our INFO set just went to this peer, intra-cluster INFO
+    // rounds before this time skip it — the report already rode along.
+    // 0 (never piggybacked) suppresses nothing.
+    util::TimePoint piggyback_until{0};
+    // Optimistic offer tracking (duplicate gap-fill suppression): the
+    // expiry time of each outstanding offer, in ascending seq order. A
+    // sorted vector: offers mostly append, and its capacity is reused.
+    struct Offer {
+      Seq seq;
+      util::TimePoint expires;
+    };
+    std::vector<Offer> offered;
+  };
+  std::vector<PeerBook> peers_;
 
-  // Optimistic offer tracking (duplicate gap-fill suppression): per peer,
-  // the expiry time of each outstanding offer. Ordered for determinism.
-  std::map<HostId, std::map<Seq, util::TimePoint>> offered_;
+  // info_round_intra()'s recipient list, reused across rounds.
+  std::vector<HostId> info_targets_;
 
   // Source tags of accepted messages (Config::auth_enabled): relays
   // forward the original tag verbatim — they cannot re-sign — so it must

@@ -1,6 +1,7 @@
 #include "core/host_state.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/assert.h"
 
@@ -14,12 +15,16 @@ HostState::HostState(HostId self, std::vector<HostId> all_hosts,
                      HostId source)
     : self_(self), all_hosts_(std::move(all_hosts)), source_(source) {
   RBCAST_CHECK_ARG(self.valid(), "invalid self id");
-  RBCAST_CHECK_ARG(
-      std::find(all_hosts_.begin(), all_hosts_.end(), self) != all_hosts_.end(),
-      "self must be among all_hosts");
-  for (HostId h : all_hosts_) {
-    source_order_ = std::max(source_order_, h.value + 1);
+  // Callers usually pass topology order, which is already strictly
+  // ascending; sort and de-duplicate only when it is not.
+  if (std::adjacent_find(all_hosts_.begin(), all_hosts_.end(),
+                         std::greater_equal<>()) != all_hosts_.end()) {
+    std::sort(all_hosts_.begin(), all_hosts_.end());
+    all_hosts_.erase(std::unique(all_hosts_.begin(), all_hosts_.end()),
+                     all_hosts_.end());
   }
+  RBCAST_CHECK_ARG(slot(self_) != npos, "self must be among all_hosts");
+  if (!all_hosts_.empty()) source_order_ = all_hosts_.back().value + 1;
   // "CLUSTER_i is initialized to {i}, i.e., in the beginning each host
   // assumes that it is in a cluster by itself."
   cluster_.insert(self_);
@@ -27,13 +32,12 @@ HostState::HostState(HostId self, std::vector<HostId> all_hosts,
 
 void HostState::check_invariants() const {
 #if defined(RBCAST_PARANOID)
-  // "CLUSTER_i always contains i"; a host is never its own child; the two
-  // parent representations agree; every stored body is recorded in INFO.
+  // "CLUSTER_i always contains i"; a host is never its own child; the
+  // per-peer table is unsized or covers every slot; every stored body is
+  // recorded in INFO.
   RBCAST_ASSERT(cluster_.contains(self_));
   RBCAST_ASSERT(!children_.contains(self_));
-  auto self_view = parent_view_.find(self_);
-  RBCAST_ASSERT(self_view == parent_view_.end() ||
-                self_view->second == parent_of_self_);
+  RBCAST_ASSERT(peers_.empty() || peers_.size() == all_hosts_.size());
   for (const auto& [seq, body] : bodies_) {
     RBCAST_ASSERT_MSG(info_.contains(seq), "body stored without INFO entry");
   }
@@ -59,28 +63,42 @@ void HostState::prune(Seq watermark) {
 
 Seq HostState::safe_prefix() const {
   Seq prefix = info_.contiguous_prefix();
-  for (HostId j : all_hosts_) {
-    if (j == self_) continue;
-    prefix = std::min(prefix, map(j).contiguous_prefix());
-    if (prefix == 0) return 0;
+  for (std::size_t k = 0; k < all_hosts_.size() && prefix > 0; ++k) {
+    if (all_hosts_[k] == self_) continue;
+    prefix = k < peers_.size()
+                 ? std::min(prefix, peers_[k].map.contiguous_prefix())
+                 : 0;  // never heard from
   }
   return prefix;
 }
 
+std::size_t HostState::slot(HostId h) const {
+  const auto it = std::lower_bound(all_hosts_.begin(), all_hosts_.end(), h);
+  if (it == all_hosts_.end() || *it != h) return npos;
+  return static_cast<std::size_t>(it - all_hosts_.begin());
+}
+
+HostState::PeerView& HostState::peer_view(HostId j) {
+  const std::size_t k = slot(j);
+  RBCAST_CHECK_ARG(k != npos, "peer is not among all_hosts");
+  if (peers_.empty()) peers_.resize(all_hosts_.size());  // once per host
+  return peers_[k];
+}
+
 const SeqSet& HostState::map(HostId j) const {
   if (j == self_) return info_;
-  auto it = map_.find(j);
-  return it != map_.end() ? it->second : kEmptySet;
+  const std::size_t k = slot(j);  // npos is past the end too
+  return k < peers_.size() ? peers_[k].map : kEmptySet;
 }
 
 void HostState::learn_info(HostId j, const SeqSet& info) {
   if (j == self_) return;
-  map_[j].merge(info);
+  peer_view(j).map.merge(info);
 }
 
 void HostState::learn_has(HostId j, Seq seq) {
   if (j == self_) return;
-  map_[j].insert(seq);
+  peer_view(j).map.insert(seq);  // analyze:allow(hot-alloc) SeqSet::insert grows the interval vector only on a new gap edge (waived there)
 }
 
 void HostState::update_cluster_from_cost_bit(HostId j, bool expensive) {
@@ -99,21 +117,21 @@ void HostState::set_cluster(std::set<HostId> cluster) {
 }
 
 HostId HostState::parent_of(HostId j) const {
-  if (j == self_) return parent_of_self_;
-  auto it = parent_view_.find(j);
-  return it != parent_view_.end() ? it->second : kNoHost;
+  if (j == self_) return parent_;
+  const std::size_t k = slot(j);
+  return k < peers_.size() ? peers_[k].parent : kNoHost;
 }
 
 void HostState::learn_parent(HostId j, HostId parent) {
   if (j == self_) return;
-  parent_view_[j] = parent;
+  peer_view(j).parent = parent;
   check_invariants();
 }
 
 std::vector<HostId> HostState::neighbors() const {
   std::vector<HostId> out(children_.begin(), children_.end());
-  if (parent_of_self_.valid() && !children_.contains(parent_of_self_)) {
-    out.push_back(parent_of_self_);
+  if (parent().valid() && !children_.contains(parent())) {
+    out.push_back(parent());
   }
   return out;
 }
@@ -121,7 +139,7 @@ std::vector<HostId> HostState::neighbors() const {
 HostState::AncestorWalk HostState::ancestors_of_self() const {
   AncestorWalk walk;
   std::set<HostId> seen{self_};
-  HostId cursor = parent_of_self_;
+  HostId cursor = parent();
   while (cursor.valid()) {
     if (cursor == self_) {
       walk.cycle = true;

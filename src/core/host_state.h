@@ -10,6 +10,7 @@
 //   order(i)    — the static linear ordering over all hosts
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <set>
 #include <string>
@@ -41,9 +42,20 @@ class HostState {
             HostId source = kNoHost);
 
   [[nodiscard]] HostId self() const { return self_; }
+  // Every member, in ascending id order, without duplicates.
   [[nodiscard]] const std::vector<HostId>& all_hosts() const {
     return all_hosts_;
   }
+
+  // --- peer slots ----------------------------------------------------------
+  //
+  // A member's slot is its rank in all_hosts(): 0..n-1, ascending with the
+  // id. Per-peer tables here and in BroadcastHost are vectors indexed by
+  // slot, never by raw id — ids are arbitrary (a config may say
+  // 2000000000, a datagram's sender field is whatever the peer wrote).
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  // Binary search; npos for a host outside all_hosts().
+  [[nodiscard]] std::size_t slot(HostId h) const;
 
   // --- static order ------------------------------------------------------
   [[nodiscard]] int order(HostId h) const {
@@ -72,10 +84,13 @@ class HostState {
 
   // --- MAP -----------------------------------------------------------------
 
-  // View of INFO_j (INFO_i itself when j == self).
+  // View of INFO_j (INFO_i itself when j == self; empty for a member never
+  // heard from and for a non-member).
   [[nodiscard]] const SeqSet& map(HostId j) const;
   // Merges freshly learned knowledge about j's INFO set (INFO sets only
   // grow, so merging is always sound even with reordered control traffic).
+  // The learn_* calls ignore j == self and throw std::invalid_argument for
+  // a j outside all_hosts().
   void learn_info(HostId j, const SeqSet& info);
   // Records that j provably has `seq` (we received a data message from j).
   void learn_has(HostId j, Seq seq);
@@ -94,13 +109,11 @@ class HostState {
 
   // --- parent graph ---------------------------------------------------------
 
-  [[nodiscard]] HostId parent() const { return parent_of_self_; }
-  void set_parent(HostId p) {
-    parent_of_self_ = p;
-    parent_view_[self_] = p;
-  }
+  [[nodiscard]] HostId parent() const { return parent_; }
+  void set_parent(HostId p) { parent_ = p; }
 
-  // p_i[j]: i's view of j's parent (kNoHost when unknown / none).
+  // p_i[j]: i's view of j's parent (kNoHost when unknown / none, and for a
+  // non-member).
   [[nodiscard]] HostId parent_of(HostId j) const;
   void learn_parent(HostId j, HostId parent);
 
@@ -126,21 +139,38 @@ class HostState {
  private:
   // Full-structure consistency sweep; no-op unless RBCAST_PARANOID.
   void check_invariants() const;
+  // MAP_i[j] and p_i[j], side by side (an INFO receipt writes both).
+  struct PeerView {
+    SeqSet map;
+    HostId parent{kNoHost};
+  };
+  // The entry of member j for the learn_* calls: throws
+  // std::invalid_argument for a non-member, and sizes peers_ on first use.
+  [[nodiscard]] PeerView& peer_view(HostId j);
 
   HostId self_;
-  std::vector<HostId> all_hosts_;
+  std::vector<HostId> all_hosts_;  // sorted: slot order is id order
   HostId source_{kNoHost};
   int source_order_{0};  // 1 + max host id: strictly above every peer
 
   SeqSet info_;
   std::map<Seq, Payload> bodies_;
-  // Ordered maps: protocol decisions iterate MAP and the parent view, and
-  // hash-order iteration would make runs seed-irreproducible.
-  std::map<HostId, SeqSet> map_;
+  // Indexed by slot, so an INFO receipt touches no tree and allocates
+  // nothing beyond the merge's interval growth. Ascending slot order is
+  // ascending id order — the order the std::map tables this replaces
+  // iterated in — so protocol decisions stay seed-reproducible. Empty
+  // until the first learn_* call, then sized to all_hosts() for good;
+  // readers treat a slot past the end like an unheard member (this keeps
+  // the n² tables out of a fleet's construction, as the std::maps did).
+  // Self's own slot is unused: MAP_i[i] is info_, p_i[i] is parent_.
+  // Footprint: n slots of 40 B here (plus 40 B in BroadcastHost's
+  // per-peer table), so n² · 80 B fleet-wide; the std::map form already
+  // held one ~80 B MAP node per peer once every peer had been heard, which
+  // the inter-cluster INFO round guarantees in steady state.
+  std::vector<PeerView> peers_;
+  HostId parent_{kNoHost};
   std::set<HostId> cluster_;
   std::set<HostId> children_;
-  std::map<HostId, HostId> parent_view_;
-  HostId parent_of_self_{kNoHost};
 };
 
 }  // namespace rbcast::core

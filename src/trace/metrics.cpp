@@ -14,6 +14,7 @@ const util::Accumulator kEmptyAccumulator{};
 Metrics::Metrics(sim::Simulator& simulator, net::Network& network)
     : simulator_(simulator),
       network_(network),
+      backlog_(network.topology().server_count()),
       link_busy_(network.topology().link_count(), 0) {}
 
 void Metrics::attach() { network_.set_observer(this); }
@@ -79,7 +80,8 @@ void Metrics::on_link_transmit(LinkId link, const net::Delivery& d) {
 
 void Metrics::on_queue_backlog(ServerId server, LinkId /*link*/,
                                sim::Duration backlog) {
-  backlog_[server].add(sim::to_seconds(backlog));
+  backlog_[static_cast<std::size_t>(server.value)].add(
+      sim::to_seconds(backlog));
 }
 
 void Metrics::record_broadcast(Seq seq) {
@@ -193,8 +195,8 @@ std::vector<std::pair<double, double>> Metrics::completion_curve(
 }
 
 const util::Accumulator& Metrics::queue_backlog(ServerId server) const {
-  auto it = backlog_.find(server);
-  return it != backlog_.end() ? it->second : kEmptyAccumulator;
+  const auto index = static_cast<std::size_t>(server.value);  // kNoServer wraps past the end
+  return index < backlog_.size() ? backlog_[index] : kEmptyAccumulator;
 }
 
 double Metrics::max_queue_backlog_seconds(ServerId server) const {
@@ -226,7 +228,7 @@ void Metrics::reset() {
   link_.fill(nullptr);
   link_bytes_.fill(nullptr);
   drop_.fill(nullptr);
-  backlog_.clear();
+  std::fill(backlog_.begin(), backlog_.end(), util::Accumulator{});
   std::fill(link_busy_.begin(), link_busy_.end(), 0);
   window_start_ = simulator_.now();
   broadcast_at_.clear();

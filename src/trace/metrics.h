@@ -155,7 +155,9 @@ class Metrics : public net::NetObserver {
   std::array<std::uint64_t*, kLinkClasses> link_{};        // link.<class>
   std::array<std::uint64_t*, kLinkClasses> link_bytes_{};  // link_bytes.<class>
   std::array<std::uint64_t*, kDropReasons> drop_{};        // drop.<reason>
-  std::map<ServerId, util::Accumulator> backlog_;
+  // Queue backlog per server, indexed by ServerId; sized to the topology
+  // at construction, so a hop's on_queue_backlog() is one vector index.
+  std::vector<util::Accumulator> backlog_;
   // Wire time per link, indexed by LinkId; busiest_trunk() breaks
   // utilization ties by link id.
   std::vector<sim::Duration> link_busy_;

@@ -80,44 +80,44 @@ void SeqSet::insert_range(Seq lo, Seq hi) {
 }
 
 void SeqSet::merge(const SeqSet& other) {
+  if (&other == this) return;  // s ∪ s == s; the walk below needs two inputs
   if (other.pruned_below_ > pruned_below_) prune_below(other.pruned_below_);
   if (other.intervals_.empty()) return;
-  if (intervals_.empty()) {
-    // Copy other's intervals, clamped above our (possibly higher) watermark.
-    for (const Interval& iv : other.intervals_) {
-      if (iv.hi <= pruned_below_) continue;
-      intervals_.push_back(  // analyze:allow(hot-alloc) bounded by the peer's interval count (gap edges), not stream length
-          Interval{std::max<Seq>(iv.lo, pruned_below_ + 1), iv.hi});
-    }
-    return;
-  }
 
-  // Linear two-pointer union: repeatedly take the lower-starting interval
-  // from either input and coalesce it onto the output tail.
-  std::vector<Interval> merged;
-  merged.reserve(intervals_.size() + other.intervals_.size());  // analyze:allow(hot-alloc) single exact-size reserve per merge; scratch arena planned with the zero-alloc pass
-  auto a = intervals_.cbegin();
+  // In-place linear two-pointer union. Our n intervals are parked at the
+  // back of a vector of n + m slots; the union is then written forward from
+  // the front, repeatedly taking the lower-starting interval from either
+  // input and coalescing it onto the output tail. Each output interval
+  // consumes at least one input, so the write cursor never passes the read
+  // cursor `a` — no scratch vector, and no allocation at all once the
+  // capacity covers n + m.
+  const std::size_t n = intervals_.size();
+  const std::size_t m = other.intervals_.size();
+  intervals_.resize(n + m);  // analyze:allow(hot-alloc) grows capacity only when n + m exceeds it; amortized away in steady state
+  std::move_backward(intervals_.begin(),
+                     intervals_.begin() + static_cast<std::ptrdiff_t>(n),
+                     intervals_.end());
+  auto a = intervals_.begin() + static_cast<std::ptrdiff_t>(m);
   auto b = other.intervals_.cbegin();
-  const auto append = [&](Seq lo, Seq hi) {
-    if (hi <= pruned_below_) return;
-    lo = std::max<Seq>(lo, pruned_below_ + 1);
-    if (!merged.empty() && lo <= merged.back().hi + 1) {
-      merged.back().hi = std::max<Seq>(merged.back().hi, hi);
+  auto out = intervals_.begin();  // one past the output tail
+  const auto append = [&](Interval iv) {
+    if (iv.hi <= pruned_below_) return;
+    iv.lo = std::max<Seq>(iv.lo, pruned_below_ + 1);
+    if (out != intervals_.begin() && iv.lo <= (out - 1)->hi + 1) {
+      (out - 1)->hi = std::max<Seq>((out - 1)->hi, iv.hi);
     } else {
-      merged.push_back(Interval{lo, hi});  // analyze:allow(hot-alloc) writes into the reserved scratch vector above
+      *out++ = iv;
     }
   };
-  while (a != intervals_.cend() || b != other.intervals_.cend()) {
+  while (a != intervals_.end() || b != other.intervals_.cend()) {
     if (b == other.intervals_.cend() ||
-        (a != intervals_.cend() && a->lo <= b->lo)) {
-      append(a->lo, a->hi);
-      ++a;
+        (a != intervals_.end() && a->lo <= b->lo)) {
+      append(*a++);
     } else {
-      append(b->lo, b->hi);
-      ++b;
+      append(*b++);
     }
   }
-  intervals_ = std::move(merged);
+  intervals_.erase(out, intervals_.end());
 }
 
 bool SeqSet::contains(Seq seq) const {

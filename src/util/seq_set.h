@@ -63,8 +63,10 @@ class SeqSet {
   // Precondition: 1 <= lo <= hi <= kMaxSeq.
   void insert_range(Seq lo, Seq hi);
 
-  // Union with another set: a linear two-pointer interval walk,
-  // O(intervals(this) + intervals(other)) regardless of element counts.
+  // Union with another set: a linear two-pointer interval walk done in
+  // place, O(intervals(this) + intervals(other)) regardless of element
+  // counts. Allocates only when intervals(this) + intervals(other) exceeds
+  // the current capacity. s.merge(s) is a no-op.
   void merge(const SeqSet& other);
 
   [[nodiscard]] bool contains(Seq seq) const;

@@ -281,6 +281,98 @@ TEST(BroadcastHost, InfoExchangeReconcilesChildren) {
   EXPECT_TRUE(c.node(0).state().is_child(HostId{1}));
 }
 
+net::Delivery hand_delivery(HostId from, HostId to, ProtocolMessage m) {
+  return net::Delivery{.from = from,
+                       .to = to,
+                       .expensive = false,
+                       .payload = std::any(std::move(m)),
+                       .bytes = 32,
+                       .kind = "info",
+                       .sent_at = 0,
+                       .hops = 1};
+}
+
+// A claimed sender outside all_hosts (or the receiver itself) must not
+// join CLUSTER, get a MAP entry, or become a send target: the frame is
+// dropped before any bookkeeping and counted.
+TEST(BroadcastHost, DropsFramesFromNonMembers) {
+  Cluster c(3);
+  BroadcastHost& h = c.node(1);
+  const auto cluster_before = h.state().cluster();
+  const std::vector<std::pair<HostId, ProtocolMessage>> forged = {
+      {HostId{-1}, InfoMsg{SeqSet::contiguous(3), HostId{1}}},
+      {HostId{7}, AttachRequest{SeqSet::contiguous(3)}},
+      {HostId{2000000000}, DataMsg{3, "forged", true, {}, {}}},
+  };
+  for (const auto& [from, m] : forged) {
+    h.on_delivery(hand_delivery(from, HostId{1}, m));
+  }
+  EXPECT_EQ(h.counters().unknown_sender, 3u);
+  EXPECT_EQ(h.state().cluster(), cluster_before);
+  EXPECT_TRUE(h.state().children().empty());
+  for (const auto& [from, m] : forged) {
+    EXPECT_TRUE(h.state().map(from).empty()) << from;
+  }
+  for (int j = 0; j < 3; ++j) {
+    EXPECT_TRUE(h.state().map(HostId{j}).empty()) << j;
+  }
+  EXPECT_TRUE(h.info().empty());
+  EXPECT_TRUE(c.hub.log.empty());
+
+  // A frame claiming to come from the receiver itself is dropped too.
+  h.on_delivery(
+      hand_delivery(HostId{1}, HostId{1}, InfoMsg{SeqSet::contiguous(3), {}}));
+  EXPECT_EQ(h.counters().unknown_sender, 4u);
+
+  // Running the protocol afterwards never addresses a non-member.
+  c.start_all();
+  c.node(0).broadcast("m1");
+  c.run_for(sim::seconds(5));
+  for (const auto& sent : c.hub.log) {
+    EXPECT_TRUE(sent.to.value >= 0 && sent.to.value < 3)
+        << sent.from << " -> " << sent.to << " (" << sent.kind << ")";
+  }
+  EXPECT_EQ(h.info().count(), 1u);
+}
+
+// One intra-cluster round reaches exactly cluster ∪ neighbors, and one
+// inter-cluster round everyone else, each in ascending id order.
+TEST(BroadcastHost, InfoRoundsCoverClusterNeighborsAndEveryoneElse) {
+  Config config = fast_config();
+  config.cluster_knowledge = Config::ClusterKnowledge::kStatic;
+  Cluster c(8, config);
+  BroadcastHost& h = c.node(3);
+  // Host 3 outranks its cluster peers, so it never consolidates under one.
+  h.seed_cluster({HostId{1}, HostId{2}, HostId{3}});
+  // Host 5 names host 3 as its parent: a child outside the cluster.
+  h.on_delivery(
+      hand_delivery(HostId{5}, HostId{3}, InfoMsg{SeqSet{}, HostId{3}}));
+  // The source is ahead, so host 3 attaches to it: an out-of-cluster parent.
+  c.node(0).broadcast("m1");
+  h.on_delivery(
+      hand_delivery(HostId{0}, HostId{3}, InfoMsg{SeqSet::contiguous(1), {}}));
+  h.run_attachment_now();
+  c.run_for(sim::milliseconds(10));
+  ASSERT_EQ(h.parent(), HostId{0});
+  ASSERT_TRUE(h.state().is_child(HostId{5}));
+
+  const auto info_targets = [&c] {
+    std::vector<HostId> to;
+    for (const auto& sent : c.hub.log) {
+      if (sent.from == HostId{3} && sent.kind == "info") to.push_back(sent.to);
+    }
+    return to;
+  };
+  c.hub.log.clear();
+  h.run_info_intra_now();
+  EXPECT_EQ(info_targets(),
+            (std::vector<HostId>{HostId{0}, HostId{1}, HostId{2}, HostId{5}}));
+  c.hub.log.clear();
+  h.run_info_inter_now();
+  EXPECT_EQ(info_targets(),
+            (std::vector<HostId>{HostId{4}, HostId{6}, HostId{7}}));
+}
+
 TEST(BroadcastHost, ParentTimeoutDetachesAndReattaches) {
   Cluster c(3);
   c.start_all();

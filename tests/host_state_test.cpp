@@ -54,8 +54,20 @@ TEST(HostState, LearnHasInsertsSingleSeq) {
 }
 
 TEST(HostState, UnknownHostMapIsEmpty) {
-  HostState s(HostId{0}, hosts(3));
+  HostState s(HostId{0}, hosts(4));
   EXPECT_TRUE(s.map(HostId{2}).empty());
+  // Still so once another peer has been heard from; the parent reads NIL.
+  s.learn_info(HostId{1}, SeqSet::contiguous(3));
+  s.learn_parent(HostId{1}, HostId{2});
+  for (HostId unheard : {HostId{2}, HostId{3}}) {
+    EXPECT_TRUE(s.map(unheard).empty()) << unheard;
+    EXPECT_FALSE(s.parent_of(unheard).valid()) << unheard;
+  }
+  // Non-members read the same way.
+  for (HostId outsider : {HostId{7}, kNoHost}) {
+    EXPECT_TRUE(s.map(outsider).empty()) << outsider;
+    EXPECT_FALSE(s.parent_of(outsider).valid()) << outsider;
+  }
 }
 
 TEST(HostState, CostBitRuleUpdatesCluster) {
@@ -184,6 +196,37 @@ TEST(HostState, OrderIsHostIdValueWithSourcePromotedToMaximum) {
 
 TEST(HostState, RejectsSelfNotInAllHosts) {
   EXPECT_THROW(HostState(HostId{9}, hosts(3)), std::invalid_argument);
+}
+
+TEST(HostState, SlotIsRankAmongSortedMembers) {
+  // Ids are arbitrary and may arrive unsorted or repeated; slots are ranks.
+  HostState s(HostId{5},
+              {HostId{9}, HostId{5}, HostId{2000000000}, HostId{2}, HostId{9}});
+  EXPECT_EQ(s.all_hosts(), (std::vector<HostId>{HostId{2}, HostId{5}, HostId{9},
+                                                HostId{2000000000}}));
+  EXPECT_EQ(s.slot(HostId{2}), 0u);
+  EXPECT_EQ(s.slot(HostId{5}), 1u);
+  EXPECT_EQ(s.slot(HostId{9}), 2u);
+  EXPECT_EQ(s.slot(HostId{2000000000}), 3u);
+  for (HostId outsider : {HostId{0}, HostId{3}, HostId{10}, HostId{2000000001},
+                          kNoHost}) {
+    EXPECT_EQ(s.slot(outsider), HostState::npos) << outsider;
+  }
+}
+
+TEST(HostState, LearningAboutNonMemberThrows) {
+  HostState s(HostId{0}, hosts(3));
+  for (HostId outsider : {HostId{3}, HostId{2000000000}, kNoHost}) {
+    EXPECT_THROW(s.learn_info(outsider, SeqSet::contiguous(2)),
+                 std::invalid_argument);
+    EXPECT_THROW(s.learn_has(outsider, 1), std::invalid_argument);
+    EXPECT_THROW(s.learn_parent(outsider, HostId{1}), std::invalid_argument);
+  }
+  // Nothing was recorded for anyone.
+  for (HostId h : hosts(3)) {
+    EXPECT_TRUE(s.map(h).empty()) << h;
+    EXPECT_FALSE(s.parent_of(h).valid()) << h;
+  }
 }
 
 }  // namespace

@@ -202,6 +202,36 @@ TEST(SeqSet, MergePropagatesWatermark) {
   EXPECT_EQ(a.max_seq(), 8u);
 }
 
+TEST(SeqSet, MergeWithSelfLeavesSetUnchanged) {
+  SeqSet a = SeqSet::of({1, 2, 5, 9, 10, 14});
+  a.prune_below(1);
+  const SeqSet before = a;
+  a.merge(a);
+  EXPECT_EQ(a, before);
+  EXPECT_EQ(a.intervals(), before.intervals());
+}
+
+TEST(SeqSet, MergeKeepsTheHigherWatermarkOfEitherOperand) {
+  // The receiver's watermark is higher: the peer's pruned-away elements
+  // below it are already contained, its elements above it are added.
+  SeqSet high = SeqSet::contiguous(6);
+  high.prune_below(6);
+  high.insert(9);
+  SeqSet low = SeqSet::of({2, 3, 7, 12});
+  low.prune_below(1);
+  SeqSet a = high;
+  a.merge(low);
+  EXPECT_EQ(a.prune_watermark(), 6u);
+  EXPECT_EQ(a.intervals(),
+            (std::vector<SeqSet::Interval>{{7, 7}, {9, 9}, {12, 12}}));
+  EXPECT_EQ(a.count(), 9u);
+
+  // The peer's watermark is higher: the receiver prunes up to it first.
+  SeqSet b = low;
+  b.merge(high);
+  EXPECT_EQ(b, a);
+}
+
 TEST(SeqSet, MissingFromSkipsPeerPrunedRange) {
   SeqSet mine = SeqSet::contiguous(10);
   SeqSet peer;
@@ -468,6 +498,92 @@ TEST(SeqSet, RandomizedDifferentialAgainstStdSet) {
       if (!reference.contains(q)) expected_gaps.push_back(q);
     }
     ASSERT_EQ(ours.gaps(), expected_gaps);
+  }
+}
+
+// Model of a SeqSet: explicit elements plus a prune watermark below which
+// everything counts as contained.
+struct ModelSet {
+  std::set<Seq> elements;
+  Seq watermark{0};
+
+  void prune(Seq w) {
+    watermark = std::max(watermark, w);
+    elements.erase(elements.begin(), elements.upper_bound(watermark));
+  }
+  [[nodiscard]] bool contains(Seq q) const {
+    return (q >= 1 && q <= watermark) || elements.contains(q);
+  }
+  [[nodiscard]] std::vector<SeqSet::Interval> intervals() const {
+    std::vector<SeqSet::Interval> out;
+    for (Seq q : elements) {
+      if (!out.empty() && out.back().hi + 1 == q) {
+        out.back().hi = q;
+      } else {
+        out.push_back({q, q});
+      }
+    }
+    return out;
+  }
+};
+
+// Differential test of merge() against the model: random operands of up
+// to a few dozen intervals each, with random watermarks on either side.
+TEST(SeqSet, RandomizedMergeDifferentialAgainstStdSet) {
+  std::mt19937_64 rng(20261017);
+  const auto draw = [&rng](SeqSet& ours, ModelSet& model) {
+    const Seq span = 1 + rng() % 80;
+    const int inserts = static_cast<int>(rng() % 40);
+    for (int i = 0; i < inserts; ++i) {
+      const Seq q = 1 + rng() % span;
+      ours.insert(q);
+      model.elements.insert(q);
+    }
+    if (rng() % 3 == 0) {
+      const Seq w = rng() % (span + 1);
+      ours.prune_below(w);
+      model.prune(w);
+    }
+  };
+  for (int trial = 0; trial < 10000; ++trial) {
+    SeqSet a;
+    SeqSet b;
+    ModelSet ma;
+    ModelSet mb;
+    draw(a, ma);
+    draw(b, mb);
+    a.merge(b);
+    ma.prune(mb.watermark);
+    for (Seq q : mb.elements) {
+      if (q > ma.watermark) ma.elements.insert(q);
+    }
+    ASSERT_EQ(a.prune_watermark(), ma.watermark) << "trial " << trial;
+    ASSERT_EQ(a.intervals(), ma.intervals()) << "trial " << trial;
+    ASSERT_EQ(a.count(), ma.watermark + ma.elements.size())
+        << "trial " << trial;
+    for (Seq q = 0; q <= 82; ++q) {
+      ASSERT_EQ(a.contains(q), ma.contains(q))
+          << "trial " << trial << " q=" << q;
+    }
+  }
+}
+
+// The INFO steady state: a peer's report only extends the last interval.
+// Once the receiver's capacity covers both operands, merging allocates
+// nothing — capacity stays put.
+TEST(SeqSet, MergeExtendingLastIntervalDoesNotGrowCapacity) {
+  SeqSet ours = SeqSet::of({1, 2, 3, 7, 8, 12, 20});
+  SeqSet peer = ours;
+  peer.insert_range(20, 25);
+  ours.merge(peer);  // warm-up: may grow to hold both operands
+  const std::size_t capacity = ours.intervals().capacity();
+  // Room for both operands is what lets the next merge skip allocating.
+  ASSERT_GE(capacity, ours.intervals().size() + peer.intervals().size());
+  for (Seq top = 26; top < 200; ++top) {
+    peer.insert(top);
+    ours.merge(peer);
+    ASSERT_EQ(ours, peer);
+    ASSERT_EQ(ours.intervals().capacity(), capacity) << "top=" << top;
   }
 }
 

@@ -441,6 +441,10 @@ HotSpec default_hot_spec() {
       {"Simulator", "run_until"},
       {"BroadcastHost", "on_*"},
       {"BroadcastHost", "handle_*"},
+      {"HostState", "learn_*"},
+      {"HostState", "map"},
+      {"HostState", "parent_of"},
+      {"HostState", "slot"},
       {"SeqSet", "*"},
   }};
 }
