@@ -1,6 +1,7 @@
 #include "core/broadcast_host.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/gap_filling.h"
 #include "util/assert.h"
@@ -522,19 +523,22 @@ void BroadcastHost::gapfill_round_far() {
   // Non-neighbors (the Section 4.4 extension): any up-to-date host can
   // fill them, so each host serves only a small random subset per round —
   // see Config::far_fill_targets for why.
-  std::vector<HostId> behind;
+  // Each candidate keeps the offer set its scan built: nothing between the
+  // scan and the sends below changes another candidate's offers.
+  std::vector<std::pair<HostId, SeqSet>> behind;
   for (HostId j : state_.all_hosts()) {
     if (j == self() || state_.is_child(j) || j == state_.parent()) continue;
-    const SeqSet offered = recent_offers(j);
-    if (!plan_far_gapfill(state_, j, 1, &offered).empty()) behind.push_back(j);
+    SeqSet offered = recent_offers(j);
+    if (!plan_far_gapfill(state_, j, 1, &offered).empty()) {
+      behind.emplace_back(j, std::move(offered));
+    }
   }
   std::size_t budget = std::min(config_.far_fill_targets, behind.size());
   while (budget-- > 0 && !behind.empty()) {
     const auto pick = static_cast<std::size_t>(
         rng_.uniform_int(0, static_cast<std::int64_t>(behind.size()) - 1));
-    const HostId j = behind[pick];
+    const auto [j, offered] = std::move(behind[pick]);
     behind.erase(behind.begin() + static_cast<std::ptrdiff_t>(pick));
-    const SeqSet offered = recent_offers(j);
     const auto plan = plan_far_gapfill(state_, j, config_.gapfill_burst,
                                        &offered);
     for (Seq seq : plan) send_gapfill(j, seq);

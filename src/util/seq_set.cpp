@@ -7,6 +7,50 @@
 
 namespace rbcast::util {
 
+bool operator==(const SeqSet& a, const SeqSet& b) {
+  return a.pruned_below_ == b.pruned_below_ &&
+         (a.rep_ == b.rep_ || std::ranges::equal(a.intervals(), b.intervals()));
+}
+
+SeqSet::Block* SeqSet::allocate(std::size_t capacity) {
+  static_assert(sizeof(Block) % alignof(Interval) == 0);
+  const std::size_t bytes = sizeof(Block) + capacity * sizeof(Interval);
+  return new (::operator new(bytes)) Block{1, 0, capacity};  // analyze:allow(hot-alloc) the one interval-storage allocation: a clone only on the first real mutation of a shared block, a grow only on doubling capacity (amortized O(1) per new gap edge)
+}
+
+void SeqSet::release() noexcept {
+  if (rep_ != nullptr && --rep_->refs == 0) ::operator delete(rep_);
+  rep_ = nullptr;
+}
+
+SeqSet::Interval* SeqSet::reallocate(std::size_t min_capacity) {
+  // A clone keeps the shared block's headroom; a grow doubles it.
+  std::size_t capacity = min_capacity;
+  if (rep_ != nullptr) {
+    capacity = std::max(capacity, rep_->refs == 1 ? 2 * rep_->capacity
+                                                  : rep_->capacity);
+  }
+  Block* fresh = allocate(capacity);
+  fresh->size = size();
+  std::copy_n(data(), fresh->size, fresh->intervals());
+  release();
+  rep_ = fresh;
+  return rep_->intervals();
+}
+
+void SeqSet::splice(std::size_t first, std::size_t last, Interval iv) {
+  const std::size_t n = size();
+  const std::size_t new_size = n - (last - first) + 1;
+  Interval* d = writable(new_size);
+  if (last == first) {
+    std::copy_backward(d + first, d + n, d + n + 1);
+  } else {
+    std::copy(d + last, d + n, d + first + 1);
+  }
+  d[first] = iv;
+  rep_->size = new_size;
+}
+
 SeqSet SeqSet::contiguous(Seq n) {
   SeqSet s;
   if (n >= 1) s.insert_range(1, n);
@@ -25,29 +69,31 @@ bool SeqSet::insert(Seq seq) {
   if (seq <= pruned_below_) return false;
 
   // First interval with hi >= seq - 1 can absorb or abut seq.
-  auto it = std::lower_bound(
-      intervals_.begin(), intervals_.end(), seq,
-      [](const Interval& iv, Seq q) { return iv.hi + 1 < q; });
-
-  if (it != intervals_.end() && it->lo <= seq && seq <= it->hi) {
-    return false;  // already present
+  const auto ivs = intervals();
+  const auto i = static_cast<std::size_t>(
+      std::lower_bound(ivs.begin(), ivs.end(), seq,
+                       [](const Interval& iv, Seq q) { return iv.hi + 1 < q; }) -
+      ivs.begin());
+  if (i == ivs.size()) {
+    splice(i, i, Interval{seq, seq});
+    return true;
   }
-
-  if (it != intervals_.end() && it->hi + 1 == seq) {
-    // Extend *it upward; may merge with the next interval.
-    it->hi = seq;
-    auto next = it + 1;
-    if (next != intervals_.end() && next->lo == seq + 1) {
-      it->hi = next->hi;
-      intervals_.erase(next);
+  const Interval at = ivs[i];
+  if (at.lo <= seq && seq <= at.hi) return false;  // already present
+  if (at.hi + 1 == seq) {
+    // Extend upward; may merge with the next interval.
+    if (i + 1 < ivs.size() && ivs[i + 1].lo == seq + 1) {
+      splice(i, i + 2, Interval{at.lo, ivs[i + 1].hi});
+    } else {
+      writable(ivs.size())[i].hi = seq;
     }
-    return true;
+  } else if (seq + 1 == at.lo) {
+    // Extend downward; cannot merge with the previous interval, whose
+    // hi + 1 < seq by the search.
+    writable(ivs.size())[i].lo = seq;
+  } else {
+    splice(i, i, Interval{seq, seq});
   }
-  if (it != intervals_.end() && seq + 1 == it->lo) {
-    it->lo = seq;  // extend downward; cannot merge with previous (checked above)
-    return true;
-  }
-  intervals_.insert(it, Interval{seq, seq});  // analyze:allow(hot-alloc) interval-vector splice, amortized O(1) per new gap edge
   return true;
 }
 
@@ -59,94 +105,92 @@ void SeqSet::insert_range(Seq lo, Seq hi) {
 
   // One splice: [first, last) is the run of intervals that [lo, hi] overlaps
   // or abuts (they all coalesce with it into a single interval).
-  auto first = std::lower_bound(
-      intervals_.begin(), intervals_.end(), lo,
-      [](const Interval& iv, Seq q) { return iv.hi + 1 < q; });
-  auto last = first;
-  Seq new_lo = lo;
-  Seq new_hi = hi;
-  while (last != intervals_.end() && last->lo <= hi + 1) {
-    new_lo = std::min<Seq>(new_lo, last->lo);
-    new_hi = std::max<Seq>(new_hi, last->hi);
+  const auto ivs = intervals();
+  const auto first = static_cast<std::size_t>(
+      std::lower_bound(ivs.begin(), ivs.end(), lo,
+                       [](const Interval& iv, Seq q) { return iv.hi + 1 < q; }) -
+      ivs.begin());
+  std::size_t last = first;
+  Interval joined{lo, hi};
+  while (last < ivs.size() && ivs[last].lo <= hi + 1) {
+    joined.lo = std::min<Seq>(joined.lo, ivs[last].lo);
+    joined.hi = std::max<Seq>(joined.hi, ivs[last].hi);
     ++last;
   }
-  if (first == last) {
-    intervals_.insert(first, Interval{new_lo, new_hi});  // analyze:allow(hot-alloc) interval-vector splice, amortized O(1) per new gap edge
-  } else {
-    first->lo = new_lo;
-    first->hi = new_hi;
-    intervals_.erase(first + 1, last);
-  }
+  if (last == first + 1 && ivs[first] == joined) return;  // already contained
+  splice(first, last, joined);
 }
 
 void SeqSet::merge(const SeqSet& other) {
-  if (&other == this) return;  // s ∪ s == s; the walk below needs two inputs
   if (other.pruned_below_ > pruned_below_) prune_below(other.pruned_below_);
-  if (other.intervals_.empty()) return;
+  // Covers s.merge(s) and copies of s: identical intervals add nothing.
+  if (rep_ == other.rep_ || other.size() == 0) return;
+  if (size() == 0 && pruned_below_ == other.pruned_below_) {
+    *this = other;  // the union is exactly `other`: share its block
+    return;
+  }
 
   // In-place linear two-pointer union. Our n intervals are parked at the
-  // back of a vector of n + m slots; the union is then written forward from
+  // back of a block of n + m slots; the union is then written forward from
   // the front, repeatedly taking the lower-starting interval from either
   // input and coalescing it onto the output tail. Each output interval
   // consumes at least one input, so the write cursor never passes the read
-  // cursor `a` — no scratch vector, and no allocation at all once the
-  // capacity covers n + m.
-  const std::size_t n = intervals_.size();
-  const std::size_t m = other.intervals_.size();
-  intervals_.resize(n + m);  // analyze:allow(hot-alloc) grows capacity only when n + m exceeds it; amortized away in steady state
-  std::move_backward(intervals_.begin(),
-                     intervals_.begin() + static_cast<std::ptrdiff_t>(n),
-                     intervals_.end());
-  auto a = intervals_.begin() + static_cast<std::ptrdiff_t>(m);
-  auto b = other.intervals_.cbegin();
-  auto out = intervals_.begin();  // one past the output tail
+  // cursor `a` — no scratch buffer, and no allocation at all once the
+  // capacity covers n + m and the block is ours alone.
+  const std::size_t n = size();
+  const std::size_t m = other.size();
+  Interval* const d = writable(n + m);
+  std::copy_backward(d, d + n, d + n + m);
+  const Interval* a = d + m;
+  const Interval* const a_end = d + n + m;
+  const Interval* b = other.data();
+  const Interval* const b_end = b + m;
+  Interval* out = d;  // one past the output tail
   const auto append = [&](Interval iv) {
     if (iv.hi <= pruned_below_) return;
     iv.lo = std::max<Seq>(iv.lo, pruned_below_ + 1);
-    if (out != intervals_.begin() && iv.lo <= (out - 1)->hi + 1) {
+    if (out != d && iv.lo <= (out - 1)->hi + 1) {
       (out - 1)->hi = std::max<Seq>((out - 1)->hi, iv.hi);
     } else {
       *out++ = iv;
     }
   };
-  while (a != intervals_.end() || b != other.intervals_.cend()) {
-    if (b == other.intervals_.cend() ||
-        (a != intervals_.end() && a->lo <= b->lo)) {
+  while (a != a_end || b != b_end) {
+    if (b == b_end || (a != a_end && a->lo <= b->lo)) {
       append(*a++);
     } else {
       append(*b++);
     }
   }
-  intervals_.erase(out, intervals_.end());
+  rep_->size = static_cast<std::size_t>(out - d);
 }
 
 bool SeqSet::contains(Seq seq) const {
   if (seq == 0) return false;
   if (seq <= pruned_below_) return true;
+  const auto ivs = intervals();
   auto it = std::lower_bound(
-      intervals_.begin(), intervals_.end(), seq,
+      ivs.begin(), ivs.end(), seq,
       [](const Interval& iv, Seq q) { return iv.hi < q; });
-  return it != intervals_.end() && it->lo <= seq;
+  return it != ivs.end() && it->lo <= seq;
 }
 
-bool SeqSet::empty() const {
-  return pruned_below_ == 0 && intervals_.empty();
-}
+bool SeqSet::empty() const { return pruned_below_ == 0 && size() == 0; }
 
 Seq SeqSet::max_seq() const {
-  if (!intervals_.empty()) return intervals_.back().hi;
+  if (size() != 0) return data()[size() - 1].hi;
   return pruned_below_;
 }
 
 std::uint64_t SeqSet::count() const {
   std::uint64_t n = pruned_below_;
-  for (const Interval& iv : intervals_) n += iv.hi - iv.lo + 1;
+  for (const Interval& iv : intervals()) n += iv.hi - iv.lo + 1;
   return n;
 }
 
 Seq SeqSet::contiguous_prefix() const {
-  if (intervals_.empty()) return pruned_below_;
-  const Interval& first = intervals_.front();
+  if (size() == 0) return pruned_below_;
+  const Interval& first = data()[0];
   if (first.lo == pruned_below_ + 1) return first.hi;
   return pruned_below_;
 }
@@ -157,7 +201,7 @@ std::vector<Seq> SeqSet::gaps(std::size_t limit) const {
   std::vector<Seq> out;
   if (limit == 0) return out;
   Seq cursor = pruned_below_ + 1;
-  for (const Interval& iv : intervals_) {
+  for (const Interval& iv : intervals()) {
     for (Seq q = cursor; q < iv.lo; ++q) {
       out.push_back(q);  // analyze:allow(hot-alloc) query API returns a fresh bounded vector; limit caps growth
       if (out.size() >= limit) return out;
@@ -181,19 +225,20 @@ std::vector<Seq> SeqSet::missing_from_capped(const SeqSet& other, Seq cap,
   // Interval walk with a monotone cursor into other's intervals: covered
   // stretches are skipped in one step, so the cost is O(intervals(this) +
   // intervals(other) + output) instead of one contains() probe per element.
-  auto ot = other.intervals_.cbegin();
-  for (const Interval& iv : intervals_) {
+  const auto theirs = other.intervals();
+  auto ot = theirs.begin();
+  for (const Interval& iv : intervals()) {
     if (iv.lo > cap) break;
     const Seq hi = std::min<Seq>(iv.hi, cap);
     Seq q = std::max<Seq>(iv.lo, floor + 1);
     while (q <= hi) {
-      while (ot != other.intervals_.cend() && ot->hi < q) ++ot;
-      if (ot != other.intervals_.cend() && ot->lo <= q) {
+      while (ot != theirs.end() && ot->hi < q) ++ot;
+      if (ot != theirs.end() && ot->lo <= q) {
         q = ot->hi + 1;  // covered by other: jump past its interval
         continue;
       }
       Seq run_hi = hi;
-      if (ot != other.intervals_.cend()) {
+      if (ot != theirs.end()) {
         run_hi = std::min<Seq>(run_hi, ot->lo - 1);
       }
       for (; q <= run_hi; ++q) {
@@ -212,15 +257,25 @@ void SeqSet::prune_below(Seq watermark) {
   RBCAST_ASSERT_MSG(watermark <= kMaxSeq, "prune watermark above ceiling");
   if (watermark <= pruned_below_) return;
   pruned_below_ = watermark;
-  auto it = intervals_.begin();
-  while (it != intervals_.end()) {
-    if (it->hi <= watermark) {
-      it = intervals_.erase(it);
+  // Intervals [0, k) lie wholly at or below the watermark and go; interval
+  // k may need its low end raised.
+  const auto ivs = intervals();
+  const auto k = static_cast<std::size_t>(
+      std::partition_point(
+          ivs.begin(), ivs.end(),
+          [watermark](const Interval& iv) { return iv.hi <= watermark; }) -
+      ivs.begin());
+  if (k == ivs.size()) {
+    if (rep_ != nullptr && rep_->refs == 1) {
+      rep_->size = 0;  // keep the capacity for the intervals still to come
     } else {
-      if (it->lo <= watermark) it->lo = watermark + 1;
-      ++it;
+      release();
     }
+    return;
   }
+  if (k == 0 && ivs[0].lo > watermark) return;  // nothing at or below it
+  splice(0, k + 1,
+         Interval{std::max<Seq>(ivs[k].lo, watermark + 1), ivs[k].hi});
 }
 
 namespace {
@@ -247,7 +302,7 @@ std::vector<std::uint8_t> SeqSet::encode() const {
   // explicit instead: watermark, then one [lo, hi] pair per interval.
   // The interval count is implied by the buffer length.
   put_u64(out, pruned_below_);
-  for (const Interval& iv : intervals_) {
+  for (const Interval& iv : intervals()) {
     put_u64(out, iv.lo);
     put_u64(out, iv.hi);
   }
@@ -255,23 +310,25 @@ std::vector<std::uint8_t> SeqSet::encode() const {
   return out;
 }
 
-std::optional<SeqSet> SeqSet::decode(const std::uint8_t* data,
-                                     std::size_t size) {
-  if (data == nullptr && size > 0) return std::nullopt;
-  if (size < 8 || (size - 8) % 16 != 0) return std::nullopt;
+std::optional<SeqSet> SeqSet::decode(const std::uint8_t* bytes,
+                                     std::size_t length) {
+  if (bytes == nullptr && length > 0) return std::nullopt;
+  if (length < 8 || (length - 8) % 16 != 0) return std::nullopt;
 
   SeqSet out;
-  out.pruned_below_ = get_u64(data);
+  out.pruned_below_ = get_u64(bytes);
   // An absurd watermark (e.g. UINT64_MAX) would make every later
   // pruned_below_ + 1 / count() / contiguous_prefix() computation wrap;
   // nothing legitimate ever gets near the ceiling, so reject outright.
   if (out.pruned_below_ > kMaxSeq) return std::nullopt;
-  const std::size_t count = (size - 8) / 16;
+  const std::size_t count = (length - 8) / 16;
+  if (count == 0) return out;
+  Interval* const ivs = out.writable(count);
   Seq prev_hi = out.pruned_below_;
   bool first = true;
   for (std::size_t i = 0; i < count; ++i) {
-    const Seq lo = get_u64(data + 8 + 16 * i);
-    const Seq hi = get_u64(data + 8 + 16 * i + 8);
+    const Seq lo = get_u64(bytes + 8 + 16 * i);
+    const Seq hi = get_u64(bytes + 8 + 16 * i + 8);
     // Enforce the class invariants on untrusted input: ordered, maximal,
     // non-overlapping intervals strictly above the watermark, below the
     // arithmetic-safety ceiling.
@@ -280,8 +337,9 @@ std::optional<SeqSet> SeqSet::decode(const std::uint8_t* data,
     if (!first && lo <= prev_hi + 1) return std::nullopt;
     first = false;
     prev_hi = hi;
-    out.intervals_.push_back(Interval{lo, hi});  // analyze:allow(hot-alloc) decode builds a new set from the wire; control path only
+    ivs[i] = Interval{lo, hi};
   }
+  out.rep_->size = count;
   return out;
 }
 
@@ -293,7 +351,7 @@ std::string SeqSet::to_string() const {
     os << "1.." << pruned_below_ << "(pruned)";
     first = false;
   }
-  for (const Interval& iv : intervals_) {
+  for (const Interval& iv : intervals()) {
     if (!first) os << ',';
     first = false;
     if (iv.lo == iv.hi) {
@@ -309,7 +367,7 @@ std::string SeqSet::to_string() const {
 void SeqSet::check_invariants() const {
   Seq prev_hi = pruned_below_;
   bool first = true;
-  for (const Interval& iv : intervals_) {
+  for (const Interval& iv : intervals()) {
     RBCAST_ASSERT(iv.lo >= 1 && iv.lo <= iv.hi && iv.hi <= kMaxSeq);
     RBCAST_ASSERT(iv.lo > pruned_below_);
     if (!first) RBCAST_ASSERT_MSG(iv.lo > prev_hi + 1, "intervals must be maximal");

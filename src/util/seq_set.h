@@ -19,11 +19,23 @@
 // Pruning (Section 6: "INFO sets can be pruned of messages 1..n when it
 // becomes known that all hosts have safely received them") is supported via
 // prune_below(); pruned elements still count as contained.
+//
+// Storage is copy-on-write. The intervals live in one refcounted heap block
+// (a small header followed by the Interval array); an empty set holds no
+// block at all. Copying a set shares the block, so the INFO rounds that send
+// the same set to every peer pay no interval copy per destination. The first
+// mutation that actually changes the intervals of a shared block clones it
+// with one allocation; a mutation that changes nothing (inserting a present
+// seq, pruning below the lowest interval, merging an empty or identical set)
+// never clones. The refcount is not atomic: a SeqSet and its copies must stay
+// on one thread.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rbcast::util {
@@ -47,6 +59,33 @@ class SeqSet {
   static constexpr Seq kMaxSeq = Seq{1} << 62;
 
   SeqSet() = default;
+  // Copies share the block (inline: every message copy runs these).
+  SeqSet(const SeqSet& other) noexcept
+      : rep_(other.rep_), pruned_below_(other.pruned_below_) {
+    if (rep_ != nullptr) ++rep_->refs;
+  }
+  SeqSet(SeqSet&& other) noexcept
+      : rep_(std::exchange(other.rep_, nullptr)),
+        pruned_below_(other.pruned_below_) {}
+  SeqSet& operator=(const SeqSet& other) noexcept {
+    Block* const shared = other.rep_;  // before release(): other may be *this
+    if (shared != nullptr) ++shared->refs;
+    release();
+    rep_ = shared;
+    pruned_below_ = other.pruned_below_;
+    return *this;
+  }
+  SeqSet& operator=(SeqSet&& other) noexcept {
+    if (this != &other) {
+      release();
+      rep_ = std::exchange(other.rep_, nullptr);
+      pruned_below_ = other.pruned_below_;
+    }
+    return *this;
+  }
+  ~SeqSet() {
+    if (rep_ != nullptr) release();
+  }
 
   // Constructs {1..n} — the INFO set of a host that has messages 1..n.
   static SeqSet contiguous(Seq n);
@@ -66,7 +105,9 @@ class SeqSet {
   // Union with another set: a linear two-pointer interval walk done in
   // place, O(intervals(this) + intervals(other)) regardless of element
   // counts. Allocates only when intervals(this) + intervals(other) exceeds
-  // the current capacity. s.merge(s) is a no-op.
+  // the current capacity or the block is shared. s.merge(s), merging an
+  // empty set and merging a set that shares this block change nothing; an
+  // empty set merging a set with the same watermark shares its block.
   void merge(const SeqSet& other);
 
   [[nodiscard]] bool contains(Seq seq) const;
@@ -126,16 +167,26 @@ class SeqSet {
 
   // --- Introspection ----------------------------------------------------
 
-  // Maximal intervals above the prune watermark, in increasing order.
-  [[nodiscard]] const std::vector<Interval>& intervals() const {
-    return intervals_;
+  // Maximal intervals above the prune watermark, in increasing order. The
+  // view is valid until this set is next mutated, assigned or destroyed.
+  [[nodiscard]] std::span<const Interval> intervals() const {
+    return {data(), size()};
+  }
+
+  // Interval slots the block holds before the next mutation must grow it.
+  [[nodiscard]] std::size_t capacity() const {
+    return rep_ == nullptr ? 0 : rep_->capacity;
+  }
+
+  // True iff both sets read the same interval block (a copy not yet
+  // mutated). Like Payload::shares_buffer_with, for tests and assertions.
+  [[nodiscard]] bool shares_storage_with(const SeqSet& other) const {
+    return rep_ != nullptr && rep_ == other.rep_;
   }
 
   // Approximate serialized size in bytes, for network accounting: the
   // watermark plus 16 bytes per interval.
-  [[nodiscard]] std::size_t wire_size() const {
-    return 8 + 16 * intervals_.size();
-  }
+  [[nodiscard]] std::size_t wire_size() const { return 8 + 16 * size(); }
 
   // --- wire codec ---------------------------------------------------------
   //
@@ -145,7 +196,7 @@ class SeqSet {
   // returns nullopt on malformed input — never trust the network.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static std::optional<SeqSet> decode(
-      const std::uint8_t* data, std::size_t size);
+      const std::uint8_t* bytes, std::size_t length);
   [[nodiscard]] static std::optional<SeqSet> decode(
       const std::vector<std::uint8_t>& bytes) {
     return decode(bytes.data(), bytes.size());
@@ -153,13 +204,48 @@ class SeqSet {
 
   [[nodiscard]] std::string to_string() const;
 
-  friend bool operator==(const SeqSet& a, const SeqSet& b) = default;
+  friend bool operator==(const SeqSet& a, const SeqSet& b);
 
  private:
-  // Invariants: intervals_ sorted by lo; non-overlapping; non-adjacent
+  // The shared storage: this header, then `capacity` Interval slots of
+  // which the first `size` are live. `refs` counts the sets reading it.
+  struct Block {
+    std::size_t refs;
+    std::size_t size;
+    std::size_t capacity;
+    [[nodiscard]] Interval* intervals() {
+      return reinterpret_cast<Interval*>(this + 1);
+    }
+  };
+
+  [[nodiscard]] const Interval* data() const {
+    return rep_ == nullptr ? nullptr : rep_->intervals();
+  }
+  [[nodiscard]] std::size_t size() const {
+    return rep_ == nullptr ? 0 : rep_->size;
+  }
+
+  // The only place interval storage is allocated (grow and clone alike).
+  [[nodiscard]] static Block* allocate(std::size_t capacity);
+  // Drops this set's reference; frees the block when it was the last.
+  void release() noexcept;
+  // Makes the block exclusively ours with room for `min_capacity` intervals
+  // and returns it for writing. Inline: most writes find it so already.
+  [[nodiscard]] Interval* writable(std::size_t min_capacity) {
+    if (rep_ != nullptr && rep_->refs == 1 && rep_->capacity >= min_capacity) {
+      return rep_->intervals();
+    }
+    return reallocate(min_capacity);
+  }
+  // writable()'s slow path: clones a shared block or grows a full one.
+  [[nodiscard]] Interval* reallocate(std::size_t min_capacity);
+  // Replaces intervals [first, last) with the single interval `iv`.
+  void splice(std::size_t first, std::size_t last, Interval iv);
+
+  // Invariants: intervals sorted by lo; non-overlapping; non-adjacent
   // (gap of at least one between consecutive intervals); every lo >= 1;
   // every interval lies strictly above pruned_below_.
-  std::vector<Interval> intervals_;
+  Block* rep_{nullptr};
   Seq pruned_below_{0};
 
   void check_invariants() const;

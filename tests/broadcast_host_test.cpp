@@ -373,6 +373,39 @@ TEST(BroadcastHost, InfoRoundsCoverClusterNeighborsAndEveryoneElse) {
             (std::vector<HostId>{HostId{4}, HostId{6}, HostId{7}}));
 }
 
+// One INFO round hands every destination a copy of the same set: each copy
+// reads the sender's own interval block, and the sender's next accepted
+// message gives it a fresh block instead of writing through the copies.
+TEST(BroadcastHost, InfoRoundCopiesShareTheSendersSetUntilItChanges) {
+  Config config = fast_config();
+  config.cluster_knowledge = Config::ClusterKnowledge::kStatic;
+  Cluster c(6, config);
+  BroadcastHost& h = c.node(0);
+  h.seed_cluster({HostId{0}, HostId{1}, HostId{2}});
+  h.broadcast("m1");
+  h.broadcast("m2");
+  c.hub.log.clear();
+  h.run_info_intra_now();
+  h.run_info_inter_now();
+
+  std::vector<SeqSet> sent;
+  for (const auto& entry : c.hub.log) {
+    if (entry.from != HostId{0} || entry.kind != "info") continue;
+    const auto& m = std::get<InfoMsg>(
+        std::any_cast<const ProtocolMessage&>(entry.payload));
+    EXPECT_TRUE(m.info.shares_storage_with(h.state().info()));
+    sent.push_back(m.info);
+  }
+  ASSERT_EQ(sent.size(), 5u);  // cluster peers 1, 2; everyone else 3, 4, 5
+
+  h.broadcast("m3");  // record_message: the sender's INFO moves on
+  EXPECT_EQ(h.state().info(), SeqSet::contiguous(3));
+  for (const SeqSet& info : sent) {
+    EXPECT_EQ(info, SeqSet::contiguous(2));
+    EXPECT_FALSE(info.shares_storage_with(h.state().info()));
+  }
+}
+
 TEST(BroadcastHost, ParentTimeoutDetachesAndReattaches) {
   Cluster c(3);
   c.start_all();

@@ -8,8 +8,10 @@
 
 #include <any>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/broadcast_host.h"
 #include "core/messages.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -38,13 +40,19 @@ struct Rig {
   // What each host sends through (interposed for Byzantine hosts).
   std::vector<net::HostEndpoint*> endpoints;
 
-  explicit Rig(int n, ByzantineSchedule schedule)
+  // Host `protocol_host`, if any, is left unattached for a real protocol
+  // host to claim.
+  explicit Rig(int n, ByzantineSchedule schedule, int protocol_host = -1)
       : wan(make_wan(n)),
         network(sim, wan.topology, net::NetConfig{}, rngs),
         inner(sim, network),
         byz(inner, std::move(schedule), HostId{0}) {
     got.resize(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
+      if (i == protocol_host) {
+        endpoints.push_back(nullptr);
+        continue;
+      }
       endpoints.push_back(
           &byz.attach(HostId{i}, [this, i](const net::Delivery& d) {
             if (const auto* m = std::any_cast<ProtocolMessage>(&d.payload)) {
@@ -139,6 +147,64 @@ TEST(ByzantineTransport, LieInfoInflatesWatermarkAndClaimsRecipientAsParent) {
   EXPECT_TRUE(out->info.contains(7));
   EXPECT_EQ(out->parent, HostId{0});
   EXPECT_EQ(rig.byz.mutations(), 1u);
+}
+
+// An INFO round shares one set among all its destinations. The lie told
+// to one destination must land in that destination's copy alone: the
+// sender's own INFO and every other destination's report stay truthful
+// about what it holds.
+TEST(ByzantineTransport, LieInfoTouchesOnlyTheLiedToCopyOfASharedRound) {
+  Rig rig(4, forever(HostId{1}, ByzantineBehavior::Kind::kLieInfo),
+          /*protocol_host=*/1);
+  std::vector<HostId> all{HostId{0}, HostId{1}, HostId{2}, HostId{3}};
+  core::Config config;
+  config.cluster_knowledge = core::Config::ClusterKnowledge::kStatic;
+  core::BroadcastHost liar(rig.byz, HostId{1}, HostId{1}, all, config,
+                           rig.rngs.stream("liar", 1));
+  liar.seed_cluster({HostId{1}});
+  liar.broadcast("m1");
+  liar.broadcast("m2");
+  liar.run_info_inter_now();  // to hosts 0, 2 and 3
+  rig.run();
+
+  EXPECT_EQ(liar.state().info(), util::SeqSet::contiguous(2));
+  for (const int to : {0, 2, 3}) {
+    SCOPED_TRACE(to);
+    ASSERT_EQ(rig.got[static_cast<std::size_t>(to)].size(), 1u);
+    const auto& out =
+        std::get<InfoMsg>(rig.got[static_cast<std::size_t>(to)][0]);
+    // Exactly one lie each: 3..10 on top of the truthful 1..2.
+    EXPECT_EQ(out.info, util::SeqSet::contiguous(10));
+    EXPECT_EQ(out.parent, HostId{to});
+  }
+  EXPECT_EQ(rig.byz.mutations(), 3u);
+}
+
+// The same data frame sent to several destinations: corrupting the body
+// and lying in the piggybacked INFO changes each outbound copy only.
+TEST(ByzantineTransport, CorruptAndLieLeaveTheSendersMessageIntact) {
+  Rig rig(3, {{HostId{1},
+               {ByzantineBehavior{ByzantineBehavior::Kind::kCorrupt, 0, 0},
+                ByzantineBehavior{ByzantineBehavior::Kind::kLieInfo, 0, 0}}}});
+  DataMsg m = data(2, "hello");
+  m.piggyback = std::make_pair(util::SeqSet::contiguous(2), kNoHost);
+  const ProtocolMessage original{m};
+  rig.send(1, 0, original);
+  rig.send(1, 2, original);
+  rig.run();
+
+  const auto& kept = std::get<DataMsg>(original);
+  EXPECT_EQ(kept.body, core::Payload{"hello"});
+  EXPECT_EQ(kept.piggyback->first, util::SeqSet::contiguous(2));
+  EXPECT_EQ(kept.piggyback->second, kNoHost);
+  for (const int to : {0, 2}) {
+    SCOPED_TRACE(to);
+    ASSERT_EQ(rig.got[static_cast<std::size_t>(to)].size(), 1u);
+    const auto& out = std::get<DataMsg>(rig.got[static_cast<std::size_t>(to)][0]);
+    EXPECT_NE(out.body, core::Payload{"hello"});
+    EXPECT_EQ(out.piggyback->first, util::SeqSet::contiguous(10));
+    EXPECT_EQ(out.piggyback->second, HostId{to});
+  }
 }
 
 TEST(ByzantineTransport, BogusOfferInjectsAForgedGapFillAfterInfo) {

@@ -8,10 +8,17 @@
 #include <limits>
 #include <random>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace rbcast::util {
 namespace {
+
+// The interval view copied out, so gtest can compare and print it.
+std::vector<SeqSet::Interval> intervals_of(const SeqSet& s) {
+  return {s.intervals().begin(), s.intervals().end()};
+}
 
 TEST(SeqSet, StartsEmpty) {
   SeqSet s;
@@ -208,7 +215,7 @@ TEST(SeqSet, MergeWithSelfLeavesSetUnchanged) {
   const SeqSet before = a;
   a.merge(a);
   EXPECT_EQ(a, before);
-  EXPECT_EQ(a.intervals(), before.intervals());
+  EXPECT_EQ(intervals_of(a), intervals_of(before));
 }
 
 TEST(SeqSet, MergeKeepsTheHigherWatermarkOfEitherOperand) {
@@ -222,7 +229,7 @@ TEST(SeqSet, MergeKeepsTheHigherWatermarkOfEitherOperand) {
   SeqSet a = high;
   a.merge(low);
   EXPECT_EQ(a.prune_watermark(), 6u);
-  EXPECT_EQ(a.intervals(),
+  EXPECT_EQ(intervals_of(a),
             (std::vector<SeqSet::Interval>{{7, 7}, {9, 9}, {12, 12}}));
   EXPECT_EQ(a.count(), 9u);
 
@@ -558,7 +565,7 @@ TEST(SeqSet, RandomizedMergeDifferentialAgainstStdSet) {
       if (q > ma.watermark) ma.elements.insert(q);
     }
     ASSERT_EQ(a.prune_watermark(), ma.watermark) << "trial " << trial;
-    ASSERT_EQ(a.intervals(), ma.intervals()) << "trial " << trial;
+    ASSERT_EQ(intervals_of(a), ma.intervals()) << "trial " << trial;
     ASSERT_EQ(a.count(), ma.watermark + ma.elements.size())
         << "trial " << trial;
     for (Seq q = 0; q <= 82; ++q) {
@@ -576,14 +583,187 @@ TEST(SeqSet, MergeExtendingLastIntervalDoesNotGrowCapacity) {
   SeqSet peer = ours;
   peer.insert_range(20, 25);
   ours.merge(peer);  // warm-up: may grow to hold both operands
-  const std::size_t capacity = ours.intervals().capacity();
+  const std::size_t capacity = ours.capacity();
   // Room for both operands is what lets the next merge skip allocating.
   ASSERT_GE(capacity, ours.intervals().size() + peer.intervals().size());
   for (Seq top = 26; top < 200; ++top) {
     peer.insert(top);
     ours.merge(peer);
     ASSERT_EQ(ours, peer);
-    ASSERT_EQ(ours.intervals().capacity(), capacity) << "top=" << top;
+    ASSERT_EQ(ours.capacity(), capacity) << "top=" << top;
+  }
+}
+
+// --- copy-on-write storage ----------------------------------------------
+
+SeqSet sample() { return SeqSet::of({1, 2, 3, 7, 8, 12}); }
+
+TEST(SeqSetSharing, CopiesShareOneBlock) {
+  const SeqSet a = sample();
+  const SeqSet b = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  SeqSet c;
+  c = b;
+  EXPECT_TRUE(b.shares_storage_with(a));
+  EXPECT_TRUE(c.shares_storage_with(a));
+  EXPECT_FALSE(a.shares_storage_with(sample()));  // equal, built apart
+  EXPECT_FALSE(SeqSet{}.shares_storage_with(SeqSet{}));  // no block at all
+}
+
+// Every mutator, applied to either side of a shared pair, leaves the other
+// side exactly as it was and gives the mutated side its own block.
+TEST(SeqSetSharing, EachMutatorDetachesOnlyTheMutatedSide) {
+  struct Mutator {
+    const char* name;
+    void (*apply)(SeqSet&);
+  };
+  const Mutator mutators[] = {
+      {"insert", [](SeqSet& s) { s.insert(5); }},
+      {"insert extending an interval", [](SeqSet& s) { s.insert(9); }},
+      {"insert_range", [](SeqSet& s) { s.insert_range(20, 30); }},
+      {"merge", [](SeqSet& s) { s.merge(SeqSet::of({4, 40})); }},
+      {"prune_below", [](SeqSet& s) { s.prune_below(8); }},
+      {"prune_below everything", [](SeqSet& s) { s.prune_below(50); }},
+  };
+  for (const Mutator& m : mutators) {
+    for (const bool mutate_copy : {false, true}) {
+      SCOPED_TRACE(std::string(m.name) + (mutate_copy ? " on copy" : " on original"));
+      SeqSet original = sample();
+      SeqSet copy = original;
+      ASSERT_TRUE(copy.shares_storage_with(original));
+      SeqSet& mutated = mutate_copy ? copy : original;
+      const SeqSet& untouched = mutate_copy ? original : copy;
+      m.apply(mutated);
+      EXPECT_EQ(untouched, sample());
+      EXPECT_EQ(intervals_of(untouched), intervals_of(sample()));
+      EXPECT_NE(mutated, sample());
+      EXPECT_FALSE(mutated.shares_storage_with(untouched));
+      SeqSet alone = sample();  // the same mutation on an unshared set
+      m.apply(alone);
+      EXPECT_EQ(mutated, alone);
+    }
+  }
+}
+
+TEST(SeqSetSharing, MergingTwoSetsThatShareABlockKeepsSharing) {
+  SeqSet a = SeqSet::of({5, 6, 9});
+  SeqSet b = a;
+  b.prune_below(2);  // below every interval: only the watermark moves
+  ASSERT_TRUE(b.shares_storage_with(a));
+  a.merge(b);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.prune_watermark(), 2u);
+  EXPECT_TRUE(a.shares_storage_with(b));
+  b.merge(a);
+  EXPECT_TRUE(b.shares_storage_with(a));
+  EXPECT_EQ(b.to_string(), "{1..2(pruned),5..6,9}");
+}
+
+TEST(SeqSetSharing, SelfMergeNeitherChangesNorClones) {
+  SeqSet a = sample();
+  const SeqSet copy = a;
+  a.merge(a);
+  EXPECT_EQ(a, sample());
+  EXPECT_TRUE(a.shares_storage_with(copy));
+}
+
+TEST(SeqSetSharing, NoOpMutationsDoNotClone) {
+  SeqSet s = sample();
+  s.prune_below(1);
+  const SeqSet copy = s;
+  EXPECT_FALSE(s.insert(2));       // present
+  EXPECT_FALSE(s.insert(1));       // at the watermark
+  s.insert_range(7, 8);            // already contained
+  s.prune_below(1);                // at the watermark
+  s.prune_below(0);                // below it
+  s.merge(SeqSet{});               // empty
+  EXPECT_TRUE(s.shares_storage_with(copy));
+  EXPECT_EQ(s, copy);
+  // Raising the watermark below the lowest interval changes only the
+  // watermark, which each set holds by value.
+  SeqSet t = SeqSet::of({5, 6});
+  const SeqSet t_copy = t;
+  t.prune_below(3);
+  EXPECT_TRUE(t.shares_storage_with(t_copy));
+  EXPECT_EQ(t.prune_watermark(), 3u);
+  EXPECT_EQ(t_copy.prune_watermark(), 0u);
+}
+
+TEST(SeqSetSharing, EmptySetMergingAdoptsTheOtherBlock) {
+  const SeqSet info = sample();
+  SeqSet map;
+  map.merge(info);
+  EXPECT_EQ(map, info);
+  EXPECT_TRUE(map.shares_storage_with(info));
+}
+
+TEST(SeqSetSharing, AssignmentReleasesTheOldBlock) {
+  SeqSet a = sample();
+  SeqSet b = a;
+  a = SeqSet::of({40});
+  EXPECT_FALSE(a.shares_storage_with(b));
+  EXPECT_EQ(b, sample());
+  const SeqSet& alias = b;
+  b = alias;  // self-assignment keeps the block alive
+  EXPECT_EQ(b, sample());
+  SeqSet moved = std::move(b);
+  EXPECT_EQ(moved, sample());
+  b = moved;
+  EXPECT_TRUE(b.shares_storage_with(moved));
+}
+
+// Differential test of sharing against the model: a pool of sets that
+// copy into one another and mutate at random. Any write through a shared
+// block would show up as a set drifting from its model.
+TEST(SeqSetSharing, RandomCopiesAndMutationsMatchTheModel) {
+  std::mt19937_64 rng(161017);
+  constexpr std::size_t kPool = 4;
+  std::vector<SeqSet> sets(kPool);
+  std::vector<ModelSet> models(kPool);
+  for (int step = 0; step < 20000; ++step) {
+    const std::size_t i = rng() % kPool;
+    const std::size_t j = rng() % kPool;
+    const Seq q = 1 + rng() % 60;
+    switch (rng() % 6) {
+      case 0:
+        sets[i] = sets[j];
+        models[i] = models[j];
+        break;
+      case 1:
+        sets[i].insert(q);
+        if (q > models[i].watermark) models[i].elements.insert(q);
+        break;
+      case 2: {
+        const Seq hi = q + rng() % 5;
+        sets[i].insert_range(q, hi);
+        for (Seq x = std::max(q, models[i].watermark + 1); x <= hi; ++x) {
+          models[i].elements.insert(x);
+        }
+        break;
+      }
+      case 3:
+        sets[i].merge(sets[j]);
+        models[i].prune(models[j].watermark);
+        for (Seq x : models[j].elements) {
+          if (x > models[i].watermark) models[i].elements.insert(x);
+        }
+        break;
+      case 4: {
+        const Seq w = q / 2;
+        sets[i].prune_below(w);
+        models[i].prune(w);
+        break;
+      }
+      default:
+        sets[i] = SeqSet{};
+        models[i] = ModelSet{};
+        break;
+    }
+    for (std::size_t k = 0; k < kPool; ++k) {
+      ASSERT_EQ(sets[k].prune_watermark(), models[k].watermark)
+          << "step " << step << " set " << k;
+      ASSERT_EQ(intervals_of(sets[k]), models[k].intervals())
+          << "step " << step << " set " << k;
+    }
   }
 }
 
