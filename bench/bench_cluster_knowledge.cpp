@@ -45,9 +45,7 @@ Row run_one(core::Config::ClusterKnowledge mode) {
   const auto& m = e.metrics();
   const double data = static_cast<double>(m.counter("send.data") +
                                           m.counter("send.gapfill"));
-  const double control =
-      static_cast<double>(m.counter_prefix_sum("send.")) - data -
-      static_cast<double>(m.counter_prefix_sum("send.intercluster."));
+  const double control = static_cast<double>(m.host_sends()) - data;
   return Row{
       static_cast<double>(m.intercluster_data_sends()) / kMessages,
       m.all_latencies().mean(), control / kWindow};

@@ -365,7 +365,7 @@ void BM_FullScenarioThroughput(benchmark::State& state) {
     e.start();
     e.broadcast_stream(20, sim::milliseconds(500), sim::seconds(1));
     e.run_for(sim::seconds(60));
-    benchmark::DoNotOptimize(e.metrics().counter_prefix_sum("send."));
+    benchmark::DoNotOptimize(e.metrics().host_sends());
   }
 }
 BENCHMARK(BM_FullScenarioThroughput)->Unit(benchmark::kMillisecond);

@@ -56,9 +56,7 @@ void sweep_scale() {
     const auto& m = e.metrics();
     const double data = static_cast<double>(m.counter("send.data") +
                                             m.counter("send.gapfill"));
-    const double control =
-        static_cast<double>(m.counter_prefix_sum("send.")) - data -
-        static_cast<double>(m.counter_prefix_sum("send.intercluster."));
+    const double control = static_cast<double>(m.host_sends()) - data;
     const auto latency = e.metrics().all_latencies();
     table.row()
         .cell(hosts)

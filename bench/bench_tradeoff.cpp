@@ -70,9 +70,7 @@ Point run_one(double period_scale) {
   const double data = static_cast<double>(m.counter("send.data") +
                                           m.counter("send.gapfill") +
                                           m.counter("send.data_retx"));
-  const double control =
-      static_cast<double>(m.counter_prefix_sum("send.")) - data -
-      static_cast<double>(m.counter_prefix_sum("send.intercluster."));
+  const double control = static_cast<double>(m.host_sends()) - data;
   return Point{control / kWindow, delivered / expected_deliveries,
                m.all_latencies().mean()};
 }

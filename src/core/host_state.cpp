@@ -98,7 +98,7 @@ void HostState::learn_info(HostId j, const SeqSet& info) {
 
 void HostState::learn_has(HostId j, Seq seq) {
   if (j == self_) return;
-  peer_view(j).map.insert(seq);  // analyze:allow(hot-alloc) SeqSet::insert allocates only through SeqSet::allocate, on a clone or a new gap edge (waived there)
+  peer_view(j).map.insert(seq);
 }
 
 void HostState::update_cluster_from_cost_bit(HostId j, bool expensive) {

@@ -24,12 +24,12 @@ EventId EventQueue::schedule(TimePoint t, Action action) {
     RBCAST_ASSERT_MSG(slots_.size() < (std::size_t{1} << kSlotBits),
                       "too many pending events");
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();  // analyze:allow(hot-alloc) amortized slot growth up to the run's peak pending count; freed slots are reused
+    slots_.emplace_back();
   }
   const std::uint64_t id = (next_seq_++ << kSlotBits) | slot;
   slots_[slot].action = std::move(action);
   slots_[slot].id = id;
-  heap_.push_back(Entry{t, id});  // analyze:allow(hot-alloc) amortized heap growth, bounded by compaction at twice the live count
+  heap_.push_back(Entry{t, id});
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   ++live_;
   RBCAST_PARANOID_ASSERT(heap_.size() >= live_);

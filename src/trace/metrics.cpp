@@ -101,6 +101,10 @@ std::uint64_t Metrics::counter_prefix_sum(const std::string& prefix) const {
   return sum;
 }
 
+std::uint64_t Metrics::host_sends() const {
+  return counter_prefix_sum("send.") - counter_prefix_sum("send.intercluster.");
+}
+
 std::uint64_t Metrics::intercluster_data_sends() const {
   return counter("send.intercluster.data") +
          counter("send.intercluster.gapfill") +

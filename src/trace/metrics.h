@@ -69,6 +69,11 @@ class Metrics : public net::NetObserver {
   [[nodiscard]] std::uint64_t counter_prefix_sum(
       const std::string& prefix) const;
 
+  // Host-level sends of every kind. The "send." prefix also matches the
+  // "send.intercluster." sub-family, which counts some of the same sends a
+  // second time, so that family is subtracted.
+  [[nodiscard]] std::uint64_t host_sends() const;
+
   // Data-family transmissions crossing cluster boundaries (the paper's
   // cost metric). Includes first sends, forwards, gap fills and baseline
   // retransmissions; excludes control traffic.

@@ -15,7 +15,7 @@ bool operator==(const SeqSet& a, const SeqSet& b) {
 SeqSet::Block* SeqSet::allocate(std::size_t capacity) {
   static_assert(sizeof(Block) % alignof(Interval) == 0);
   const std::size_t bytes = sizeof(Block) + capacity * sizeof(Interval);
-  return new (::operator new(bytes)) Block{1, 0, capacity};  // analyze:allow(hot-alloc) the one interval-storage allocation: a clone only on the first real mutation of a shared block, a grow only on doubling capacity (amortized O(1) per new gap edge)
+  return new (::operator new(bytes)) Block{1, 0, capacity};
 }
 
 void SeqSet::release() noexcept {
@@ -59,7 +59,7 @@ SeqSet SeqSet::contiguous(Seq n) {
 
 SeqSet SeqSet::of(std::initializer_list<Seq> seqs) {
   SeqSet s;
-  for (Seq q : seqs) s.insert(q);  // analyze:allow(hot-alloc) test-only convenience constructor, never on the event path
+  for (Seq q : seqs) s.insert(q);
   return s;
 }
 
@@ -203,7 +203,7 @@ std::vector<Seq> SeqSet::gaps(std::size_t limit) const {
   Seq cursor = pruned_below_ + 1;
   for (const Interval& iv : intervals()) {
     for (Seq q = cursor; q < iv.lo; ++q) {
-      out.push_back(q);  // analyze:allow(hot-alloc) query API returns a fresh bounded vector; limit caps growth
+      out.push_back(q);
       if (out.size() >= limit) return out;
     }
     cursor = iv.hi + 1;
@@ -242,7 +242,7 @@ std::vector<Seq> SeqSet::missing_from_capped(const SeqSet& other, Seq cap,
         run_hi = std::min<Seq>(run_hi, ot->lo - 1);
       }
       for (; q <= run_hi; ++q) {
-        out.push_back(q);  // analyze:allow(hot-alloc) query API returns a fresh bounded vector; limit caps growth
+        out.push_back(q);
         if (out.size() >= limit) return out;
       }
     }
@@ -296,7 +296,7 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 std::vector<std::uint8_t> SeqSet::encode() const {
   std::vector<std::uint8_t> out;
-  out.reserve(wire_size());  // analyze:allow(hot-alloc) exact-size reserve; wire encode runs on the control path, not the event loop
+  out.reserve(wire_size());
   // Header packs the watermark (56 bits are plenty for sequence numbers)
   // with the interval count in the top byte's... keep it simple and
   // explicit instead: watermark, then one [lo, hi] pair per interval.

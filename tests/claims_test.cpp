@@ -190,10 +190,7 @@ TEST(Claims, ControlTrafficIndependentOfDataRate) {
     const auto& m = e.metrics();
     const double data = static_cast<double>(m.counter("send.data") +
                                             m.counter("send.gapfill"));
-    return (static_cast<double>(m.counter_prefix_sum("send.")) - data -
-            static_cast<double>(
-                m.counter_prefix_sum("send.intercluster."))) /
-           60.0;
+    return (static_cast<double>(m.host_sends()) - data) / 60.0;
   };
   const double idle = control_rate(0);
   const double busy = control_rate(100);

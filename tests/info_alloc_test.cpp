@@ -5,22 +5,19 @@
 // carries the message, and the set itself is never copied.
 //
 // This binary links a counting global operator new (support/alloc_counter)
-// and measures the allocations of a real round directly, so the bound
-// holds whatever the static hot-alloc scan lists.
+// and measures the allocations of a real round directly. Its companion
+// hot_path_alloc_test measures the event path and the upcalls the same way.
 #include <gtest/gtest.h>
 
-#include <any>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
-#include <string>
+#include <variant>
 #include <vector>
 
 #include "core/broadcast_host.h"
-#include "sim/simulator.h"
 #include "support/alloc_counter.h"
-#include "transport/transport.h"
+#include "support/counting_transport.h"
 #include "util/rng.h"
 #include "util/seq_set.h"
 
@@ -28,52 +25,7 @@ namespace rbcast::core {
 namespace {
 
 using rbcast::testing::allocations_during;
-
-// A transport whose endpoints only count what they are handed. It keeps
-// nothing, so every allocation measured belongs to the sender.
-class CountingTransport final : public transport::Transport {
- public:
-  std::size_t sends = 0;
-  // Sends whose InfoMsg reads the same interval block as `*reference`.
-  std::size_t shared_sends = 0;
-  const SeqSet* reference = nullptr;
-
-  [[nodiscard]] util::Scheduler& scheduler() override { return simulator_; }
-
-  net::HostEndpoint& attach(HostId id, net::DeliveryFn) override {
-    auto& endpoint = endpoints_[id];
-    endpoint = std::make_unique<Endpoint>(*this, id);
-    return *endpoint;
-  }
-
-  void detach(HostId) override {}
-
- private:
-  class Endpoint final : public net::HostEndpoint {
-   public:
-    Endpoint(CountingTransport& owner, HostId self)
-        : owner_(owner), self_(self) {}
-    [[nodiscard]] HostId self() const override { return self_; }
-    void send(HostId, std::any payload, std::size_t, std::string,
-              net::TraceId) override {
-      ++owner_.sends;
-      const auto* message = std::any_cast<ProtocolMessage>(&payload);
-      const auto* info =
-          message == nullptr ? nullptr : std::get_if<InfoMsg>(message);
-      if (info != nullptr && owner_.reference != nullptr &&
-          info->info.shares_storage_with(*owner_.reference)) {
-        ++owner_.shared_sends;
-      }
-    }
-
-   private:
-    CountingTransport& owner_;
-    HostId self_;
-  };
-
-  sim::Simulator simulator_;
-  std::map<HostId, std::unique_ptr<Endpoint>> endpoints_;
-};
+using rbcast::testing::CountingTransport;
 
 constexpr int kClusterPeers = 8;
 constexpr int kFarPeers = 16;
@@ -83,6 +35,8 @@ constexpr int kFarPeers = 16;
 struct Round {
   CountingTransport transport;
   std::unique_ptr<BroadcastHost> host;
+  // Sends whose InfoMsg reads the same interval block as host's INFO set.
+  std::size_t shared_sends = 0;
 
   Round() {
     std::vector<HostId> all;
@@ -98,7 +52,13 @@ struct Round {
     for (int i = 1; i <= kClusterPeers; ++i) cluster.insert(HostId{i});
     host->seed_cluster(cluster);
     for (int i = 0; i < 5; ++i) host->broadcast("m");
-    transport.reference = &host->state().info();
+    transport.on_send = [this](HostId, const ProtocolMessage& message) {
+      const auto* info = std::get_if<InfoMsg>(&message);
+      if (info != nullptr &&
+          info->info.shares_storage_with(host->state().info())) {
+        ++shared_sends;
+      }
+    };
   }
 };
 
@@ -106,11 +66,11 @@ TEST(InfoRoundAllocations, InterRoundAllocatesOneBoxPerDestination) {
   Round r;
   r.host->run_info_inter_now();  // warm-up: one-time per-host tables
   r.transport.sends = 0;
-  r.transport.shared_sends = 0;
+  r.shared_sends = 0;
   const std::uint64_t allocs =
       allocations_during([&r] { r.host->run_info_inter_now(); });
   ASSERT_EQ(r.transport.sends, std::size_t{kFarPeers});
-  EXPECT_EQ(r.transport.shared_sends, std::size_t{kFarPeers});
+  EXPECT_EQ(r.shared_sends, std::size_t{kFarPeers});
   // One std::any box per destination plus at most one clone.
   EXPECT_LE(allocs, std::uint64_t{kFarPeers} + 1);
 }
@@ -119,11 +79,11 @@ TEST(InfoRoundAllocations, IntraRoundAllocatesOneBoxPerDestination) {
   Round r;
   r.host->run_info_intra_now();  // warm-up: the reusable target list
   r.transport.sends = 0;
-  r.transport.shared_sends = 0;
+  r.shared_sends = 0;
   const std::uint64_t allocs =
       allocations_during([&r] { r.host->run_info_intra_now(); });
   ASSERT_EQ(r.transport.sends, std::size_t{kClusterPeers});
-  EXPECT_EQ(r.transport.shared_sends, std::size_t{kClusterPeers});
+  EXPECT_EQ(r.shared_sends, std::size_t{kClusterPeers});
   EXPECT_LE(allocs, std::uint64_t{kClusterPeers} + 1);
 }
 

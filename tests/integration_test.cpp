@@ -324,7 +324,7 @@ TEST(Integration, DeterministicGivenSeed) {
     e.start();
     e.broadcast_stream(5, sim::milliseconds(500), sim::seconds(1));
     e.run_for(sim::seconds(30));
-    return e.metrics().counter_prefix_sum("send.");
+    return e.metrics().host_sends();
   };
   EXPECT_EQ(run_once(9), run_once(9));
   EXPECT_NE(run_once(9), run_once(10));  // different seeds diverge

@@ -1,7 +1,6 @@
 #include "analyze/analyze_engine.h"
 
 #include <algorithm>
-#include <cctype>
 #include <functional>
 #include <regex>
 #include <sstream>
@@ -18,10 +17,6 @@ namespace rbcast::analyze {
 
 namespace {
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
 std::vector<std::string> split_lines(std::string_view text) {
   std::vector<std::string> lines;
   std::size_t start = 0;
@@ -37,26 +32,10 @@ std::vector<std::string> split_lines(std::string_view text) {
   return lines;
 }
 
-bool contains_word(const std::string& s, std::string_view word) {
-  std::size_t pos = 0;
-  while ((pos = s.find(word, pos)) != std::string::npos) {
-    const bool left_ok =
-        pos == 0 || !(std::isalnum(static_cast<unsigned char>(s[pos - 1])) ||
-                      s[pos - 1] == '_');
-    const std::size_t end = pos + word.size();
-    const bool right_ok =
-        end >= s.size() ||
-        !(std::isalnum(static_cast<unsigned char>(s[end])) || s[end] == '_');
-    if (left_ok && right_ok) return true;
-    pos += 1;
-  }
-  return false;
-}
-
 // Layer of a src/ file: the first directory component under src/, or ""
 // for files directly under src/ (the umbrella header), which are exempt.
 std::string layer_of(std::string_view path) {
-  if (!starts_with(path, "src/")) return "";
+  if (!path.starts_with("src/")) return "";
   const std::string_view rest = path.substr(4);
   const std::size_t slash = rest.find('/');
   if (slash == std::string_view::npos) return "";
@@ -106,30 +85,6 @@ std::vector<IncludeEdge> extract_includes(
     }
   }
   return edges;
-}
-
-// --- hot-function matching ----------------------------------------------
-
-bool pattern_matches(const std::string& pattern, const std::string& method) {
-  if (pattern == "*") return true;
-  if (!pattern.empty() && pattern.back() == '*') {
-    return starts_with(method, std::string_view(pattern).substr(
-                                   0, pattern.size() - 1));
-  }
-  return pattern == method;
-}
-
-// `qualified` is "Class::method" (scanner output). Destructors and
-// constructors ("Class::Class") participate like any other method.
-bool is_hot(const HotSpec& hot, const std::string& qualified) {
-  const std::size_t sep = qualified.rfind("::");
-  if (sep == std::string::npos) return false;
-  const std::string cls = qualified.substr(0, sep);
-  const std::string method = qualified.substr(sep + 2);
-  for (const auto& [hot_cls, pattern] : hot.functions) {
-    if (cls == hot_cls && pattern_matches(pattern, method)) return true;
-  }
-  return false;
 }
 
 // --- waivers ------------------------------------------------------------
@@ -205,7 +160,7 @@ bool is_not_a_variable(const std::string& stmt) {
          contains_word(stmt, "friend") || contains_word(stmt, "template") ||
          contains_word(stmt, "static_assert") ||
          contains_word(stmt, "return") || contains_word(stmt, "extern") ||
-         contains_word(stmt, "operator") || starts_with(stmt, "#") ||
+         contains_word(stmt, "operator") || stmt.starts_with("#") ||
          // Forward declarations ("struct Config") and enum declarations.
          contains_word(stmt, "class") || contains_word(stmt, "struct") ||
          contains_word(stmt, "union") || contains_word(stmt, "enum") ||
@@ -241,8 +196,7 @@ void census_pass(FileAnalysis& fa) {
   std::vector<LocalStatic> local_statics;
   std::set<std::string> returned;  // "function\0identifier" pairs
 
-  ScopeScanner::Callbacks cb;
-  cb.on_statement = [&](const std::string& stmt, int line) {
+  scanner.run([&](const std::string& stmt, int line) {
     if (stmt.empty()) return;
     const bool in_function = !scanner.enclosing_function().empty();
 
@@ -283,9 +237,7 @@ void census_pass(FileAnalysis& fa) {
               "' is process-wide shared state; make it per-instance or "
               "const");
     }
-  };
-
-  scanner.run(cb);
+  });
 
   for (const LocalStatic& ls : local_statics) {
     if (returned.contains(ls.function + '\0' + ls.name)) {
@@ -299,68 +251,6 @@ void census_pass(FileAnalysis& fa) {
           "function-local static '" + ls.name + "' in '" + ls.function +
               "' is hidden mutable state; hoist it into the owning object "
               "or make it constant");
-    }
-  }
-}
-
-// --- hot-path allocation pass -------------------------------------------
-
-const std::regex& alloc_re() {
-  static const std::regex re(
-      R"(\bnew\b)"
-      R"(|\bmake_unique\s*<|\bmake_shared\s*<)"
-      R"(|\.\s*(push_back|emplace_back|emplace|insert|resize|reserve|push|append)\s*\()");
-  return re;
-}
-
-struct HotRegion {
-  std::string function;
-  int first_line;
-  int last_line;
-};
-
-void alloc_pass(FileAnalysis& fa, const HotSpec& hot) {
-  ScopeScanner scanner(fa.code);
-  std::vector<HotRegion> regions;
-  // Open hot-function scopes: (stack depth at open, function, start line).
-  struct Open {
-    std::size_t depth;
-    std::string function;
-    int line;
-  };
-  std::vector<Open> open;
-
-  ScopeScanner::Callbacks cb;
-  cb.on_scope_open = [&](const std::string&, int line) {
-    const Scope& s = scanner.stack().back();
-    if (s.kind == ScopeKind::kFunction && is_hot(hot, s.name)) {
-      open.push_back(Open{scanner.stack().size(), s.name, line});
-    }
-  };
-  cb.on_scope_close = [&](const Scope&, int line) {
-    if (!open.empty() && scanner.stack().size() + 1 == open.back().depth) {
-      regions.push_back(
-          HotRegion{open.back().function, open.back().line, line});
-      open.pop_back();
-    }
-  };
-  scanner.run(cb);
-
-  for (const HotRegion& region : regions) {
-    for (int n = region.first_line; n <= region.last_line; ++n) {
-      const auto idx = static_cast<std::size_t>(n - 1);
-      if (idx >= fa.code_lines.size()) break;
-      std::smatch m;
-      if (std::regex_search(fa.code_lines[idx], m, alloc_re())) {
-        std::string what = m.str(0);
-        if (!m.str(1).empty()) what = m.str(1) + "()";
-        add(fa, n, "hot-alloc",
-            "allocation (" + trim(what) + ") inside hot function '" +
-                region.function +
-                "'; the event hot path must stay allocation-free for the "
-                "10^5-host runs — pool/reserve up front or waive with the "
-                "amortization argument");
-      }
     }
   }
 }
@@ -434,23 +324,8 @@ LayerSpec default_layer_spec() {
   return spec;
 }
 
-HotSpec default_hot_spec() {
-  return HotSpec{{
-      {"EventQueue", "*"},
-      {"Simulator", "step"},
-      {"Simulator", "run_until"},
-      {"BroadcastHost", "on_*"},
-      {"BroadcastHost", "handle_*"},
-      {"HostState", "learn_*"},
-      {"HostState", "map"},
-      {"HostState", "parent_of"},
-      {"HostState", "slot"},
-      {"SeqSet", "*"},
-  }};
-}
-
 AnalysisResult analyze(const std::vector<FileInput>& files,
-                       const LayerSpec& layers, const HotSpec& hot) {
+                       const LayerSpec& layers) {
   AnalysisResult result;
 
   std::set<std::string> known;
@@ -521,9 +396,8 @@ AnalysisResult analyze(const std::vector<FileInput>& files,
       }
     }
 
-    // Pass 2 + 3 only make sense for C++ sources.
+    // Pass 2: shared-state census.
     census_pass(fa);
-    alloc_pass(fa, hot);
 
     analyses.push_back(std::move(fa));
   }

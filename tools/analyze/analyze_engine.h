@@ -1,7 +1,7 @@
 // rbcast_analyze rule engine.
 //
 // Whole-repo structural analysis that the per-line determinism lint
-// (tools/lint/) and clang-tidy cannot express. Three passes over src/:
+// (tools/lint/) and clang-tidy cannot express. Two passes over src/:
 //
 //   layer graph      extracts the quoted-include graph and enforces the
 //                    declared layer DAG (util -> sim -> topo -> net ->
@@ -18,13 +18,8 @@
 //                    conservative-parallel-DES shard work: every hit must
 //                    be fixed or carry a waiver explaining why it is safe.
 //
-//   hot-path allocs  flags allocation inside the declared hot-function set
-//                    (EventQueue::*, Simulator::step, BroadcastHost::on_*,
-//                    SeqSet::*): operator new, make_unique/make_shared,
-//                    and growing-container calls (push_back, insert,
-//                    resize, ...). The zero-alloc event path planned for
-//                    the 10^5-host runs is only provable if this pass
-//                    stays clean.
+// Allocations are measured, not scanned: tests/hot_path_alloc_test.cpp and
+// tests/info_alloc_test.cpp count them with a counting operator new.
 //
 // A line can waive one rule with a trailing comment:
 //   // analyze:allow(rule-name) reason
@@ -96,14 +91,6 @@ struct LayerSpec {
 // The repo's declared DAG (see DESIGN.md §11).
 [[nodiscard]] LayerSpec default_layer_spec();
 
-// The declared hot-function set: (class, method-pattern) pairs where the
-// pattern is an exact method name, "*" (every method), or "prefix*".
-struct HotSpec {
-  std::vector<std::pair<std::string, std::string>> functions;
-};
-
-[[nodiscard]] HotSpec default_hot_spec();
-
 // --- analysis -----------------------------------------------------------
 
 struct AnalysisResult {
@@ -115,8 +102,7 @@ struct AnalysisResult {
 };
 
 [[nodiscard]] AnalysisResult analyze(const std::vector<FileInput>& files,
-                                     const LayerSpec& layers,
-                                     const HotSpec& hot);
+                                     const LayerSpec& layers);
 
 // Graphviz rendering of the include graph, one cluster per layer.
 [[nodiscard]] std::string to_dot(

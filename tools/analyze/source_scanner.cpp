@@ -24,9 +24,11 @@ std::string collapse(std::string_view text) {
   return out;
 }
 
-bool contains_word(const std::string& s, std::string_view word) {
+}  // namespace
+
+bool contains_word(std::string_view s, std::string_view word) {
   std::size_t pos = 0;
-  while ((pos = s.find(word, pos)) != std::string::npos) {
+  while ((pos = s.find(word, pos)) != std::string_view::npos) {
     const bool left_ok =
         pos == 0 || !(std::isalnum(static_cast<unsigned char>(s[pos - 1])) ||
                       s[pos - 1] == '_');
@@ -40,19 +42,12 @@ bool contains_word(const std::string& s, std::string_view word) {
   return false;
 }
 
-}  // namespace
-
 Scope classify_head(const std::string& raw_head,
                     const std::vector<Scope>& stack) {
   const std::string head = collapse(raw_head);
 
   if (contains_word(head, "namespace")) {
-    // "namespace rbcast::sim" or anonymous "namespace".
-    static const std::regex name_re(R"(namespace\s+([A-Za-z_][\w:]*))");
-    std::smatch m;
-    std::string name;
-    if (std::regex_search(head, m, name_re)) name = m.str(1);
-    return Scope{ScopeKind::kNamespace, name};
+    return Scope{ScopeKind::kNamespace, ""};
   }
 
   if (contains_word(head, "class") || contains_word(head, "struct") ||
@@ -103,7 +98,8 @@ Scope classify_head(const std::string& raw_head,
     }
     if (!name.empty()) {
       // Member function defined inside its class body: qualify with the
-      // innermost enclosing type so hot-function patterns match.
+      // innermost enclosing type ("EventQueue::pop"), as an out-of-class
+      // definition would spell it.
       for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
         if (it->kind == ScopeKind::kType && !it->name.empty() &&
             name.find("::") == std::string::npos) {
@@ -124,7 +120,7 @@ Scope classify_head(const std::string& raw_head,
 
 ScopeScanner::ScopeScanner(std::string_view code) : code_(code) {}
 
-void ScopeScanner::run(const Callbacks& callbacks) {
+void ScopeScanner::run(const StatementFn& on_statement) {
   stack_.clear();
   int line = 1;
   int stmt_line = 1;
@@ -136,29 +132,21 @@ void ScopeScanner::run(const Callbacks& callbacks) {
     if (c == '\n') ++line;
 
     if (c == '{') {
-      Scope scope = classify_head(head, stack_);
-      stack_.push_back(std::move(scope));
-      if (callbacks.on_scope_open) callbacks.on_scope_open(collapse(head), line);
+      stack_.push_back(classify_head(head, stack_));
       head.clear();
       head_dirty = false;
       stmt_line = line;
       continue;
     }
     if (c == '}') {
-      if (!stack_.empty()) {
-        Scope closed = std::move(stack_.back());
-        stack_.pop_back();
-        if (callbacks.on_scope_close) callbacks.on_scope_close(closed, line);
-      }
+      if (!stack_.empty()) stack_.pop_back();
       head.clear();
       head_dirty = false;
       stmt_line = line;
       continue;
     }
     if (c == ';') {
-      if (head_dirty && callbacks.on_statement) {
-        callbacks.on_statement(collapse(head), stmt_line);
-      }
+      if (head_dirty && on_statement) on_statement(collapse(head), stmt_line);
       head.clear();
       head_dirty = false;
       stmt_line = line;

@@ -20,32 +20,22 @@ enum class ScopeKind { kNamespace, kType, kFunction, kBlock };
 
 struct Scope {
   ScopeKind kind;
-  // Namespace/class name, or the (possibly Class::qualified) function
-  // name; empty for plain blocks and anonymous namespaces.
+  // Class name, or the (possibly Class::qualified) function name; empty
+  // for namespaces and plain blocks.
   std::string name;
 };
 
 class ScopeScanner {
  public:
-  // `code` must already be comment/string-stripped. Callbacks observe the
-  // walk; any may be null.
-  struct Callbacks {
-    // A '{' opened a new scope (already pushed; stack().back() is it).
-    // `head` is the whitespace-collapsed statement head before the brace.
-    std::function<void(const std::string& head, int line)> on_scope_open;
-    // A '}' closed `scope` (already popped) at `line`.
-    std::function<void(const Scope& scope, int line)> on_scope_close;
-    // A statement terminated with ';' at the current scope. `stmt` is the
-    // statement text (whitespace-collapsed), `line` where it started.
-    std::function<void(const std::string& stmt, int line)> on_statement;
-  };
+  // Called per ';'-terminated statement (whitespace-collapsed) with the
+  // line it started on; the enclosing_* queries describe its scope.
+  using StatementFn = std::function<void(const std::string& stmt, int line)>;
 
+  // `code` must already be comment/string-stripped.
   explicit ScopeScanner(std::string_view code);
 
   // Runs the walk to completion.
-  void run(const Callbacks& callbacks);
-
-  [[nodiscard]] const std::vector<Scope>& stack() const { return stack_; }
+  void run(const StatementFn& on_statement);
 
   // Innermost enclosing function name ("" when not inside a function).
   // For member functions defined inside a class body, the name is
@@ -63,6 +53,10 @@ class ScopeScanner {
   std::string_view code_;
   std::vector<Scope> stack_;
 };
+
+// True when `word` occurs in `s` with no identifier character on either
+// side ("static" matches "static int", not "static_assert").
+[[nodiscard]] bool contains_word(std::string_view s, std::string_view word);
 
 // Classifies the statement head preceding a '{'. Exposed for tests.
 // `head` is everything after the previous ';', '{' or '}'.

@@ -1,9 +1,9 @@
 // rbcast_analyze — whole-repo structural analysis with a ratcheted gate.
 //
-// Runs the three passes documented in tools/analyze/analyze_engine.h
-// (layer DAG over the include graph, shared-mutable-state census, hot-path
-// allocation scan) over src/ and compares per-rule counts against the
-// committed baseline (ANALYSIS_baseline.json). The gate is a ratchet: any
+// Runs the two passes documented in tools/analyze/analyze_engine.h
+// (layer DAG over the include graph, shared-mutable-state census) over
+// src/ and compares per-rule counts against the committed baseline
+// (ANALYSIS_baseline.json). The gate is a ratchet: any
 // count rising over the baseline fails; counts falling prints a reminder
 // to shrink the baseline, and --update-baseline refuses to raise any
 // number, so the baseline can only ever go down.
@@ -114,8 +114,7 @@ int main(int argc, char** argv) {
   }
 
   const rbcast::analyze::AnalysisResult result = rbcast::analyze::analyze(
-      files, rbcast::analyze::default_layer_spec(),
-      rbcast::analyze::default_hot_spec());
+      files, rbcast::analyze::default_layer_spec());
   const rbcast::analyze::Ratchet current = rbcast::analyze::count(result);
 
   if (!quiet) {

@@ -427,9 +427,7 @@ int main(int argc, char** argv) {
       metrics.intercluster_data_sends());
   summary.row().cell("inter-cluster control sends").cell(
       metrics.intercluster_control_sends());
-  summary.row().cell("total sends").cell(
-      metrics.counter_prefix_sum("send.") -
-      metrics.counter_prefix_sum("send.intercluster."));
+  summary.row().cell("total sends").cell(metrics.host_sends());
   summary.row().cell("drops").cell(metrics.counter_prefix_sum("drop."));
   const LinkId hot = metrics.busiest_trunk();
   if (hot.valid()) {
