@@ -55,7 +55,8 @@ std::vector<ModelMessage> ModelNode::broadcast(Seq seq,
   std::vector<ModelMessage> out;
   for (HostId child : state_.children()) {
     if (!state_.map(child).contains(seq)) {
-      out.push_back(make(child, core::DataMsg{seq, body, false, {}}));
+      out.push_back(make(child, core::DataMsg{seq, body, false, std::nullopt,
+                                              std::nullopt}));
     }
   }
   return out;
@@ -118,13 +119,15 @@ std::vector<ModelMessage> ModelNode::handle_data(HostId from,
     for (HostId child : state_.children()) {
       if (child == from) continue;
       if (state_.map(child).contains(m.seq)) continue;
-      out.push_back(make(child, core::DataMsg{m.seq, m.body, false, {}}));
+      out.push_back(make(child, core::DataMsg{m.seq, m.body, false,
+                                              std::nullopt, std::nullopt}));
     }
   } else {
     for (HostId n : state_.neighbors()) {
       if (n == from) continue;
       if (state_.map(n).contains(m.seq)) continue;
-      out.push_back(make(n, core::DataMsg{m.seq, m.body, true, {}}));
+      out.push_back(make(n, core::DataMsg{m.seq, m.body, true, std::nullopt,
+                                          std::nullopt}));
     }
   }
   return out;
@@ -149,8 +152,8 @@ std::vector<ModelMessage> ModelNode::handle_attach_request(
   std::vector<ModelMessage> out;
   out.push_back(make(from, core::AttachAccept{state_.info(), state_.parent()}));
   for (Seq seq : core::plan_attach_backfill(state_, m.info, /*burst=*/64)) {
-    out.push_back(
-        make(from, core::DataMsg{seq, *state_.body_of(seq), true, {}}));
+    out.push_back(make(from, core::DataMsg{seq, *state_.body_of(seq), true,
+                                           std::nullopt, std::nullopt}));
   }
   return out;
 }
@@ -214,8 +217,8 @@ std::vector<ModelMessage> ModelNode::gapfill_step(HostId to,
   }
   std::vector<ModelMessage> out;
   for (Seq seq : plan) {
-    out.push_back(
-        make(to, core::DataMsg{seq, *state_.body_of(seq), true, {}}));
+    out.push_back(make(to, core::DataMsg{seq, *state_.body_of(seq), true,
+                                         std::nullopt, std::nullopt}));
   }
   return out;
 }

@@ -84,7 +84,7 @@ class AdminServer {
   util::RealTimeScheduler& scheduler_;
   int listen_fd_{-1};
   std::uint16_t port_{0};
-  // Ordered (determinism lint); keyed by connection fd.
+  // Ordered (deterministic iteration); keyed by connection fd.
   std::map<int, Conn> conns_;
   std::map<std::string, Handler> handlers_;
   Stats stats_;

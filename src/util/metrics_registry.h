@@ -20,7 +20,8 @@
 //
 // Determinism: instruments live in a std::map ordered by (name, labels),
 // so snapshot() iteration — and therefore every exposition format and the
-// sampler's field order — is stable across runs (rbcast_lint compliant).
+// sampler's field order — is stable across runs, as rbcast_analyze's
+// determinism rules require.
 // Registration is single-threaded like everything else in the repo; the
 // "lock-free-ish" property is simply that reads never take a lock because
 // there is none to take.

@@ -1,6 +1,7 @@
-// Tests for the rbcast_analyze rule engine (tools/analyze/*): both passes
-// must fire on a seeded bad snippet, stay quiet on clean code, and the
-// ratchet comparator must gate exactly the regressions.
+// Tests for the rbcast_analyze rule engine (tools/analyze/*): the layer
+// and census passes must fire on a seeded bad snippet, stay quiet on clean
+// code, and the ratchet comparator must gate exactly the regressions. The
+// determinism pass has its own cases in lint_rules_test.cpp.
 #include "analyze/analyze_engine.h"
 
 #include <gtest/gtest.h>

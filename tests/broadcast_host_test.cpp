@@ -97,7 +97,7 @@ TEST(BroadcastHost, StreamReachesAttachedHostsAndConvergesToTree) {
 TEST(BroadcastHost, NewMaxFromNonParentIsDiscarded) {
   Cluster c(3);
   // Hand-feed host 2 a data message from host 1 (not its parent).
-  ProtocolMessage m{DataMsg{1, "stray", false, {}}};
+  ProtocolMessage m{DataMsg{1, "stray", false, {}, {}}};
   net::Delivery d{.from = HostId{1},
                   .to = HostId{2},
                   .expensive = false,
@@ -116,7 +116,7 @@ TEST(BroadcastHost, NewMaxFromNonParentIsDiscarded) {
 TEST(BroadcastHost, DuplicateDataIsDiscarded) {
   Cluster c(2);
   c.node(0).broadcast("m1");
-  ProtocolMessage m{DataMsg{1, "m1", true, {}}};
+  ProtocolMessage m{DataMsg{1, "m1", true, {}, {}}};
   net::Delivery d{.from = HostId{1},
                   .to = HostId{0},
                   .expensive = false,
@@ -530,7 +530,7 @@ TEST(BroadcastHost, PiggybackRefreshesMapWithoutInfoMessages) {
   // piggybacked INFO far ahead of anything host 1 has heard via control.)
   SeqSet advanced = SeqSet::contiguous(50);
   ProtocolMessage m{DataMsg{2, "m2", false,
-                            std::make_pair(advanced, kNoHost)}};
+                            std::make_pair(advanced, kNoHost), std::nullopt}};
   c.node(1).on_delivery(net::Delivery{
       .from = HostId{0},
       .to = HostId{1},
@@ -544,9 +544,10 @@ TEST(BroadcastHost, PiggybackRefreshesMapWithoutInfoMessages) {
 }
 
 TEST(BroadcastHost, PiggybackIncreasesDataWireSize) {
-  DataMsg plain{1, "body", false, std::nullopt};
+  DataMsg plain{1, "body", false, std::nullopt, std::nullopt};
   DataMsg loaded{1, "body", false,
-                 std::make_pair(SeqSet::contiguous(100), HostId{3})};
+                 std::make_pair(SeqSet::contiguous(100), HostId{3}),
+                 std::nullopt};
   EXPECT_LT(wire_size(ProtocolMessage{plain}),
             wire_size(ProtocolMessage{loaded}));
 }

@@ -4,6 +4,7 @@
 // conclusions are part of the test suite.
 #include <gtest/gtest.h>
 
+#include "bench/support/common.h"
 #include "harness/experiment.h"
 #include "topo/generators.h"
 
@@ -14,18 +15,9 @@ using harness::Experiment;
 using harness::ProtocolKind;
 using harness::ScenarioOptions;
 
-core::Config bench_config() {
-  core::Config c;
-  c.attach_period = sim::seconds(1);
-  c.info_period_intra = sim::milliseconds(500);
-  c.info_period_inter = sim::seconds(2);
-  c.gapfill_period_neighbor = sim::seconds(1);
-  c.gapfill_period_far = sim::seconds(4);
-  c.parent_timeout = sim::seconds(6);
-  c.attach_ack_timeout = sim::seconds(2);
-  c.data_bytes = 256;
-  return c;
-}
+// The benches' own protocol timing, so these claims cannot drift from the
+// experiments they stand for.
+using bench::default_protocol_config;
 
 // Shared runner: warm up, stream, return the experiment for inspection.
 std::unique_ptr<Experiment> run_scenario(topo::Topology topology,
@@ -33,7 +25,7 @@ std::unique_ptr<Experiment> run_scenario(topo::Topology topology,
                                          std::uint64_t seed = 1) {
   ScenarioOptions options;
   options.protocol_kind = kind;
-  options.protocol = bench_config();
+  options.protocol = default_protocol_config();
   options.basic.retransmit_period = sim::seconds(2);
   options.seed = seed;
   auto e = std::make_unique<Experiment>(std::move(topology), options);
@@ -145,7 +137,7 @@ TEST(Claims, BasicCongestsTheSourceServer) {
 
   // A burst: messages with no spacing.
   ScenarioOptions options;
-  options.protocol = bench_config();
+  options.protocol = default_protocol_config();
   options.protocol.data_bytes = 1024;
   options.basic.retransmit_period = sim::seconds(2);
 
@@ -175,7 +167,7 @@ TEST(Claims, ControlTrafficIndependentOfDataRate) {
     wan.clusters = 3;
     wan.hosts_per_cluster = 2;
     ScenarioOptions options;
-    options.protocol = bench_config();
+    options.protocol = default_protocol_config();
     Experiment e(make_clustered_wan(wan).topology, options);
     e.start();
     e.broadcast();
@@ -205,7 +197,7 @@ TEST(Claims, OrderingCostsDelayOnlyUnderLoss) {
     wan.hosts_per_cluster = 2;
     wan.expensive.loss_probability = loss;
     ScenarioOptions options;
-    options.protocol = bench_config();
+    options.protocol = default_protocol_config();
     options.ordered_delivery = ordered;
     options.seed = 9;
     Experiment e(make_clustered_wan(wan).topology, options);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "support/fast_config.h"
 #include "topo/generators.h"
 
 namespace rbcast {
@@ -13,19 +14,7 @@ namespace {
 
 using harness::Experiment;
 using harness::ScenarioOptions;
-
-core::Config fast_config() {
-  core::Config c;
-  c.attach_period = sim::milliseconds(500);
-  c.info_period_intra = sim::milliseconds(200);
-  c.info_period_inter = sim::seconds(1);
-  c.gapfill_period_neighbor = sim::milliseconds(500);
-  c.gapfill_period_far = sim::seconds(2);
-  c.parent_timeout = sim::seconds(4);
-  c.attach_ack_timeout = sim::milliseconds(400);
-  c.data_bytes = 64;
-  return c;
-}
+using rbcast::testing::fast_config;
 
 topo::Topology small_wan(std::uint64_t seed, int clusters = 2, int hpc = 2) {
   topo::ClusteredWanOptions wan;

@@ -1,19 +1,33 @@
-// Tests for the rbcast_lint rule engine (tools/lint/lint_engine.*): each
-// rule must fire on a seeded bad snippet and stay quiet on clean code.
-#include "lint/lint_engine.h"
-
+// Tests for rbcast_analyze's determinism rules (the third pass of
+// tools/analyze/analyze_engine.cpp): each rule must fire on a seeded bad
+// snippet and stay quiet on clean code.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
-namespace rbcast::lint {
+#include "analyze/analyze_engine.h"
+#include "analyze/source_scanner.h"
+
+namespace rbcast::analyze {
 namespace {
 
+// Analyzes one file and keeps only the determinism rules' findings: the
+// other passes also see these snippets (a namespace-scope `int x =
+// rand();` is a mutable-global too) and are covered by
+// analyze_engine_test.
 std::vector<Finding> lint(std::string_view path, std::string_view source) {
-  std::set<std::string> ids;
-  for (const std::string& id : unordered_identifiers(source)) ids.insert(id);
-  return lint_file(path, source, ids);
+  static const std::set<std::string> kDeterminismRules = {
+      "raw-random",    "unordered-container", "unordered-range-for",
+      "direct-output", "raw-assert",          "pragma-once"};
+  std::vector<Finding> findings =
+      analyze({FileInput{std::string(path), std::string(source)}},
+              default_layer_spec())
+          .findings;
+  std::erase_if(findings, [](const Finding& f) {
+    return !kDeterminismRules.contains(f.rule);
+  });
+  return findings;
 }
 
 bool fires(const std::vector<Finding>& findings, std::string_view rule) {
@@ -162,6 +176,14 @@ TEST(PragmaOnceRule, FlagsHeaderWithoutGuard) {
   EXPECT_TRUE(fires(lint("src/core/bad.h", "struct S {};\n"), "pragma-once"));
 }
 
+TEST(PragmaOnceRule, CommentedOutGuardDoesNotCount) {
+  EXPECT_TRUE(fires(lint("src/core/bad.h", "// #pragma once\nstruct S {};\n"),
+                    "pragma-once"));
+  EXPECT_TRUE(fires(
+      lint("src/core/bad.h", "/* #pragma once */\nstruct S {};\n"),
+      "pragma-once"));
+}
+
 TEST(PragmaOnceRule, SatisfiedHeaderAndSourcesExempt) {
   EXPECT_FALSE(fires(lint("src/core/good.h", "#pragma once\nstruct S {};\n"),
                      "pragma-once"));
@@ -173,11 +195,11 @@ TEST(PragmaOnceRule, SatisfiedHeaderAndSourcesExempt) {
 
 TEST(Engine, SuppressionCommentWaivesExactlyThatRule) {
   const std::string bad =
-      "int x = rand();  // lint:allow(raw-random) seeding the lint test\n";
+      "int x = rand();  // analyze:allow(raw-random) seeding the lint test\n";
   EXPECT_FALSE(fires(lint("src/core/ok.cpp", bad), "raw-random"));
   // The waiver names a specific rule; others still fire.
   const std::string wrong =
-      "int x = rand();  // lint:allow(direct-output)\n";
+      "int x = rand();  // analyze:allow(direct-output)\n";
   EXPECT_TRUE(fires(lint("src/core/bad.cpp", wrong), "raw-random"));
 }
 
@@ -269,4 +291,4 @@ TEST(Engine, UnorderedIdentifierHarvesting) {
 }
 
 }  // namespace
-}  // namespace rbcast::lint
+}  // namespace rbcast::analyze

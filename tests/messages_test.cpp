@@ -8,8 +8,10 @@ namespace rbcast::core {
 namespace {
 
 TEST(Messages, KindLabels) {
-  EXPECT_STREQ(kind_of(ProtocolMessage{DataMsg{1, "x", false, {}}}), "data");
-  EXPECT_STREQ(kind_of(ProtocolMessage{DataMsg{1, "x", true, {}}}), "gapfill");
+  EXPECT_STREQ(kind_of(ProtocolMessage{DataMsg{1, "x", false, {}, {}}}),
+               "data");
+  EXPECT_STREQ(kind_of(ProtocolMessage{DataMsg{1, "x", true, {}, {}}}),
+               "gapfill");
   EXPECT_STREQ(kind_of(ProtocolMessage{InfoMsg{SeqSet{}, kNoHost}}), "info");
   EXPECT_STREQ(kind_of(ProtocolMessage{AttachRequest{SeqSet{}}}),
                "attach_req");
@@ -27,9 +29,10 @@ TEST(Messages, IsDataOnlyForDataFamily) {
 }
 
 TEST(Messages, DataSizeGrowsWithBody) {
-  const auto small = wire_size(ProtocolMessage{DataMsg{1, "ab", false, {}}});
-  const auto large =
-      wire_size(ProtocolMessage{DataMsg{1, std::string(1000, 'x'), false, {}}});
+  const auto small =
+      wire_size(ProtocolMessage{DataMsg{1, "ab", false, {}, {}}});
+  const auto large = wire_size(
+      ProtocolMessage{DataMsg{1, std::string(1000, 'x'), false, {}, {}}});
   EXPECT_EQ(large - small, 998u);
 }
 

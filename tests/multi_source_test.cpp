@@ -8,24 +8,14 @@
 
 #include "net/fault_plan.h"
 #include "net/network.h"
+#include "support/fast_config.h"
 #include "topo/generators.h"
 #include "transport/sim_transport.h"
 
 namespace rbcast::core {
 namespace {
 
-Config fast_config() {
-  Config c;
-  c.attach_period = sim::milliseconds(500);
-  c.info_period_intra = sim::milliseconds(200);
-  c.info_period_inter = sim::seconds(1);
-  c.gapfill_period_neighbor = sim::milliseconds(500);
-  c.gapfill_period_far = sim::seconds(2);
-  c.parent_timeout = sim::seconds(4);
-  c.attach_ack_timeout = sim::milliseconds(400);
-  c.data_bytes = 64;
-  return c;
-}
+using rbcast::testing::fast_config;
 
 struct Fixture {
   sim::Simulator simulator;

@@ -33,7 +33,7 @@ SeqSet set_of(std::initializer_list<util::Seq> seqs) {
 TEST(WireCodec, DataRoundTrip) {
   DataMsg d;
   d.seq = 42;
-  d.body = std::string("payload\0with\xffbytes", 18);
+  d.body = std::string("payload\0with\xff" "bytes", 18);
   d.gap_fill = true;
   const std::string wire = encode_message(ProtocolMessage{d});
   const auto decoded = decode_message(wire.data(), wire.size());

@@ -10,7 +10,6 @@
 #include <variant>
 
 #include "analyze/source_scanner.h"
-#include "lint/lint_engine.h"
 #include "util/json.h"
 
 namespace rbcast::analyze {
@@ -255,6 +254,121 @@ void census_pass(FileAnalysis& fa) {
   }
 }
 
+// --- determinism rules --------------------------------------------------
+
+// The protocol layers, where hash-order containers and direct output are
+// banned outright.
+bool in_protocol_layer(std::string_view path) {
+  const std::string layer = layer_of(path);
+  return layer == "core" || layer == "sim" || layer == "net";
+}
+
+// Extracts the range expression of a range-based for on `line`
+// ("for (decl : expr)"), or "" when the line has none. Good enough for the
+// single-line loops this codebase writes; a loop split across lines is the
+// clang-tidy gate's problem, not ours.
+std::string range_for_expr(const std::string& line) {
+  static const std::regex head(R"(\bfor\s*\()");
+  std::smatch m;
+  if (!std::regex_search(line, m, head)) return {};
+  const std::size_t open = static_cast<std::size_t>(m.position(0)) +
+                           m.str(0).size() - 1;
+  int paren = 0;
+  int angle = 0;
+  int bracket = 0;
+  std::size_t colon = std::string::npos;
+  std::size_t close = std::string::npos;
+  for (std::size_t i = open; i < line.size(); ++i) {
+    const char c = line[i];
+    if (c == '(') ++paren;
+    else if (c == ')') {
+      --paren;
+      if (paren == 0) {
+        close = i;
+        break;
+      }
+    } else if (c == '<') ++angle;
+    else if (c == '>') angle = angle > 0 ? angle - 1 : 0;
+    else if (c == '[') ++bracket;
+    else if (c == ']') --bracket;
+    else if (c == ':' && paren == 1 && angle == 0 && bracket == 0 &&
+             colon == std::string::npos) {
+      // Skip scope resolution '::'.
+      const bool scope = (i + 1 < line.size() && line[i + 1] == ':') ||
+                         (i > 0 && line[i - 1] == ':');
+      if (!scope) colon = i;
+    }
+  }
+  if (colon == std::string::npos || close == std::string::npos) return {};
+  return trim(line.substr(colon + 1, close - colon - 1));
+}
+
+void determinism_pass(FileAnalysis& fa,
+                      const std::set<std::string>& unordered_ids) {
+  static const std::regex raw_random_re(
+      R"(std::random_device)"
+      R"(|\brand\s*\()"
+      R"(|\bsrand\s*\()"
+      R"(|\btime\s*\(\s*(NULL|nullptr|0)?\s*\))"
+      R"(|\bclock\s*\(\s*\))"
+      R"(|\bgettimeofday\s*\()"
+      R"(|std::chrono::(system_clock|steady_clock|high_resolution_clock)::now)");
+  static const std::regex unordered_container_re(
+      R"(std::unordered_(map|set)\b|#\s*include\s*<unordered_(map|set)>)");
+  static const std::regex direct_output_re(
+      R"(std::cout\b|std::cerr\b|\bprintf\s*\(|\bfprintf\s*\(|\bputs\s*\()");
+  static const std::regex raw_assert_re(
+      R"(\bassert\s*\(|#\s*include\s*<cassert>|#\s*include\s*<assert\.h>)");
+
+  if (!fa.path.starts_with("src/")) return;
+  const bool protocol = in_protocol_layer(fa.path);
+  const bool rng_ok =
+      fa.path == "src/util/rng.h" || fa.path == "src/util/rng.cpp";
+
+  for (std::size_t n = 0; n < fa.code_lines.size(); ++n) {
+    const std::string& line = fa.code_lines[n];
+    const int lineno = static_cast<int>(n) + 1;
+
+    if (!rng_ok && std::regex_search(line, raw_random_re)) {
+      add(fa, lineno, "raw-random",
+          "nondeterministic randomness/time source; draw from a named "
+          "util::RngFactory stream (src/util/rng.h) so runs replay from "
+          "their seed");
+    }
+    if (protocol && std::regex_search(line, unordered_container_re)) {
+      add(fa, lineno, "unordered-container",
+          "unordered containers iterate in hash order, which varies across "
+          "standard libraries and runs; use std::map/std::set or keep a "
+          "sorted snapshot");
+    }
+    if (!unordered_ids.empty()) {
+      const std::string expr = range_for_expr(line);
+      if (!expr.empty() && unordered_ids.contains(expr)) {
+        add(fa, lineno, "unordered-range-for",
+            "range-for over unordered container '" + expr +
+                "' is seed-irreproducible; iterate a sorted snapshot");
+      }
+    }
+    if (protocol && std::regex_search(line, direct_output_re)) {
+      add(fa, lineno, "direct-output",
+          "direct stdout/stderr output in protocol code; use "
+          "RBCAST_LOG/RBCAST_INFO (src/util/logging.h) so records carry "
+          "virtual time and tests stay silent");
+    }
+    if (std::regex_search(line, raw_assert_re)) {
+      add(fa, lineno, "raw-assert",
+          "raw assert() compiles out under NDEBUG; use RBCAST_ASSERT "
+          "(src/util/assert.h) so invariants hold in release builds");
+    }
+  }
+
+  // Searched in the stripped text, so a commented-out guard does not count.
+  if (fa.path.ends_with(".h") &&
+      fa.code.find("#pragma once") == std::string::npos) {
+    add(fa, 1, "pragma-once", "header is missing #pragma once");
+  }
+}
+
 // --- include cycles -----------------------------------------------------
 
 void find_cycles(const std::map<std::string, std::set<std::string>>& graph,
@@ -333,15 +447,23 @@ AnalysisResult analyze(const std::vector<FileInput>& files,
 
   std::vector<FileAnalysis> analyses;
   analyses.reserve(files.size());
-
+  // Identifiers declared with an unordered container type anywhere in the
+  // input, so the determinism pass can flag their iteration in any file.
+  std::set<std::string> unordered_ids;
   for (const FileInput& f : files) {
     FileAnalysis fa;
     fa.path = f.path;
-    fa.code = lint::strip_comments(f.contents);
+    fa.code = strip_comments(f.contents);
     fa.orig_lines = split_lines(f.contents);
     fa.code_lines = split_lines(fa.code);
     fa.waivers = collect_waivers(fa.orig_lines);
+    for (std::string& id : unordered_identifiers(fa.code)) {
+      unordered_ids.insert(std::move(id));
+    }
+    analyses.push_back(std::move(fa));
+  }
 
+  for (FileAnalysis& fa : analyses) {
     // Pass 1: include graph + layer rules.
     const std::string from_layer = layer_of(fa.path);
     for (const IncludeEdge& edge :
@@ -399,7 +521,8 @@ AnalysisResult analyze(const std::vector<FileInput>& files,
     // Pass 2: shared-state census.
     census_pass(fa);
 
-    analyses.push_back(std::move(fa));
+    // Pass 3: per-line determinism rules.
+    determinism_pass(fa, unordered_ids);
   }
 
   // Include cycles are a whole-graph property; attribute each to the file

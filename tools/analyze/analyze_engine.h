@@ -1,7 +1,7 @@
 // rbcast_analyze rule engine.
 //
-// Whole-repo structural analysis that the per-line determinism lint
-// (tools/lint/) and clang-tidy cannot express. Two passes over src/:
+// Whole-repo analysis of the rules clang-tidy cannot express. Three
+// passes over src/:
 //
 //   layer graph      extracts the quoted-include graph and enforces the
 //                    declared layer DAG (util -> sim -> topo -> net ->
@@ -18,6 +18,27 @@
 //                    conservative-parallel-DES shard work: every hit must
 //                    be fixed or carry a waiver explaining why it is safe.
 //
+//   determinism      per-line rules that keep every run replayable from
+//                    its seed, on src/ paths only:
+//     raw-random            rand()/srand()/time(NULL)/std::random_device/
+//                           wall-clock reads outside the seeded stream
+//                           factory src/util/rng.*
+//     unordered-container   std::unordered_map / std::unordered_set in the
+//                           protocol layers (src/core, src/sim, src/net):
+//                           hash iteration order is not stable across
+//                           libraries, ASLR or seeds
+//     unordered-range-for   range-for over an identifier declared with an
+//                           unordered container type anywhere in the input
+//     direct-output         std::cout / printf in the protocol layers; all
+//                           diagnostics go through src/util/logging.h so
+//                           the virtual clock is attached and tests stay
+//                           silent
+//     raw-assert            assert() / <cassert>; invariants use
+//                           RBCAST_ASSERT (src/util/assert.h) so they fire
+//                           in release builds too
+//     pragma-once           every header carries #pragma once (in code, not
+//                           in a comment)
+//
 // Allocations are measured, not scanned: tests/hot_path_alloc_test.cpp and
 // tests/info_alloc_test.cpp count them with a counting operator new.
 //
@@ -28,7 +49,8 @@
 // hatch).
 //
 // The engine is pure (paths + contents in, findings out) so
-// tests/analyze_engine_test.cpp can feed it synthetic file sets.
+// tests/analyze_engine_test.cpp and tests/lint_rules_test.cpp can feed it
+// synthetic file sets.
 #pragma once
 
 #include <map>

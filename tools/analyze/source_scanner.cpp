@@ -24,7 +24,154 @@ std::string collapse(std::string_view text) {
   return out;
 }
 
+// True when the '"' at `quote` opens a raw string literal: it is preceded
+// by R with an optional encoding prefix (u8R", uR", UR", LR") that is not
+// just the tail of a longer identifier (FooR"..." is not raw).
+bool is_raw_string_open(std::string_view source, std::size_t quote) {
+  if (quote == 0 || source[quote - 1] != 'R') return false;
+  std::size_t p = quote - 1;  // index of 'R'
+  if (p >= 2 && source[p - 2] == 'u' && source[p - 1] == '8') {
+    p -= 2;
+  } else if (p >= 1 && (source[p - 1] == 'u' || source[p - 1] == 'U' ||
+                        source[p - 1] == 'L')) {
+    p -= 1;
+  }
+  if (p == 0) return true;
+  const char before = source[p - 1];
+  return !(std::isalnum(static_cast<unsigned char>(before)) ||
+           before == '_');
+}
+
 }  // namespace
+
+std::string strip_comments(std::string_view source) {
+  std::string out(source);
+  enum class State { kCode, kLine, kBlock, kString, kChar };
+  State state = State::kCode;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const char c = out[i];
+    const char next = i + 1 < out.size() ? out[i + 1] : '\0';
+    switch (state) {
+      case State::kCode:
+        if (c == '/' && next == '/') {
+          state = State::kLine;
+          out[i] = ' ';
+        } else if (c == '/' && next == '*') {
+          state = State::kBlock;
+          out[i] = ' ';
+        } else if (c == '"' && is_raw_string_open(source, i)) {
+          // Raw string literal R"delim(...)delim": no escapes apply, so
+          // scan for the exact close sequence and blank the payload
+          // (newlines preserved). Unterminated raw strings blank to EOF.
+          std::size_t d = i + 1;
+          while (d < out.size() && out[d] != '(') ++d;
+          const std::string close =
+              ")" + std::string(source.substr(i + 1, d - (i + 1))) + "\"";
+          const std::size_t end = source.find(close, d);
+          const std::size_t stop =
+              end == std::string_view::npos ? out.size()
+                                            : end + close.size();
+          for (std::size_t j = i + 1; j < stop; ++j) {
+            if (out[j] != '\n') out[j] = ' ';
+          }
+          i = stop - 1;  // resume after the closing quote
+        } else if (c == '"') {
+          state = State::kString;
+        } else if (c == '\'') {
+          // A ' between alphanumerics is a digit separator (1'000'000),
+          // not a character literal.
+          const bool separator =
+              i > 0 &&
+              std::isalnum(static_cast<unsigned char>(out[i - 1])) &&
+              std::isalnum(static_cast<unsigned char>(next));
+          if (!separator) state = State::kChar;
+        }
+        break;
+      case State::kLine:
+        if (c == '\n') {
+          // A backslash immediately before the newline splices the next
+          // line into this comment (phase-2 line continuation).
+          const bool spliced =
+              (i >= 1 && source[i - 1] == '\\') ||
+              (i >= 2 && source[i - 1] == '\r' && source[i - 2] == '\\');
+          if (!spliced) state = State::kCode;
+        } else {
+          out[i] = ' ';
+        }
+        break;
+      case State::kBlock:
+        if (c == '*' && next == '/') {
+          out[i] = ' ';
+          out[i + 1] = ' ';
+          ++i;
+          state = State::kCode;
+        } else if (c != '\n') {
+          out[i] = ' ';
+        }
+        break;
+      case State::kString:
+        if (c == '\\') {
+          if (i + 1 < out.size() && next != '\n') out[i + 1] = ' ';
+          out[i] = ' ';
+          ++i;
+        } else if (c == '"') {
+          state = State::kCode;
+        } else if (c != '\n') {
+          out[i] = ' ';
+        }
+        break;
+      case State::kChar:
+        if (c == '\\') {
+          if (i + 1 < out.size() && next != '\n') out[i + 1] = ' ';
+          out[i] = ' ';
+          ++i;
+        } else if (c == '\'') {
+          state = State::kCode;
+        } else {
+          out[i] = ' ';
+        }
+        break;
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> unordered_identifiers(std::string_view code) {
+  std::vector<std::string> ids;
+  static const std::regex decl(R"(std::unordered_(map|set)\s*<)");
+  for (std::cregex_iterator it(code.data(), code.data() + code.size(), decl),
+       end;
+       it != end; ++it) {
+    // Walk past the balanced template argument list.
+    std::size_t i = static_cast<std::size_t>(it->position(0)) +
+                    it->str(0).size();
+    int depth = 1;
+    while (i < code.size() && depth > 0) {
+      if (code[i] == '<') ++depth;
+      else if (code[i] == '>') --depth;
+      ++i;
+    }
+    if (depth != 0) continue;
+    while (i < code.size() &&
+           (std::isspace(static_cast<unsigned char>(code[i])) ||
+            code[i] == '&' || code[i] == '*')) {
+      ++i;
+    }
+    if (i < code.size() && code[i] == ':') continue;  // ::iterator etc.
+    std::string name;
+    while (i < code.size() &&
+           (std::isalnum(static_cast<unsigned char>(code[i])) ||
+            code[i] == '_')) {
+      name.push_back(code[i]);
+      ++i;
+    }
+    if (!name.empty() &&
+        !std::isdigit(static_cast<unsigned char>(name.front()))) {
+      ids.push_back(std::move(name));
+    }
+  }
+  return ids;
+}
 
 bool contains_word(std::string_view s, std::string_view word) {
   std::size_t pos = 0;

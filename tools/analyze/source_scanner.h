@@ -1,6 +1,8 @@
-// Lightweight scope scanner shared by the rbcast_analyze passes.
+// Source scanning shared by the rbcast_analyze passes: the comment and
+// string stripper every pass reads through, the unordered-identifier
+// harvest behind the unordered-range-for rule, and a scope scanner.
 //
-// Walks comment-stripped C++ (see lint::strip_comments) tracking a stack
+// The scope scanner walks comment-stripped C++ tracking a stack
 // of lexical scopes — namespace, type, function, plain block — classified
 // from the statement head that precedes each '{'. This is deliberately a
 // heuristic, not a parser: it is accurate for the style this codebase
@@ -15,6 +17,17 @@
 #include <vector>
 
 namespace rbcast::analyze {
+
+// Replaces // and /* */ comments with spaces, preserving newlines so line
+// numbers computed on the result match the original. String and character
+// literals are also blanked (a "rand()" inside a string is not a call).
+[[nodiscard]] std::string strip_comments(std::string_view source);
+
+// Identifiers declared (or bound) with std::unordered_map /
+// std::unordered_set type in `code`, which must already be
+// comment/string-stripped. Feeds the unordered-range-for rule.
+[[nodiscard]] std::vector<std::string> unordered_identifiers(
+    std::string_view code);
 
 enum class ScopeKind { kNamespace, kType, kFunction, kBlock };
 

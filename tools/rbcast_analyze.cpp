@@ -1,12 +1,12 @@
-// rbcast_analyze — whole-repo structural analysis with a ratcheted gate.
+// rbcast_analyze — the repo's static gate, ratcheted.
 //
-// Runs the two passes documented in tools/analyze/analyze_engine.h
-// (layer DAG over the include graph, shared-mutable-state census) over
-// src/ and compares per-rule counts against the committed baseline
-// (ANALYSIS_baseline.json). The gate is a ratchet: any
-// count rising over the baseline fails; counts falling prints a reminder
-// to shrink the baseline, and --update-baseline refuses to raise any
-// number, so the baseline can only ever go down.
+// Runs the three passes documented in tools/analyze/analyze_engine.h
+// (layer DAG over the include graph, shared-mutable-state census,
+// per-line determinism rules) over src/ and compares per-rule counts
+// against the committed baseline (ANALYSIS_baseline.json). The gate is a
+// ratchet: any count rising over the baseline fails; counts falling
+// prints a reminder to shrink the baseline, and --update-baseline refuses
+// to raise any number, so the baseline can only ever go down.
 //
 // Usage:
 //   rbcast_analyze [repo-root] [options]
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Deterministic file order (same discipline as rbcast_lint).
+  // Deterministic file order (directory iteration order is OS-dependent).
   std::vector<fs::path> paths;
   for (const auto& entry : fs::recursive_directory_iterator(src)) {
     if (entry.is_regular_file() && analyzable(entry.path())) {

@@ -32,7 +32,7 @@ namespace {
 // --- determinism self-check ---------------------------------------------
 //
 // The runtime half of the determinism gate (the static half is
-// rbcast_lint): run the full simulator on the same topology and seed
+// rbcast_analyze's determinism rules): run the full simulator on the same topology and seed
 // twice, and require bit-identical protocol event logs (via
 // trace::EventLog::digest()). Any hidden nondeterminism — hash-order
 // iteration, unseeded randomness, address-dependent tie-breaks — shows up

@@ -11,12 +11,15 @@
 //   rbcast_sim --clusters 3 --shape line --partition-at 10 --csv
 //              --partition-heal 40 --messages 60
 //   rbcast_sim --flap --messages 100 --seed 7 --verbose
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "rbcast.h"
 
@@ -107,7 +110,8 @@ void usage() {
       "  --arpanet          use the stylized c.1980 ARPANET map instead\n"
       "network faults:\n"
       "  --loss P           trunk loss probability [0,1) (default 0)\n"
-      "  --dup P            trunk duplication probability (default 0)\n"
+      "  --dup P            trunk duplication probability [0,1)\n"
+      "                     (default 0)\n"
       "  --partition-at T   cut trunk 0 at T seconds\n"
       "  --partition-heal T repair it at T seconds\n"
       "  --flap             all trunks flap (up ~10s / down ~5s) while the\n"
@@ -145,6 +149,19 @@ void usage() {
       "  --help             this text\n";
 }
 
+// Reads a numeric flag value strictly: the whole string must be a number,
+// so "2x" or "abc" is rejected instead of read as 2 or 0.
+template <typename T>
+bool parse_number(std::string_view flag, std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, out);
+  if (text.empty() || ec != std::errc{} || stop != end) {
+    std::cerr << "invalid value for " << flag << ": '" << text << "'\n";
+    return false;
+  }
+  return true;
+}
+
 bool parse(int argc, char** argv, CliOptions& options) {
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -152,6 +169,11 @@ bool parse(int argc, char** argv, CliOptions& options) {
       return nullptr;
     }
     return argv[++i];
+  };
+  auto number = [&](int& i, auto& out) {
+    const char* flag = argv[i];
+    const char* value = need_value(i);
+    return value != nullptr && parse_number(flag, value, out);
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -168,11 +190,9 @@ bool parse(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--arpanet") {
       options.arpanet = true;
     } else if (arg == "--clusters") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.clusters = std::atoi(value);
+      if (!number(i, options.clusters)) return false;
     } else if (arg == "--hosts") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.hosts = std::atoi(value);
+      if (!number(i, options.hosts)) return false;
     } else if (arg == "--shape") {
       if ((value = need_value(i)) == nullptr) return false;
       const std::string s = value;
@@ -202,11 +222,9 @@ bool parse(int argc, char** argv, CliOptions& options) {
         return false;
       }
     } else if (arg == "--messages") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.messages = std::atoi(value);
+      if (!number(i, options.messages)) return false;
     } else if (arg == "--interval-ms") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.interval_ms = std::atoi(value);
+      if (!number(i, options.interval_ms)) return false;
     } else if (arg == "--arrivals") {
       if ((value = need_value(i)) == nullptr) return false;
       const std::string a = value;
@@ -223,14 +241,11 @@ bool parse(int argc, char** argv, CliOptions& options) {
         return false;
       }
     } else if (arg == "--burst") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.burst_size = std::atoi(value);
+      if (!number(i, options.burst_size)) return false;
     } else if (arg == "--loss") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.loss = std::atof(value);
+      if (!number(i, options.loss)) return false;
     } else if (arg == "--dup") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.duplication = std::atof(value);
+      if (!number(i, options.duplication)) return false;
     } else if (arg == "--dot") {
       if ((value = need_value(i)) == nullptr) return false;
       options.dot_prefix = value;
@@ -244,29 +259,22 @@ bool parse(int argc, char** argv, CliOptions& options) {
       if ((value = need_value(i)) == nullptr) return false;
       options.chrome_trace = value;
     } else if (arg == "--batch-flush-ms") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.batch_flush_ms = std::atoi(value);
+      if (!number(i, options.batch_flush_ms)) return false;
     } else if (arg == "--sample-period-ms") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.sample_period_ms = std::atoi(value);
+      if (!number(i, options.sample_period_ms)) return false;
     } else if (arg == "--seed") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.seed = std::strtoull(value, nullptr, 10);
+      if (!number(i, options.seed)) return false;
     } else if (arg == "--chaos-spec") {
       if ((value = need_value(i)) == nullptr) return false;
       options.chaos_spec = value;
     } else if (arg == "--chaos-seed") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.chaos_seed = std::strtoull(value, nullptr, 10);
+      if (!number(i, options.chaos_seed)) return false;
     } else if (arg == "--partition-at") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.partition_at = std::atof(value);
+      if (!number(i, options.partition_at)) return false;
     } else if (arg == "--partition-heal") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.partition_heal = std::atof(value);
+      if (!number(i, options.partition_heal)) return false;
     } else if (arg == "--deadline") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.deadline_s = std::atof(value);
+      if (!number(i, options.deadline_s)) return false;
     } else {
       std::cerr << "unknown flag: " << arg << " (try --help)\n";
       return false;
@@ -286,6 +294,29 @@ bool parse(int argc, char** argv, CliOptions& options) {
   }
   if (options.batch_flush_ms < 0) {
     std::cerr << "--batch-flush-ms must be >= 0\n";
+    return false;
+  }
+  if (options.interval_ms <= 0) {
+    std::cerr << "--interval-ms must be > 0\n";
+    return false;
+  }
+  if (options.burst_size < 1) {
+    std::cerr << "--burst must be >= 1\n";
+    return false;
+  }
+  if (!(options.loss >= 0.0 && options.loss < 1.0) ||
+      !(options.duplication >= 0.0 && options.duplication < 1.0)) {
+    std::cerr << "--loss and --dup must be in [0,1)\n";
+    return false;
+  }
+  if (options.partition_at >= 0 &&
+      sim::from_seconds(options.partition_heal) <=
+          sim::from_seconds(options.partition_at)) {
+    std::cerr << "--partition-heal must come after --partition-at\n";
+    return false;
+  }
+  if (!(options.deadline_s > 0.0)) {
+    std::cerr << "--deadline must be > 0\n";
     return false;
   }
   return true;
