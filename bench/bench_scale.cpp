@@ -14,20 +14,6 @@
 namespace rbcast::bench {
 namespace {
 
-std::size_t tree_depth(harness::Experiment& e) {
-  std::size_t depth = 0;
-  for (HostId h : e.topology().host_ids()) {
-    std::size_t steps = 0;
-    HostId cursor = h;
-    while (e.host(cursor).parent().valid() && steps <= e.host_count()) {
-      cursor = e.host(cursor).parent();
-      ++steps;
-    }
-    depth = std::max(depth, steps);
-  }
-  return depth;
-}
-
 void sweep_scale() {
   std::cout << "\n--- host-count sweep (clusters x 4 hosts, ring) ---\n";
   util::Table table({"hosts", "completion s", "mean delay s", "p95 delay s",
@@ -64,7 +50,7 @@ void sweep_scale() {
         .cell(latency.mean(), 3)
         .cell(latency.quantile(0.95), 3)
         .cell(control / window / hosts, 2)
-        .cell(static_cast<std::uint64_t>(tree_depth(e)));
+        .cell(static_cast<std::uint64_t>(e.convergence().depth));
   }
   table.print(std::cout);
 }

@@ -1,26 +1,13 @@
 #include "core/auth.h"
 
+#include "util/bytes.h"
+
 namespace rbcast::core {
 
-namespace {
-
-// splitmix64 finalizer — the same mixer util::Rng seeds from.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
+using util::splitmix64;
 
 std::uint64_t payload_digest(std::string_view body) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  for (const char c : body) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;  // FNV-1a prime
-  }
-  return h;
+  return util::fnv1a(util::kFnv1aOffset, body.data(), body.size());
 }
 
 std::uint64_t auth_mac(std::uint64_t secret, HostId source, util::Seq seq,
@@ -28,11 +15,11 @@ std::uint64_t auth_mac(std::uint64_t secret, HostId source, util::Seq seq,
   // Derive the per-source key, then chain the bound fields through the
   // mixer. Every field feeds a full mixing round, so truncating or
   // reordering fields cannot collide trivially.
-  std::uint64_t k = mix(secret ^ 0xa076bc9f1ull);
-  k = mix(k ^ static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(source.value)));
-  k = mix(k ^ seq);
-  k = mix(k ^ digest);
+  std::uint64_t k = splitmix64(secret ^ 0xa076bc9f1ull);
+  k = splitmix64(k ^ static_cast<std::uint64_t>(
+                         static_cast<std::int64_t>(source.value)));
+  k = splitmix64(k ^ seq);
+  k = splitmix64(k ^ digest);
   return k;
 }
 

@@ -1,8 +1,10 @@
 #include "core/messages.h"
 
 #include <cstdint>
+#include <string_view>
 #include <utility>
-#include <vector>
+
+#include "util/bytes.h"
 
 namespace rbcast::core {
 
@@ -80,83 +82,33 @@ enum : std::uint8_t {
   kDataFlagAuth = 4,
 };
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
+using util::put_u32;
+using util::put_u64;
+using util::put_u8;
+
+void put_host(std::string& out, HostId h) {
+  put_u32(out, static_cast<std::uint32_t>(h.value));
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_i32(std::string& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
+// SeqSet::encode_to writes the set's own codec; the u32 length frames it.
 void put_seq_set(std::string& out, const SeqSet& set) {
-  const std::vector<std::uint8_t> bytes = set.encode();
-  put_u32(out, static_cast<std::uint32_t>(bytes.size()));
-  out.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  put_u32(out, static_cast<std::uint32_t>(set.wire_size()));
+  set.encode_to(out);
 }
 
-// Bounds-checked little-endian reads over an untrusted buffer.
-class Reader {
+// The byte reader plus the two protocol-typed fields.
+class Reader : public util::ByteReader {
  public:
-  Reader(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  [[nodiscard]] bool take_u8(std::uint8_t& v) {
-    if (pos_ + 1 > size_) return false;
-    v = static_cast<std::uint8_t>(data_[pos_++]);
-    return true;
-  }
-
-  [[nodiscard]] bool take_u32(std::uint32_t& v) {
-    if (pos_ + 4 > size_) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  [[nodiscard]] bool take_u64(std::uint64_t& v) {
-    if (pos_ + 8 > size_) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  [[nodiscard]] bool take_string(std::string& out, std::size_t n) {
-    if (pos_ + n > size_) return false;
-    out.assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
+  using ByteReader::ByteReader;
 
   // SeqSet::decode validates the interval invariants and kMaxSeq bound
   // itself; this only frames the bytes.
   [[nodiscard]] bool take_seq_set(SeqSet& out) {
     std::uint32_t len = 0;
-    if (!take_u32(len) || pos_ + len > size_) return false;
-    auto decoded = SeqSet::decode(
-        reinterpret_cast<const std::uint8_t*>(data_ + pos_), len);
+    std::string_view bytes;
+    if (!take_u32(len) || !take_view(bytes, len)) return false;
+    auto decoded = SeqSet::decode(bytes);
     if (!decoded.has_value()) return false;
-    pos_ += len;
     out = *std::move(decoded);
     return true;
   }
@@ -169,13 +121,6 @@ class Reader {
     out = HostId{v};
     return true;
   }
-
-  [[nodiscard]] bool done() const { return pos_ == size_; }
-
- private:
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_{0};
 };
 
 struct EncodeVisitor {
@@ -197,13 +142,13 @@ struct EncodeVisitor {
     }
     if (m.piggyback.has_value()) {
       put_seq_set(out, m.piggyback->first);
-      put_i32(out, m.piggyback->second.value);
+      put_host(out, m.piggyback->second);
     }
   }
   void operator()(const InfoMsg& m) const {
     put_u8(out, kTagInfo);
     put_seq_set(out, m.info);
-    put_i32(out, m.parent.value);
+    put_host(out, m.parent);
   }
   void operator()(const AttachRequest& m) const {
     put_u8(out, kTagAttachRequest);
@@ -212,7 +157,7 @@ struct EncodeVisitor {
   void operator()(const AttachAccept& m) const {
     put_u8(out, kTagAttachAccept);
     put_seq_set(out, m.info);
-    put_i32(out, m.parent.value);
+    put_host(out, m.parent);
   }
   void operator()(const DetachNotice&) const { put_u8(out, kTagDetach); }
 };
@@ -228,7 +173,7 @@ std::string encode_message(const ProtocolMessage& m) {
 
 std::optional<ProtocolMessage> decode_message(const char* data,
                                               std::size_t size) {
-  Reader r(data, size);
+  Reader r(std::string_view(data, size));
   std::uint8_t tag = 0;
   if (!r.take_u8(tag)) return std::nullopt;
   ProtocolMessage m;
@@ -237,13 +182,13 @@ std::optional<ProtocolMessage> decode_message(const char* data,
       DataMsg d;
       std::uint8_t flags = 0;
       std::uint32_t body_len = 0;
-      std::string body;
+      std::string_view body;
       if (!r.take_u64(d.seq) || d.seq < 1 || d.seq > SeqSet::kMaxSeq ||
           !r.take_u8(flags) ||
           (flags &
            ~(kDataFlagGapFill | kDataFlagPiggyback | kDataFlagAuth)) != 0 ||
           !r.take_u32(body_len) || body_len > kMaxBodyBytes ||
-          !r.take_string(body, body_len)) {
+          !r.take_view(body, body_len)) {
         return std::nullopt;
       }
       d.body = body;

@@ -183,45 +183,13 @@ void Experiment::enable_metric_sampling(sim::Duration period) {
                    "enable_metric_sampling needs a trace sink installed");
   trace::MetricSampler::TreeShapeFn shape_fn;
   if (options_.protocol_kind == ProtocolKind::kPaper) {
-    shape_fn = [this] { return tree_shape(); };
+    shape_fn = [this] { return convergence(); };
   }
   sampler_ = std::make_unique<trace::MetricSampler>(
       simulator_, *metrics_, *sink_, period, std::move(shape_fn));
   sampler_->set_registry(&registry_);
   install_observers();
   sampler_->start();
-}
-
-trace::MetricSampler::TreeShape Experiment::tree_shape() const {
-  trace::MetricSampler::TreeShape shape;
-  const std::vector<int> cluster = network_->host_cluster_index();
-  const std::size_t n = paper_hosts_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const core::BroadcastHost& host = *paper_hosts_[i];
-    const HostId parent = host.parent();
-    if (host.is_source()) continue;
-    if (!parent.valid()) {
-      ++shape.orphans;
-      ++shape.leaders;
-      continue;
-    }
-    if (cluster[i] != cluster[static_cast<std::size_t>(parent.value)]) {
-      ++shape.leaders;
-    }
-    // Parent-chain length in edges, capped at n so a transient cycle
-    // cannot loop forever (cycles read as a depth-n anomaly spike).
-    int depth = 0;
-    HostId cursor{static_cast<HostId::value_type>(i)};
-    while (depth < static_cast<int>(n)) {
-      const HostId up =
-          paper_hosts_[static_cast<std::size_t>(cursor.value)]->parent();
-      if (!up.valid()) break;
-      ++depth;
-      cursor = up;
-    }
-    shape.depth = std::max(shape.depth, depth);
-  }
-  return shape;
 }
 
 void Experiment::start() {

@@ -201,7 +201,6 @@ class Experiment {
   std::unique_ptr<trace::NetTap> net_tap_;
   std::unique_ptr<trace::MetricSampler> sampler_;
 
-  [[nodiscard]] trace::MetricSampler::TreeShape tree_shape() const;
   [[nodiscard]] const char* protocol_name() const;
   void install_observers();
 

@@ -1,5 +1,6 @@
 #include "trace/convergence.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/assert.h"
@@ -18,7 +19,7 @@ ConvergenceReport analyze_convergence(
     return hosts[static_cast<std::size_t>(h.value)]->parent();
   };
 
-  // --- acyclicity and rootedness -------------------------------------
+  // --- acyclicity, rootedness and depth --------------------------------
   report.acyclic = true;
   bool all_reach_source = true;
   int roots = 0;
@@ -28,20 +29,23 @@ ConvergenceReport analyze_convergence(
     if (!parent_of(start).valid()) {
       ++roots;
       a_root = start;
+      if (start != source) ++report.orphans;
     }
-    // Walk to the root; a walk longer than n hosts means a cycle.
+    // Walk to the root; a walk of n hosts without reaching one means a
+    // cycle, and the host's depth reads n.
     HostId cursor = start;
     std::size_t steps = 0;
-    while (parent_of(cursor).valid() && steps <= n) {
+    while (parent_of(cursor).valid() && steps < n) {
       cursor = parent_of(cursor);
       ++steps;
     }
-    if (steps > n) {
+    report.depth = std::max(report.depth, static_cast<int>(steps));
+    if (parent_of(cursor).valid()) {
+      if (report.acyclic) detail << "cycle reachable from " << start << "; ";
       report.acyclic = false;
-      detail << "cycle reachable from " << start << "; ";
-      break;
+    } else if (cursor != source) {
+      all_reach_source = false;
     }
-    if (cursor != source) all_reach_source = false;
   }
   report.tree_rooted_at_source =
       report.acyclic && roots == 1 && a_root == source && all_reach_source;

@@ -32,9 +32,14 @@ struct ConvergenceReport {
   bool all_caught_up{false};
 
   // Hosts whose parent lies outside their ground-truth cluster (or is
-  // NIL) — "cluster leaders" per Section 4.1.
+  // NIL) — "cluster leaders" per Section 4.1. The source counts.
   int leader_count{0};
   std::vector<int> leaders_per_cluster;
+
+  // Longest parent chain, in edges; a host on or above a cycle reads n.
+  int depth{0};
+  // Hosts other than the source with no parent.
+  int orphans{0};
 
   // Human-readable diagnosis of the first violated property (empty when
   // everything holds).

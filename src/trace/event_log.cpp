@@ -4,6 +4,8 @@
 #include <sstream>
 #include <type_traits>
 
+#include "util/bytes.h"
+
 namespace rbcast::trace {
 
 const char* to_string(EventType type) {
@@ -131,34 +133,29 @@ std::vector<Event> EventLog::between(sim::TimePoint from,
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void mix_bytes(std::uint64_t& h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
+// digest() starts from this seed, not from FNV-1a's offset basis
+// 14695981039346656037 (util::kFnv1aOffset): it is that number with its
+// last digit dropped. Every digest pinned in
+// tests/data/determinism_digests.txt starts here, so the value stays.
+constexpr std::uint64_t kDigestSeed = 1469598103934665603ULL;
 
 template <typename T>
 void mix(std::uint64_t& h, const T& value) {
   static_assert(std::is_trivially_copyable_v<T>);
-  mix_bytes(h, &value, sizeof(value));
+  h = util::fnv1a(h, &value, sizeof(value));
 }
 
 }  // namespace
 
 std::uint64_t EventLog::digest() const {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kDigestSeed;
   for (const Event& e : events_) {
     mix(h, e.at);
     mix(h, static_cast<std::int32_t>(e.type));
     mix(h, e.host.value);
     mix(h, e.peer.value);
     mix(h, e.seq);
-    mix_bytes(h, e.detail.data(), e.detail.size());
+    h = util::fnv1a(h, e.detail.data(), e.detail.size());
     mix(h, '\n');
   }
   return h;

@@ -80,10 +80,12 @@ class EventLog final : public core::ProtocolObserver {
   // `include_deliveries`.
   void dump(std::ostream& os, bool include_deliveries = false) const;
 
-  // Order-sensitive FNV-1a digest over every recorded event (timestamp,
-  // type, host, peer, seq, detail). Two runs of the same seed must produce
-  // identical digests — the runtime half of the determinism gate
-  // (rbcast_check --determinism-check).
+  // Order-sensitive FNV-1a hash (util::fnv1a) over every recorded event
+  // (timestamp, type, host, peer, seq, detail), started from the pinned
+  // kDigestSeed rather than FNV-1a's offset basis (see event_log.cpp).
+  // Two runs of the same seed must produce identical digests — the
+  // runtime half of the determinism gate (rbcast_check
+  // --determinism-check).
   [[nodiscard]] std::uint64_t digest() const;
 
   void clear() { events_.clear(); }

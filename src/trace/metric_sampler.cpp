@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "trace/convergence.h"
 #include "util/assert.h"
 
 namespace rbcast::trace {
@@ -117,13 +118,13 @@ void MetricSampler::emit_latency() {
 
 void MetricSampler::emit_tree() {
   if (!tree_shape_) return;
-  const TreeShape shape = tree_shape_();
+  const ConvergenceReport shape = tree_shape_();
   TraceRecord r;
   r.at = scheduler_.now();
   r.category = "metric";
   r.name = "tree";
   r.field("depth", std::int64_t{shape.depth})
-      .field("leaders", std::int64_t{shape.leaders})
+      .field("leaders", std::int64_t{shape.leader_count})
       .field("orphans", std::int64_t{shape.orphans});
   sink_.record(r);
 }

@@ -12,8 +12,9 @@
 //  * "latency"   — delivery-latency distribution so far: count, mean,
 //    p50/p95/p99 (exact, from trace::Metrics samples) plus cumulative
 //    util::Histogram bucket counts (le_<bound> fields);
-//  * "tree"      — protocol tree shape (depth, cluster-leader count,
-//    orphan count) when a TreeShapeFn is supplied (paper protocol only);
+//  * "tree"      — protocol tree shape (depth, cluster-leader count with
+//    the source, orphan count) from the ConvergenceReport a TreeShapeFn
+//    returns, when one is supplied (paper protocol only);
 //  * "registry"  — counter deltas and gauge values from an attached
 //    util::MetricsRegistry (set_registry), which is how transport-level
 //    stats (coalescer flushes, decode errors...) reach the time series
@@ -41,14 +42,12 @@
 
 namespace rbcast::trace {
 
+struct ConvergenceReport;
+
 class MetricSampler final : public net::NetObserver {
  public:
-  struct TreeShape {
-    int depth{0};     // longest parent chain, in hops
-    int leaders{0};   // hosts whose parent is NIL or in another cluster
-    int orphans{0};   // non-source hosts with no parent
-  };
-  using TreeShapeFn = std::function<TreeShape()>;
+  // The "tree" record reads depth, leader_count and orphans from it.
+  using TreeShapeFn = std::function<ConvergenceReport()>;
 
   // THE delivery-latency bucket bounds, in seconds — the schema shared by
   // the sampler's le_* fields, the registry histograms rbcast_node

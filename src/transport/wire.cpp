@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "util/assert.h"
+#include "util/bytes.h"
 
 namespace rbcast::transport {
 
@@ -10,86 +11,11 @@ namespace {
 
 constexpr char kMagic[3] = {'R', 'B', 'C'};
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-// Bounds-checked little-endian reads over the datagram.
-class Reader {
- public:
-  Reader(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  [[nodiscard]] bool take_u8(std::uint8_t& v) {
-    if (pos_ + 1 > size_) return false;
-    v = static_cast<std::uint8_t>(data_[pos_++]);
-    return true;
-  }
-
-  [[nodiscard]] bool take_u16(std::uint16_t& v) {
-    if (pos_ + 2 > size_) return false;
-    v = static_cast<std::uint16_t>(
-        static_cast<std::uint8_t>(data_[pos_]) |
-        (static_cast<std::uint16_t>(static_cast<std::uint8_t>(data_[pos_ + 1]))
-         << 8));
-    pos_ += 2;
-    return true;
-  }
-
-  [[nodiscard]] bool take_u32(std::uint32_t& v) {
-    if (pos_ + 4 > size_) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  [[nodiscard]] bool take_u64(std::uint64_t& v) {
-    if (pos_ + 8 > size_) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  [[nodiscard]] bool take_bytes(std::string& out, std::size_t n) {
-    if (pos_ + n > size_) return false;
-    out.assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_{0};
-};
+using util::ByteReader;
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
+using util::put_u8;
 
 }  // namespace
 
@@ -119,7 +45,7 @@ std::optional<Frame> decode_frame(const char* data, std::size_t size) {
   if (static_cast<std::uint8_t>(data[3]) != kSingleFrameVersion) {
     return std::nullopt;
   }
-  Reader r(data + 4, size - 4);
+  ByteReader r(std::string_view(data + 4, size - 4));
 
   Frame f;
   std::uint32_t from = 0;
@@ -134,17 +60,21 @@ std::optional<Frame> decode_frame(const char* data, std::size_t size) {
   f.to = HostId{static_cast<HostId::value_type>(to)};
   if ((flags & ~std::uint8_t{1}) != 0) return std::nullopt;
   f.expensive = (flags & 1) != 0;
-  if (kind_len > kMaxKind || !r.take_bytes(f.kind, kind_len)) {
+  std::string_view kind;
+  if (kind_len > kMaxKind || !r.take_view(kind, kind_len)) {
     return std::nullopt;
   }
+  f.kind = kind;
   std::uint32_t payload_len = 0;
   if (!r.take_u64(f.trace_id) || !r.take_u32(payload_len)) {
     return std::nullopt;
   }
-  if (payload_len > kMaxPayload || !r.take_bytes(f.payload, payload_len)) {
+  std::string_view payload;
+  if (payload_len > kMaxPayload || !r.take_view(payload, payload_len)) {
     return std::nullopt;
   }
-  if (r.remaining() != 0) return std::nullopt;  // padded datagram
+  f.payload = payload;
+  if (!r.done()) return std::nullopt;  // padded datagram
   return f;
 }
 
@@ -203,12 +133,12 @@ std::optional<std::vector<Frame>> decode_datagram(const char* data,
   }
   if (version != kWireVersion) return std::nullopt;
 
-  Reader r(data + 4, size - 4);
+  ByteReader r(std::string_view(data + 4, size - 4));
   std::uint16_t count = 0;
   if (!r.take_u16(count) || count == 0) return std::nullopt;
   std::vector<Frame> out;
   out.reserve(count);
-  std::string bytes;
+  std::string_view bytes;
   for (std::uint16_t i = 0; i < count; ++i) {
     std::uint32_t len = 0;
     if (!r.take_u32(len)) return std::nullopt;
@@ -217,12 +147,12 @@ std::optional<std::vector<Frame>> decode_datagram(const char* data,
     if (len > kBatchPerFrameBytes + 26 + kMaxKind + kMaxPayload) {
       return std::nullopt;
     }
-    if (!r.take_bytes(bytes, len)) return std::nullopt;
+    if (!r.take_view(bytes, len)) return std::nullopt;
     auto f = decode_frame(bytes.data(), bytes.size());
     if (!f) return std::nullopt;
     out.push_back(*std::move(f));
   }
-  if (r.remaining() != 0) return std::nullopt;  // padded container
+  if (!r.done()) return std::nullopt;  // padded container
   return out;
 }
 

@@ -1,35 +1,15 @@
 #include "util/rng.h"
 
+#include "util/bytes.h"
+
 namespace rbcast::util {
-
-namespace {
-
-// 64-bit FNV-1a over bytes; good enough to decorrelate stream seeds.
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-// splitmix64 finalizer: spreads low-entropy inputs over all 64 bits.
-std::uint64_t finalize(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 std::uint64_t RngFactory::mix(std::uint64_t seed, std::string_view purpose,
                               std::int64_t index) {
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ seed;
+  std::uint64_t h = kFnv1aOffset ^ seed;
   h = fnv1a(h, purpose.data(), purpose.size());
   h = fnv1a(h, &index, sizeof(index));
-  return finalize(h);
+  return splitmix64(h);
 }
 
 }  // namespace rbcast::util

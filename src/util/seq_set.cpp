@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/assert.h"
+#include "util/bytes.h"
 
 namespace rbcast::util {
 
@@ -278,64 +279,48 @@ void SeqSet::prune_below(Seq watermark) {
          Interval{std::max<Seq>(ivs[k].lo, watermark + 1), ivs[k].hi});
 }
 
-namespace {
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> SeqSet::encode() const {
-  std::vector<std::uint8_t> out;
+std::string SeqSet::encode() const {
+  std::string out;
   out.reserve(wire_size());
-  // Header packs the watermark (56 bits are plenty for sequence numbers)
-  // with the interval count in the top byte's... keep it simple and
-  // explicit instead: watermark, then one [lo, hi] pair per interval.
-  // The interval count is implied by the buffer length.
+  encode_to(out);
+  return out;
+}
+
+void SeqSet::encode_to(std::string& out) const {
+  const std::size_t start = out.size();
   put_u64(out, pruned_below_);
   for (const Interval& iv : intervals()) {
     put_u64(out, iv.lo);
     put_u64(out, iv.hi);
   }
-  RBCAST_ASSERT(out.size() == wire_size());
-  return out;
+  RBCAST_ASSERT(out.size() - start == wire_size());
 }
 
-std::optional<SeqSet> SeqSet::decode(const std::uint8_t* bytes,
-                                     std::size_t length) {
-  if (bytes == nullptr && length > 0) return std::nullopt;
-  if (length < 8 || (length - 8) % 16 != 0) return std::nullopt;
+std::optional<SeqSet> SeqSet::decode(std::string_view bytes) {
+  if (bytes.size() < 8 || (bytes.size() - 8) % 16 != 0) return std::nullopt;
 
+  ByteReader r(bytes);
   SeqSet out;
-  out.pruned_below_ = get_u64(bytes);
   // An absurd watermark (e.g. UINT64_MAX) would make every later
   // pruned_below_ + 1 / count() / contiguous_prefix() computation wrap;
   // nothing legitimate ever gets near the ceiling, so reject outright.
-  if (out.pruned_below_ > kMaxSeq) return std::nullopt;
-  const std::size_t count = (length - 8) / 16;
+  if (!r.take_u64(out.pruned_below_) || out.pruned_below_ > kMaxSeq) {
+    return std::nullopt;
+  }
+  const std::size_t count = r.remaining() / 16;
   if (count == 0) return out;
   Interval* const ivs = out.writable(count);
   Seq prev_hi = out.pruned_below_;
-  bool first = true;
   for (std::size_t i = 0; i < count; ++i) {
-    const Seq lo = get_u64(bytes + 8 + 16 * i);
-    const Seq hi = get_u64(bytes + 8 + 16 * i + 8);
+    Seq lo = 0;
+    Seq hi = 0;
+    if (!r.take_u64(lo) || !r.take_u64(hi)) return std::nullopt;
     // Enforce the class invariants on untrusted input: ordered, maximal,
     // non-overlapping intervals strictly above the watermark, below the
     // arithmetic-safety ceiling.
     if (lo < 1 || lo > hi || hi > kMaxSeq) return std::nullopt;
     if (lo <= out.pruned_below_) return std::nullopt;
-    if (!first && lo <= prev_hi + 1) return std::nullopt;
-    first = false;
+    if (i > 0 && lo <= prev_hi + 1) return std::nullopt;
     prev_hi = hi;
     ivs[i] = Interval{lo, hi};
   }

@@ -35,6 +35,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -190,17 +191,17 @@ class SeqSet {
 
   // --- wire codec ---------------------------------------------------------
   //
-  // Real serialization (not just size accounting): watermark, interval
-  // count, then [lo, hi] pairs, all little-endian fixed-width. encode()'s
-  // output length equals wire_size(). decode() validates invariants and
-  // returns nullopt on malformed input — never trust the network.
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static std::optional<SeqSet> decode(
-      const std::uint8_t* bytes, std::size_t length);
-  [[nodiscard]] static std::optional<SeqSet> decode(
-      const std::vector<std::uint8_t>& bytes) {
-    return decode(bytes.data(), bytes.size());
-  }
+  // Real serialization (not just size accounting): the prune watermark,
+  // then one [lo, hi] pair per interval, each a u64 little-endian
+  // (util/bytes.h). There is no interval count: it is the byte length less
+  // 8, over 16, so whoever carries the set must frame it (the message codec
+  // length-prefixes it). encode()'s output length equals wire_size();
+  // encode_to() appends the same bytes to `out`. decode() validates the
+  // invariants and returns nullopt on malformed input — never trust the
+  // network.
+  [[nodiscard]] std::string encode() const;
+  void encode_to(std::string& out) const;
+  [[nodiscard]] static std::optional<SeqSet> decode(std::string_view bytes);
 
   [[nodiscard]] std::string to_string() const;
 

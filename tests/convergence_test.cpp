@@ -24,6 +24,8 @@ TEST(Convergence, FreshSystemIsNotATree) {
   EXPECT_FALSE(report.tree_rooted_at_source);  // three roots
   EXPECT_FALSE(report.induces_cluster_tree);
   EXPECT_EQ(report.leader_count, 3);
+  EXPECT_EQ(report.depth, 0);
+  EXPECT_EQ(report.orphans, 2);  // the parentless source is no orphan
   EXPECT_FALSE(report.detail.empty());
 }
 
@@ -41,6 +43,8 @@ TEST(Convergence, SingleClusterConvergesToStar) {
   EXPECT_TRUE(report.induces_cluster_tree) << report.detail;
   EXPECT_TRUE(report.all_caught_up) << report.detail;
   EXPECT_EQ(report.leader_count, 1);  // the source leads its own cluster
+  EXPECT_EQ(report.depth, 1);
+  EXPECT_EQ(report.orphans, 0);
   ASSERT_EQ(report.leaders_per_cluster.size(), 1u);
   EXPECT_EQ(report.leaders_per_cluster[0], 1);
 }

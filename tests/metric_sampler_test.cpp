@@ -181,6 +181,11 @@ TEST_F(MetricSamplerRunTest, TreeShapeConvergesToNoOrphans) {
   EXPECT_GE(field_double(last, "depth"), 1.0);
   EXPECT_GE(field_double(last, "leaders"), 1.0);
   EXPECT_EQ(field_double(last, "orphans"), 0.0);
+  // The trace counts leaders as every other report does, source included.
+  const ConvergenceReport report = e_->convergence();
+  EXPECT_EQ(field_double(last, "leaders"),
+            static_cast<double>(report.leader_count));
+  EXPECT_EQ(field_double(last, "depth"), static_cast<double>(report.depth));
 }
 
 TEST_F(MetricSamplerRunTest, QuietIntervalStillEmitsAFieldlessSample) {

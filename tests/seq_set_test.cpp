@@ -300,10 +300,10 @@ TEST(SeqSetCodec, RoundTripsPrunedSets) {
 
 TEST(SeqSetCodec, RejectsMalformedInput) {
   // Truncated header.
-  std::vector<std::uint8_t> short_buf(4, 0);
+  std::string short_buf(4, 0);
   EXPECT_FALSE(SeqSet::decode(short_buf).has_value());
   // Length not a whole number of intervals.
-  std::vector<std::uint8_t> ragged(8 + 7, 0);
+  std::string ragged(8 + 7, 0);
   EXPECT_FALSE(SeqSet::decode(ragged).has_value());
   // lo > hi.
   SeqSet good = SeqSet::of({5});
@@ -311,7 +311,7 @@ TEST(SeqSetCodec, RejectsMalformedInput) {
   std::swap_ranges(bytes.begin() + 8, bytes.begin() + 16, bytes.begin() + 16);
   auto corrupt = SeqSet::of({2, 9}).encode();
   // Build an explicitly invalid buffer: interval [9, 2].
-  std::vector<std::uint8_t> bad;
+  std::string bad;
   bad.resize(24, 0);
   bad[8] = 9;   // lo = 9
   bad[16] = 2;  // hi = 2
@@ -320,7 +320,7 @@ TEST(SeqSetCodec, RejectsMalformedInput) {
 
 TEST(SeqSetCodec, RejectsOverlappingOrUnorderedIntervals) {
   // Two adjacent intervals [1,3][4,6] violate maximality.
-  std::vector<std::uint8_t> adjacent(8 + 32, 0);
+  std::string adjacent(8 + 32, 0);
   adjacent[8] = 1;
   adjacent[16] = 3;
   adjacent[24] = 4;
@@ -328,7 +328,7 @@ TEST(SeqSetCodec, RejectsOverlappingOrUnorderedIntervals) {
   EXPECT_FALSE(SeqSet::decode(adjacent).has_value());
 
   // Interval at or below the watermark.
-  std::vector<std::uint8_t> under(8 + 16, 0);
+  std::string under(8 + 16, 0);
   under[0] = 5;  // watermark 5
   under[8] = 3;  // lo = 3 <= watermark
   under[16] = 4;
@@ -348,10 +348,10 @@ TEST(SeqSetCodec, RandomizedRoundTrip) {
 }
 
 namespace {
-void put64(std::vector<std::uint8_t>& buf, std::size_t at, std::uint64_t v) {
+void put64(std::string& buf, std::size_t at, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     buf[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
+        static_cast<char>(v >> (8 * i));
   }
 }
 }  // namespace
@@ -360,23 +360,23 @@ TEST(SeqSetCodec, RejectsWatermarkAboveCeiling) {
   // Watermark UINT64_MAX would overflow count()/contiguous_prefix()
   // arithmetic (watermark + interval widths); decode must reject anything
   // above kMaxSeq rather than construct a set that traps later.
-  std::vector<std::uint8_t> wm_max(8, 0xFF);
+  std::string wm_max(8, '\xff');
   EXPECT_FALSE(SeqSet::decode(wm_max).has_value());
 
-  std::vector<std::uint8_t> at_ceiling(8, 0);
+  std::string at_ceiling(8, 0);
   put64(at_ceiling, 0, SeqSet::kMaxSeq);
   const auto ok = SeqSet::decode(at_ceiling);
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->count(), SeqSet::kMaxSeq);  // no wrap
   EXPECT_EQ(ok->contiguous_prefix(), SeqSet::kMaxSeq);
 
-  std::vector<std::uint8_t> just_above(8, 0);
+  std::string just_above(8, 0);
   put64(just_above, 0, SeqSet::kMaxSeq + 1);
   EXPECT_FALSE(SeqSet::decode(just_above).has_value());
 }
 
 TEST(SeqSetCodec, RejectsIntervalAboveCeiling) {
-  std::vector<std::uint8_t> buf(8 + 16, 0);
+  std::string buf(8 + 16, 0);
   put64(buf, 8, 5);
   put64(buf, 16, std::numeric_limits<std::uint64_t>::max());  // hi wraps hi+1
   EXPECT_FALSE(SeqSet::decode(buf).has_value());

@@ -17,6 +17,7 @@
 #include <iostream>
 #include <string>
 
+#include "parse_number.h"
 #include "rbcast.h"
 
 using namespace rbcast;
@@ -56,6 +57,11 @@ bool parse(int argc, char** argv, CliOptions& options) {
     }
     return argv[++i];
   };
+  auto number = [&](int& i, auto& out) {
+    const char* flag = argv[i];
+    const char* value = need_value(i);
+    return value != nullptr && tools::parse_number(flag, value, out);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
@@ -70,17 +76,14 @@ bool parse(int argc, char** argv, CliOptions& options) {
       if ((value = need_value(i)) == nullptr) return false;
       options.spec_path = value;
     } else if (arg == "--runs") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.runs = std::atoi(value);
+      if (!number(i, options.runs)) return false;
     } else if (arg == "--seed") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.seed = std::strtoull(value, nullptr, 10);
+      if (!number(i, options.seed)) return false;
     } else if (arg == "--out") {
       if ((value = need_value(i)) == nullptr) return false;
       options.out_dir = value;
     } else if (arg == "--shrink-attempts") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.shrink_attempts = std::atoi(value);
+      if (!number(i, options.shrink_attempts)) return false;
     } else {
       std::cerr << "unknown flag: " << arg << " (try --help)\n";
       return false;

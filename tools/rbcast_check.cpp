@@ -12,7 +12,7 @@
 //   rbcast_check --mutant double-delivery      # watch the checker catch it
 //   rbcast_check --determinism-check           # replay gate (see below)
 //   rbcast_check --determinism-check --expect tests/data/determinism_digests.txt
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -20,9 +20,11 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <tuple>
 #include <vector>
 
+#include "parse_number.h"
 #include "rbcast.h"
 
 using namespace rbcast;
@@ -102,12 +104,16 @@ std::optional<PinnedDigests> read_pinned_digests(const std::string& path) {
     if ((fields >> std::ws).eof()) continue;  // blank or comment-only line
     std::uint64_t seed = 0;
     std::string mode, name, digest;
-    char* end = nullptr;
-    const bool well_formed = (fields >> seed >> mode >> name >> digest) &&
-                             (mode == "plain" || mode == "batch");
-    const std::uint64_t value =
-        well_formed ? std::strtoull(digest.c_str(), &end, 16) : 0;
-    if (!well_formed || *end != '\0') {
+    std::uint64_t value = 0;
+    bool well_formed = (fields >> seed >> mode >> name >> digest) &&
+                       (mode == "plain" || mode == "batch");
+    if (well_formed) {
+      // Bare hex digits only: no sign, no 0x prefix, nothing trailing.
+      const char* end = digest.data() + digest.size();
+      const auto [stop, ec] = std::from_chars(digest.data(), end, value, 16);
+      well_formed = ec == std::errc{} && stop == end;
+    }
+    if (!well_formed) {
       std::cerr << path << ":" << line_no
                 << ": expected <seed> <plain|batch> <topology> <digest>\n";
       return std::nullopt;
@@ -165,7 +171,7 @@ void usage() {
       "  --clusters LIST   comma-separated cluster index per host\n"
       "                    (default: every host its own cluster)\n"
       "  --broadcasts N    messages the source may generate (default 2)\n"
-      "  --inflight N      adversarial network capacity (default 3)\n"
+      "  --inflight N      adversarial network capacity (default 4)\n"
       "  --depth N         BFS depth bound (default 7)\n"
       "  --max-states N    BFS state bound (default 2000000)\n"
       "  --walks N         use random walks instead of BFS\n"
@@ -203,50 +209,59 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+      if (i + 1 < argc) return argv[++i];
+      std::cerr << "missing value for " << arg << "\n";
+      return nullptr;
+    };
+    auto number = [&](auto& out) {
+      const char* text = value();
+      return text != nullptr && tools::parse_number(arg, text, out);
     };
     if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
     } else if (arg == "--hosts") {
-      config.hosts = std::atoi(value());
+      if (!number(config.hosts)) return 2;
     } else if (arg == "--clusters") {
+      const char* list = value();
+      if (list == nullptr) return 2;
       config.cluster_of.clear();
-      std::stringstream ss(value());
+      std::stringstream ss(list);
       std::string part;
       while (std::getline(ss, part, ',')) {
-        config.cluster_of.push_back(std::atoi(part.c_str()));
+        int cluster = 0;
+        if (!tools::parse_number(arg, part, cluster)) return 2;
+        config.cluster_of.push_back(cluster);
       }
       clusters_given = true;
     } else if (arg == "--broadcasts") {
-      config.max_broadcasts = std::atoi(value());
+      if (!number(config.max_broadcasts)) return 2;
     } else if (arg == "--inflight") {
-      config.max_inflight = static_cast<std::size_t>(std::atoi(value()));
+      if (!number(config.max_inflight)) return 2;
     } else if (arg == "--depth") {
-      depth = std::atoi(value());
+      if (!number(depth)) return 2;
     } else if (arg == "--max-states") {
-      max_states = std::strtoull(value(), nullptr, 10);
+      if (!number(max_states)) return 2;
     } else if (arg == "--walks") {
-      walks = std::atoi(value());
+      if (!number(walks)) return 2;
     } else if (arg == "--liveness") {
-      liveness_walks = std::atoi(value());
+      if (!number(liveness_walks)) return 2;
     } else if (arg == "--steps") {
-      steps = std::atoi(value());
+      if (!number(steps)) return 2;
     } else if (arg == "--seed") {
-      seed = std::strtoull(value(), nullptr, 10);
+      if (!number(seed)) return 2;
     } else if (arg == "--determinism-check") {
       determinism_check = true;
     } else if (arg == "--batch") {
       batch = true;
     } else if (arg == "--expect") {
       const char* path = value();
-      if (path == nullptr) {
-        std::cerr << "--expect needs a file\n";
-        return 2;
-      }
+      if (path == nullptr) return 2;
       expect_path = path;
     } else if (arg == "--mutant") {
-      const std::string m = value();
+      const char* mutant = value();
+      if (mutant == nullptr) return 2;
+      const std::string m = mutant;
       if (m == "double-delivery") {
         config.mutant_double_delivery = true;
       } else if (m == "accept-anyone") {
@@ -259,6 +274,12 @@ int main(int argc, char** argv) {
       std::cerr << "unknown flag: " << arg << " (try --help)\n";
       return 2;
     }
+  }
+  if (config.hosts < 1 || config.max_broadcasts < 0 || depth < 0 ||
+      walks < 0 || liveness_walks < 0 || steps < 1) {
+    std::cerr << "--hosts and --steps must be positive; --broadcasts, "
+                 "--depth, --walks and --liveness must not be negative\n";
+    return 2;
   }
   if (determinism_check) {
     if (expect_path.empty()) return run_determinism_check(seed, batch, nullptr);

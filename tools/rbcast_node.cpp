@@ -31,6 +31,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "core/broadcast_host.h"
 #include "core/config.h"
 #include "core/wire_codec.h"
+#include "parse_number.h"
 #include "trace/admin_server.h"
 #include "trace/event_log.h"
 #include "trace/exposition.h"
@@ -73,9 +75,9 @@ struct CliOptions {
   std::int32_t host = -1;  // --host N; -1 = --all-hosts
   bool all_hosts = false;
   std::string trace_out;
-  double run_s = -1;            // <0: take the config's value
-  std::uint64_t seed = 0;       // 0: take the config's value
-  int admin_port = -2;          // -2: take the config's value
+  std::optional<double> run_s;        // unset: take the config's value
+  std::optional<std::uint64_t> seed;  // unset: take the config's value
+  int admin_port = -2;                // -2: take the config's value
   std::string admin_port_file;  // write the bound port here (scripts)
   double linger_s = 0;          // keep serving admin after the run ends
 };
@@ -225,6 +227,11 @@ bool parse(int argc, char** argv, CliOptions& options) {
     }
     return argv[++i];
   };
+  auto number = [&](int& i, auto& out) {
+    const char* flag = argv[i];
+    const char* value = need_value(i);
+    return value != nullptr && tools::parse_number(flag, value, out);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
@@ -237,26 +244,21 @@ bool parse(int argc, char** argv, CliOptions& options) {
       if ((value = need_value(i)) == nullptr) return false;
       options.config_path = value;
     } else if (arg == "--host") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.host = std::atoi(value);
+      if (!number(i, options.host)) return false;
     } else if (arg == "--trace-out") {
       if ((value = need_value(i)) == nullptr) return false;
       options.trace_out = value;
     } else if (arg == "--run-s") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.run_s = std::atof(value);
+      if (!number(i, options.run_s.emplace())) return false;
     } else if (arg == "--seed") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.seed = std::strtoull(value, nullptr, 10);
+      if (!number(i, options.seed.emplace())) return false;
     } else if (arg == "--admin-port") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.admin_port = std::atoi(value);
+      if (!number(i, options.admin_port)) return false;
     } else if (arg == "--admin-port-file") {
       if ((value = need_value(i)) == nullptr) return false;
       options.admin_port_file = value;
     } else if (arg == "--linger-s") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.linger_s = std::atof(value);
+      if (!number(i, options.linger_s)) return false;
     } else {
       std::cerr << "unknown flag: " << arg << " (try --help)\n";
       return false;
@@ -264,6 +266,12 @@ bool parse(int argc, char** argv, CliOptions& options) {
   }
   if (options.config_path.empty()) {
     std::cerr << "--config is required (try --help)\n";
+    return false;
+  }
+  if ((options.run_s && !(*options.run_s > 0)) ||
+      options.admin_port > 65535 || !(options.linger_s >= 0)) {
+    std::cerr << "--run-s must be positive, --admin-port at most 65535 "
+                 "and --linger-s not negative\n";
     return false;
   }
   if (options.all_hosts == (options.host >= 0)) {
@@ -286,8 +294,8 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return 2;
   }
-  if (cli.run_s >= 0) cfg.run_for = util::from_seconds(cli.run_s);
-  if (cli.seed != 0) cfg.seed = cli.seed;
+  if (cli.run_s) cfg.run_for = util::from_seconds(*cli.run_s);
+  if (cli.seed) cfg.seed = *cli.seed;
   if (cli.admin_port != -2) cfg.admin_port = cli.admin_port;
 
   std::vector<HostId> all_hosts;

@@ -11,16 +11,14 @@
 //   rbcast_sim --clusters 3 --shape line --partition-at 10 --csv
 //              --partition-heal 40 --messages 60
 //   rbcast_sim --flap --messages 100 --seed 7 --verbose
-#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
-#include <system_error>
 
+#include "parse_number.h"
 #include "rbcast.h"
 
 using namespace rbcast;
@@ -149,19 +147,6 @@ void usage() {
       "  --help             this text\n";
 }
 
-// Reads a numeric flag value strictly: the whole string must be a number,
-// so "2x" or "abc" is rejected instead of read as 2 or 0.
-template <typename T>
-bool parse_number(std::string_view flag, std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, out);
-  if (text.empty() || ec != std::errc{} || stop != end) {
-    std::cerr << "invalid value for " << flag << ": '" << text << "'\n";
-    return false;
-  }
-  return true;
-}
-
 bool parse(int argc, char** argv, CliOptions& options) {
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -173,7 +158,7 @@ bool parse(int argc, char** argv, CliOptions& options) {
   auto number = [&](int& i, auto& out) {
     const char* flag = argv[i];
     const char* value = need_value(i);
-    return value != nullptr && parse_number(flag, value, out);
+    return value != nullptr && tools::parse_number(flag, value, out);
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "parse_number.h"
 #include "trace/exposition.h"
 #include "util/json.h"
 #include "util/table.h"
@@ -74,6 +75,11 @@ bool parse(int argc, char** argv, Options& options) {
     }
     return argv[++i];
   };
+  auto number = [&](int& i, auto& out) {
+    const char* flag = argv[i];
+    const char* value = need_value(i);
+    return value != nullptr && tools::parse_number(flag, value, out);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
@@ -88,17 +94,19 @@ bool parse(int argc, char** argv, Options& options) {
       if ((value = need_value(i)) == nullptr) return false;
       options.endpoints_file = value;
     } else if (arg == "--interval-s") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.interval_s = std::atof(value);
+      if (!number(i, options.interval_s)) return false;
     } else if (arg == "--timeout-ms") {
-      if ((value = need_value(i)) == nullptr) return false;
-      options.timeout_ms = std::atoi(value);
+      if (!number(i, options.timeout_ms)) return false;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag: " << arg << " (try --help)\n";
       return false;
     } else {
       options.endpoints.push_back(arg);
     }
+  }
+  if (!(options.interval_s > 0) || options.timeout_ms <= 0) {
+    std::cerr << "--interval-s and --timeout-ms must be positive\n";
+    return false;
   }
   if (!options.endpoints_file.empty()) {
     std::ifstream in(options.endpoints_file);

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "parse_number.h"
 #include "trace/trace_reader.h"
 
 using namespace rbcast;
@@ -64,10 +65,14 @@ bool parse(int argc, char** argv, CliOptions& options) {
     }
     return argv[++i];
   };
+  auto number = [&](int& i, auto& out) {
+    const char* flag = argv[i];
+    const char* value = need_value(i);
+    return value != nullptr && tools::parse_number(flag, value, out);
+  };
   int paths = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const char* value = nullptr;
     if (arg == "--help" || arg == "-h") {
       usage();
       std::exit(0);
@@ -78,13 +83,11 @@ bool parse(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--compare") {
       options.mode = Mode::kCompare;
     } else if (arg == "--timeline") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if (!number(i, options.host)) return false;
       options.mode = Mode::kTimeline;
-      options.host = std::atoi(value);
     } else if (arg == "--lineage") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if (!number(i, options.seq)) return false;
       options.mode = Mode::kLineage;
-      options.seq = std::strtoull(value, nullptr, 10);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag: " << arg << " (try --help)\n";
       return false;
