@@ -114,7 +114,8 @@ AttachmentDecision decide(AttachmentDecision::Action action, HostId candidate,
 
 AttachmentDecision run_attachment(const HostState& state,
                                   const std::set<HostId>& excluded,
-                                  Seq parent_switch_margin) {
+                                  Seq parent_switch_margin,
+                                  HostState::AncestorWalk& walk) {
   const HostId parent = state.parent();
 
   if (!parent.valid()) {
@@ -147,7 +148,7 @@ AttachmentDecision run_attachment(const HostState& state,
   }
 
   // Case III: parent in the same cluster.
-  const auto walk = state.ancestors_of_self();
+  state.ancestors_of_self(walk);
   if (walk.cycle) {
     // A cycle through self. The special rule applies only when the cycle
     // is contained in one cluster (multi-cluster cycles break via II.3 at

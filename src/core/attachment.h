@@ -58,8 +58,19 @@ struct AttachmentDecision {
 // another candidate"); they are skipped this round.
 // `parent_switch_margin` implements Config::parent_switch_margin for
 // case II option (3).
+// `walk` is the caller's buffer for case III's ancestor chain
+// (HostState::ancestors_of_self); a caller that keeps one across rounds
+// makes a steady-state decision allocate nothing.
 [[nodiscard]] AttachmentDecision run_attachment(
     const HostState& state, const std::set<HostId>& excluded,
-    Seq parent_switch_margin = 0);
+    Seq parent_switch_margin, HostState::AncestorWalk& walk);
+
+// The same with a fresh walk buffer per call (tests, the model checker).
+[[nodiscard]] inline AttachmentDecision run_attachment(
+    const HostState& state, const std::set<HostId>& excluded,
+    Seq parent_switch_margin = 0) {
+  HostState::AncestorWalk walk;
+  return run_attachment(state, excluded, parent_switch_margin, walk);
+}
 
 }  // namespace rbcast::core

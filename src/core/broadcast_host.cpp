@@ -291,15 +291,18 @@ void BroadcastHost::accept_message(Seq seq, const Payload& body,
     // "When a host receives a gap filling message ..., it forwards it to
     // all those of its parent graph neighbors (its children and its
     // parent) that according to its MAP do not have it."
-    for (HostId n : state_.neighbors()) {
-      if (n == from) continue;
-      if (state_.map(n).contains(seq)) continue;
-      if (recent_offers(n).contains(seq)) continue;  // just offered it
+    state_.for_each_neighbor([&](HostId n) {
+      if (n == from) return;
+      if (state_.map(n).contains(seq)) return;
+      const std::span<const Seq> offered = recent_offers(n);
+      if (std::binary_search(offered.begin(), offered.end(), seq)) {
+        return;  // just offered it
+      }
       send_message(n, make_data(seq, body, /*gap_fill=*/true));
       note_offered(n, seq);
       ++counters_.gapfills_sent;
       if (observer_ != nullptr) observer_->on_gapfill_relayed(self(), n, seq);
-    }
+    });
   }
 }
 
@@ -333,10 +336,9 @@ void BroadcastHost::handle_attach_request(HostId from,
   // "the parent examines its new child's INFO set and forwards to the
   // child all those messages that the child is missing and that the
   // parent has."
-  const SeqSet offered = recent_offers(from);
   for (Seq seq : plan_attach_backfill(state_, m.info,
                                       config_.attach_backfill_burst,
-                                      &offered)) {
+                                      recent_offers(from))) {
     send_gapfill(from, seq);
   }
 }
@@ -392,8 +394,8 @@ void BroadcastHost::attachment_round() {
   if (pending_attach_.valid()) return;  // handshake already in flight
 
   const auto excluded = current_exclusions();
-  auto decision =
-      run_attachment(state_, excluded, config_.parent_switch_margin);
+  auto decision = run_attachment(state_, excluded,
+                                 config_.parent_switch_margin, ancestor_walk_);
 
   if (decision.action == AttachmentDecision::Action::kBreakCycle) {
     ++counters_.cycles_broken;
@@ -402,7 +404,8 @@ void BroadcastHost::attachment_round() {
     detach_from_parent(/*notify=*/true, /*timeout=*/false);
     // "... shall detach from its parent and go through the appropriate
     // options for finding a new one" — i.e. case I, immediately.
-    decision = run_attachment(state_, excluded, config_.parent_switch_margin);
+    decision = run_attachment(state_, excluded, config_.parent_switch_margin,
+                              ancestor_walk_);
   }
   if (decision.action == AttachmentDecision::Action::kAttach) {
     RBCAST_DEBUG(self() << " attachment rule " << decision.rule << " -> "
@@ -497,13 +500,13 @@ void BroadcastHost::info_round_inter() {
 }
 
 void BroadcastHost::gapfill_round_neighbor() {
-  for (HostId n : state_.neighbors()) {
-    if (!state_.in_cluster(n)) continue;  // out-of-cluster peers: far round
-    const SeqSet offered = recent_offers(n);
+  state_.for_each_neighbor([&](HostId n) {
+    if (!state_.in_cluster(n)) return;  // out-of-cluster peers: far round
     const auto plan = plan_neighbor_gapfill(state_, n, state_.is_child(n),
-                                            config_.gapfill_burst, &offered);
+                                            config_.gapfill_burst,
+                                            recent_offers(n));
     for (Seq seq : plan) send_gapfill(n, seq);
-  }
+  });
 }
 
 void BroadcastHost::gapfill_round_far() {
@@ -511,36 +514,37 @@ void BroadcastHost::gapfill_round_far() {
   // frequently for the members of different clusters"). They are filled
   // every round: a child depends on *us* for new maxima, so nobody else
   // can do this job.
-  for (HostId n : state_.neighbors()) {
-    if (state_.in_cluster(n)) continue;
-    const SeqSet offered = recent_offers(n);
+  state_.for_each_neighbor([&](HostId n) {
+    if (state_.in_cluster(n)) return;
     const auto plan = plan_neighbor_gapfill(state_, n, state_.is_child(n),
-                                            config_.gapfill_burst, &offered);
+                                            config_.gapfill_burst,
+                                            recent_offers(n));
     for (Seq seq : plan) send_gapfill(n, seq);
-  }
+  });
   if (!config_.nonneighbor_gapfill) return;
 
   // Non-neighbors (the Section 4.4 extension): any up-to-date host can
   // fill them, so each host serves only a small random subset per round —
   // see Config::far_fill_targets for why.
-  // Each candidate keeps the offer set its scan built: nothing between the
-  // scan and the sends below changes another candidate's offers.
-  std::vector<std::pair<HostId, SeqSet>> behind;
+  // A picked candidate's offers are read again at its turn: nothing between
+  // the scan and the sends below changes another candidate's offers, and
+  // the clock does not move, so the plan matches the scan's.
+  far_behind_.clear();
   for (HostId j : state_.all_hosts()) {
     if (j == self() || state_.is_child(j) || j == state_.parent()) continue;
-    SeqSet offered = recent_offers(j);
-    if (!plan_far_gapfill(state_, j, 1, &offered).empty()) {
-      behind.emplace_back(j, std::move(offered));
+    if (!plan_far_gapfill(state_, j, 1, recent_offers(j)).empty()) {
+      far_behind_.push_back(j);
     }
   }
-  std::size_t budget = std::min(config_.far_fill_targets, behind.size());
-  while (budget-- > 0 && !behind.empty()) {
-    const auto pick = static_cast<std::size_t>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(behind.size()) - 1));
-    const auto [j, offered] = std::move(behind[pick]);
-    behind.erase(behind.begin() + static_cast<std::ptrdiff_t>(pick));
+  std::size_t budget = std::min(config_.far_fill_targets, far_behind_.size());
+  while (budget-- > 0 && !far_behind_.empty()) {
+    const auto pick = static_cast<std::size_t>(rng_.uniform_int(
+        0, static_cast<std::int64_t>(far_behind_.size()) - 1));
+    const HostId j = far_behind_[pick];
+    far_behind_.erase(far_behind_.begin() +
+                      static_cast<std::ptrdiff_t>(pick));
     const auto plan = plan_far_gapfill(state_, j, config_.gapfill_burst,
-                                       &offered);
+                                       recent_offers(j));
     for (Seq seq : plan) send_gapfill(j, seq);
   }
 }
@@ -661,15 +665,15 @@ void BroadcastHost::clear_refuted_offers(HostId from, const SeqSet& reported) {
       [&](const PeerBook::Offer& o) { return !reported.contains(o.seq); });
 }
 
-SeqSet BroadcastHost::recent_offers(HostId j) {
+std::span<const Seq> BroadcastHost::recent_offers(HostId j) {
   const util::TimePoint now = scheduler_.now();
   auto& offers = peer_book(j).offered;
   // Lapsed offers go: re-offers are allowed again.
   std::erase_if(offers,
                 [now](const PeerBook::Offer& o) { return o.expires <= now; });
-  SeqSet live;
-  for (const PeerBook::Offer& o : offers) live.insert(o.seq);
-  return live;
+  offer_seqs_.clear();
+  for (const PeerBook::Offer& o : offers) offer_seqs_.push_back(o.seq);
+  return offer_seqs_;
 }
 
 }  // namespace rbcast::core

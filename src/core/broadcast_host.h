@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -162,8 +163,9 @@ class BroadcastHost {
   void note_offered(HostId to, Seq seq);
   // Drops offers toward `from` that its freshly reported INFO refutes.
   void clear_refuted_offers(HostId from, const SeqSet& reported);
-  // Live (unexpired) offers toward `j`, purging lapsed ones.
-  [[nodiscard]] SeqSet recent_offers(HostId j);
+  // Live (unexpired) offers toward `j`, ascending, purging lapsed ones.
+  // The view reads offer_seqs_ and is valid until the next call.
+  [[nodiscard]] std::span<const Seq> recent_offers(HostId j);
   void begin_attach(HostId candidate, const std::string& rule);
   void on_attach_timeout(HostId candidate);
   void detach_from_parent(bool notify, bool timeout);
@@ -224,8 +226,14 @@ class BroadcastHost {
   };
   std::vector<PeerBook> peers_;
 
-  // info_round_intra()'s recipient list, reused across rounds.
+  // Buffers reused across rounds, so that a steady-state round allocates
+  // only the boxes of the messages it sends: info_round_intra()'s
+  // recipients, recent_offers()'s view, attachment_round()'s ancestor
+  // chain and gapfill_round_far()'s behind non-neighbors.
   std::vector<HostId> info_targets_;
+  std::vector<Seq> offer_seqs_;
+  HostState::AncestorWalk ancestor_walk_;
+  std::vector<HostId> far_behind_;
 
   // Source tags of accepted messages (Config::auth_enabled): relays
   // forward the original tag verbatim — they cannot re-sign — so it must

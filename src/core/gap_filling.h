@@ -15,36 +15,41 @@
 // maximum — "they do not alter the < order among INFO sets".
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/host_state.h"
 
 namespace rbcast::core {
 
-// Every planner takes an optional `recently_offered` overlay: sequence
-// numbers already offered to this peer within Config::gapfill_suppress_period.
-// They are treated as if the peer's MAP contained them (an optimistic,
-// time-bounded fold — see the Config field for the rationale), except that
-// the recipient-max cap is always computed from the *actual* MAP: an offer
-// must never be pushed above the max the recipient would accept.
+// Every planner takes an optional `offered` overlay: the sequence numbers
+// already offered to this peer within Config::gapfill_suppress_period,
+// ascending and distinct. A plan skips them as if the peer's MAP contained
+// them (an optimistic, time-bounded fold — see the Config field for the
+// rationale), except that the recipient-max cap is always computed from
+// the *actual* MAP: an offer must never be pushed above the max the
+// recipient would accept. The overlay is applied without building a set:
+// the gap walk (SeqSet::for_each_missing) steps past the offered seqs and
+// counts only the others toward the burst, which is the plan that folding
+// the offers into a copy of the MAP would give.
 
 // Messages to forward to a newly attached child `child`, whose INFO set
 // `child_info` arrived in its AttachRequest. Uncapped (we are its parent
 // now), limited to `burst`, restricted to bodies we still hold.
 [[nodiscard]] std::vector<Seq> plan_attach_backfill(
     const HostState& state, const SeqSet& child_info, std::size_t burst,
-    const SeqSet* recently_offered = nullptr);
+    std::span<const Seq> offered = {});
 
 // Periodic plan for a parent-graph neighbor `j`. If `j_is_child`, new
 // maxima may be included; otherwise (j is our parent) offers are capped at
 // map(j)'s maximum.
 [[nodiscard]] std::vector<Seq> plan_neighbor_gapfill(
     const HostState& state, HostId j, bool j_is_child, std::size_t burst,
-    const SeqSet* recently_offered = nullptr);
+    std::span<const Seq> offered = {});
 
 // Periodic plan for a non-neighbor `j` (always capped at j's known max).
 [[nodiscard]] std::vector<Seq> plan_far_gapfill(
     const HostState& state, HostId j, std::size_t burst,
-    const SeqSet* recently_offered = nullptr);
+    std::span<const Seq> offered = {});
 
 }  // namespace rbcast::core

@@ -128,32 +128,20 @@ void HostState::learn_parent(HostId j, HostId parent) {
   check_invariants();
 }
 
-std::vector<HostId> HostState::neighbors() const {
-  std::vector<HostId> out(children_.begin(), children_.end());
-  if (parent().valid() && !children_.contains(parent())) {
-    out.push_back(parent());
-  }
-  return out;
-}
-
-HostState::AncestorWalk HostState::ancestors_of_self() const {
-  AncestorWalk walk;
-  std::set<HostId> seen{self_};
-  HostId cursor = parent();
-  while (cursor.valid()) {
+void HostState::ancestors_of_self(AncestorWalk& walk) const {
+  walk.ancestors.clear();
+  walk.cycle = false;
+  for (HostId cursor = parent(); cursor.valid(); cursor = parent_of(cursor)) {
     if (cursor == self_) {
       walk.cycle = true;
-      return walk;
+      return;
     }
-    if (seen.contains(cursor)) {
-      // A cycle that does not pass through self (stale views); stop.
-      return walk;
+    if (std::find(walk.ancestors.begin(), walk.ancestors.end(), cursor) !=
+        walk.ancestors.end()) {
+      return;  // a cycle that does not pass through self (stale views)
     }
-    seen.insert(cursor);
     walk.ancestors.push_back(cursor);
-    cursor = parent_of(cursor);
   }
-  return walk;
 }
 
 }  // namespace rbcast::core

@@ -124,17 +124,28 @@ class HostState {
   void remove_child(HostId j) { children_.erase(j); }
   [[nodiscard]] bool is_child(HostId j) const { return children_.contains(j); }
 
-  // Parent-graph neighbors: children plus the current parent (if any).
-  [[nodiscard]] std::vector<HostId> neighbors() const;
+  // Parent-graph neighbors: calls fn(h) for each child in ascending id
+  // order, then for the current parent (if any, and not also a child).
+  // Builds no container, so the periodic gap-fill rounds allocate nothing
+  // here; fn must not add or remove children.
+  template <typename Fn>
+  void for_each_neighbor(Fn&& fn) const {
+    for (HostId child : children_) fn(child);
+    if (parent_.valid() && !children_.contains(parent_)) fn(parent_);
+  }
 
-  // Ancestor chain of `start` according to p_i[]: follows parent pointers
-  // until NIL, an unknown host, or a repetition. If the walk returns to
-  // `start`, a cycle is reported along with its members.
+  // Ancestor chain of self according to p_i[]: follows parent pointers
+  // until NIL, a host with no known parent, or a repetition. If the walk
+  // returns to self, a cycle is reported along with its members.
   struct AncestorWalk {
     std::vector<HostId> ancestors;  // in order: parent, grandparent, ...
-    bool cycle{false};              // true iff the walk re-reached `start`
+    bool cycle{false};              // true iff the walk re-reached self
   };
-  [[nodiscard]] AncestorWalk ancestors_of_self() const;
+  // Refills `walk`, reusing its buffer: a caller that keeps one walk across
+  // attachment rounds allocates only when a chain outgrows all earlier
+  // ones. Repeats are found by scanning the chain walked so far (at most
+  // n hosts, usually one to three).
+  void ancestors_of_self(AncestorWalk& walk) const;
 
  private:
   // Full-structure consistency sweep; no-op unless RBCAST_PARANOID.

@@ -123,12 +123,12 @@ std::vector<ModelMessage> ModelNode::handle_data(HostId from,
                                               std::nullopt, std::nullopt}));
     }
   } else {
-    for (HostId n : state_.neighbors()) {
-      if (n == from) continue;
-      if (state_.map(n).contains(m.seq)) continue;
+    state_.for_each_neighbor([&](HostId n) {
+      if (n == from) return;
+      if (state_.map(n).contains(m.seq)) return;
       out.push_back(make(n, core::DataMsg{m.seq, m.body, true, std::nullopt,
                                           std::nullopt}));
-    }
+    });
   }
   return out;
 }

@@ -11,6 +11,14 @@ namespace {
 const util::Accumulator kEmptyAccumulator{};
 }
 
+template <typename Fn>
+void Metrics::for_each_delivery(const FirstDeliveries& entry, Fn&& fn) {
+  for (std::size_t index = 0; index < entry.at.size(); ++index) {
+    if (entry.at[index] == kNotDelivered) continue;
+    fn(HostId{static_cast<HostId::value_type>(index)}, entry.at[index]);
+  }
+}
+
 Metrics::Metrics(sim::Simulator& simulator, net::Network& network)
     : simulator_(simulator),
       network_(network),
@@ -89,8 +97,14 @@ void Metrics::record_broadcast(Seq seq) {
 }
 
 void Metrics::record_delivery(HostId host, Seq seq) {
-  auto& per_host = first_delivery_[seq];
-  per_host.emplace(host, simulator_.now());  // keeps the first one
+  const auto index = static_cast<std::size_t>(host.value);  // kNoHost wraps
+  const std::size_t hosts = network_.topology().host_count();
+  RBCAST_CHECK_ARG(index < hosts, "record_delivery: host outside the topology");
+  FirstDeliveries& entry = first_delivery_[seq];
+  if (entry.at.empty()) entry.at.assign(hosts, kNotDelivered);
+  if (entry.at[index] != kNotDelivered) return;  // keeps the first one
+  entry.at[index] = simulator_.now();
+  ++entry.count;
 }
 
 std::uint64_t Metrics::counter_prefix_sum(const std::string& prefix) const {
@@ -120,9 +134,10 @@ double Metrics::delivery_latency(HostId host, Seq seq) const {
   if (bit == broadcast_at_.end()) return -1.0;
   auto sit = first_delivery_.find(seq);
   if (sit == first_delivery_.end()) return -1.0;
-  auto hit = sit->second.find(host);
-  if (hit == sit->second.end()) return -1.0;
-  return sim::to_seconds(hit->second - bit->second);
+  const auto index = static_cast<std::size_t>(host.value);  // kNoHost wraps
+  const std::vector<sim::TimePoint>& at = sit->second.at;
+  if (index >= at.size() || at[index] == kNotDelivered) return -1.0;
+  return sim::to_seconds(at[index] - bit->second);
 }
 
 util::Samples Metrics::all_latencies() const {
@@ -131,20 +146,20 @@ util::Samples Metrics::all_latencies() const {
 
 util::Samples Metrics::latencies_between(Seq lo, Seq hi) const {
   util::Samples out;
-  for (const auto& [seq, per_host] : first_delivery_) {
+  for (const auto& [seq, entry] : first_delivery_) {
     if (seq < lo || seq > hi) continue;
     auto bit = broadcast_at_.find(seq);
     if (bit == broadcast_at_.end()) continue;
-    for (const auto& [host, at] : per_host) {
+    for_each_delivery(entry, [&](HostId, sim::TimePoint at) {
       out.add(sim::to_seconds(at - bit->second));
-    }
+    });
   }
   return out;
 }
 
 std::size_t Metrics::delivered_count(Seq seq) const {
   auto it = first_delivery_.find(seq);
-  return it != first_delivery_.end() ? it->second.size() : 0;
+  return it != first_delivery_.end() ? it->second.count : 0;
 }
 
 sim::Duration Metrics::link_busy_time(LinkId link) const {
@@ -177,11 +192,11 @@ std::vector<std::pair<double, double>> Metrics::completion_curve(
     double bucket_seconds, std::size_t host_count) const {
   RBCAST_CHECK_ARG(bucket_seconds > 0, "bucket must be positive");
   std::vector<double> times;
-  for (const auto& [seq, per_host] : first_delivery_) {
+  for (const auto& [seq, entry] : first_delivery_) {
     if (!broadcast_at_.contains(seq)) continue;
-    for (const auto& [host, at] : per_host) {
+    for_each_delivery(entry, [&](HostId, sim::TimePoint at) {
       times.push_back(sim::to_seconds(at));
-    }
+    });
   }
   const double expected =
       static_cast<double>(broadcast_at_.size()) *
@@ -216,13 +231,13 @@ void Metrics::write_counters_csv(std::ostream& os) const {
 
 void Metrics::write_latencies_csv(std::ostream& os) const {
   os << "seq,host,latency_seconds\n";
-  for (const auto& [seq, per_host] : first_delivery_) {
+  for (const auto& [seq, entry] : first_delivery_) {
     auto bit = broadcast_at_.find(seq);
     if (bit == broadcast_at_.end()) continue;
-    for (const auto& [host, at] : per_host) {
+    for_each_delivery(entry, [&](HostId host, sim::TimePoint at) {
       os << seq << ',' << host.value << ','
          << sim::to_seconds(at - bit->second) << '\n';
-    }
+    });
   }
 }
 

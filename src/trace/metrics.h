@@ -55,6 +55,8 @@ class Metrics : public net::NetObserver {
   // --- application-level hooks -----------------------------------------
 
   void record_broadcast(Seq seq);
+  // Keeps the first delivery of `seq` at `host`, which must be a host of
+  // the topology (std::invalid_argument otherwise).
   void record_delivery(HostId host, Seq seq);
 
   // --- queries ------------------------------------------------------------
@@ -169,7 +171,20 @@ class Metrics : public net::NetObserver {
   sim::TimePoint window_start_{0};
 
   std::map<Seq, sim::TimePoint> broadcast_at_;
-  std::map<Seq, std::map<HostId, sim::TimePoint>> first_delivery_;
+  // First receipts of one message: the time at each topology host, indexed
+  // by host id (kNotDelivered where it has not arrived), and how many
+  // arrived. Sized on the seq's first delivery, so each message costs one
+  // entry and one vector however many hosts receive it; a forged or
+  // far-off seq costs the same.
+  static constexpr sim::TimePoint kNotDelivered = -1;
+  struct FirstDeliveries {
+    std::vector<sim::TimePoint> at;
+    std::size_t count{0};
+  };
+  std::map<Seq, FirstDeliveries> first_delivery_;
+  // Calls fn(host, at) for every first delivery of `entry`, in host order.
+  template <typename Fn>
+  static void for_each_delivery(const FirstDeliveries& entry, Fn&& fn);
 
   // Cached ground-truth cluster index, refreshed when links change.
   std::vector<int> cluster_index_;

@@ -126,8 +126,11 @@ void SeqSet::merge(const SeqSet& other) {
   if (other.pruned_below_ > pruned_below_) prune_below(other.pruned_below_);
   // Covers s.merge(s) and copies of s: identical intervals add nothing.
   if (rep_ == other.rep_ || other.size() == 0) return;
-  if (size() == 0 && pruned_below_ == other.pruned_below_) {
-    *this = other;  // the union is exactly `other`: share its block
+  // The union is exactly `other`. Share its block only when we hold none
+  // of our own: an exclusive block emptied by pruning is refilled below
+  // without allocating, where sharing would make our next write clone.
+  if (rep_ == nullptr && pruned_below_ == other.pruned_below_) {
+    *this = other;
     return;
   }
 
@@ -221,36 +224,10 @@ std::vector<Seq> SeqSet::missing_from_capped(const SeqSet& other, Seq cap,
                                              std::size_t limit) const {
   std::vector<Seq> out;
   if (limit == 0) return out;
-  // Everything <= other's prune watermark is contained there by convention.
-  const Seq floor = other.pruned_below_;
-  // Interval walk with a monotone cursor into other's intervals: covered
-  // stretches are skipped in one step, so the cost is O(intervals(this) +
-  // intervals(other) + output) instead of one contains() probe per element.
-  const auto theirs = other.intervals();
-  auto ot = theirs.begin();
-  for (const Interval& iv : intervals()) {
-    if (iv.lo > cap) break;
-    const Seq hi = std::min<Seq>(iv.hi, cap);
-    Seq q = std::max<Seq>(iv.lo, floor + 1);
-    while (q <= hi) {
-      while (ot != theirs.end() && ot->hi < q) ++ot;
-      if (ot != theirs.end() && ot->lo <= q) {
-        q = ot->hi + 1;  // covered by other: jump past its interval
-        continue;
-      }
-      Seq run_hi = hi;
-      if (ot != theirs.end()) {
-        run_hi = std::min<Seq>(run_hi, ot->lo - 1);
-      }
-      for (; q <= run_hi; ++q) {
-        out.push_back(q);
-        if (out.size() >= limit) return out;
-      }
-    }
-  }
-  // Note: elements of *this* below our own watermark are all <= floor
-  // candidates only when other.pruned_below_ < pruned_below_; those are by
-  // definition safe at all hosts, so never worth offering.
+  for_each_missing(other, cap, [&](Seq q) {
+    out.push_back(q);
+    return out.size() < limit;
+  });
   return out;
 }
 

@@ -22,15 +22,19 @@
 //
 // Storage is copy-on-write. The intervals live in one refcounted heap block
 // (a small header followed by the Interval array); an empty set holds no
-// block at all. Copying a set shares the block, so the INFO rounds that send
+// block, unless pruning emptied a block it owns. Copying a set shares the block, so the INFO rounds that send
 // the same set to every peer pay no interval copy per destination. The first
 // mutation that actually changes the intervals of a shared block clones it
 // with one allocation; a mutation that changes nothing (inserting a present
 // seq, pruning below the lowest interval, merging an empty or identical set)
-// never clones. The refcount is not atomic: a SeqSet and its copies must stay
-// on one thread.
+// never clones. A set that owns its block keeps it: pruning every interval
+// away leaves the block empty but allocated, and the next merge refills it
+// in place rather than adopting the other set's block (which the following
+// write would have to clone back). The refcount is not atomic: a SeqSet and
+// its copies must stay on one thread.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -107,8 +111,10 @@ class SeqSet {
   // place, O(intervals(this) + intervals(other)) regardless of element
   // counts. Allocates only when intervals(this) + intervals(other) exceeds
   // the current capacity or the block is shared. s.merge(s), merging an
-  // empty set and merging a set that shares this block change nothing; an
-  // empty set merging a set with the same watermark shares its block.
+  // empty set and merging a set that shares this block change nothing. A
+  // set that holds no block, merging a set with the same watermark, shares
+  // that set's block; a set whose own block pruning emptied refills it in
+  // place instead.
   void merge(const SeqSet& other);
 
   [[nodiscard]] bool contains(Seq seq) const;
@@ -157,6 +163,14 @@ class SeqSet {
   // the recipient's max_seq().
   [[nodiscard]] std::vector<Seq> missing_from_capped(
       const SeqSet& other, Seq cap, std::size_t limit = SIZE_MAX) const;
+
+  // The walk behind missing_from*: calls fn(q) for each q <= cap contained
+  // in *this but not in `other`, in increasing order, until fn returns
+  // false. Covered stretches are skipped in one step, so the cost is
+  // O(intervals(this) + intervals(other) + calls), and it allocates
+  // nothing — a caller that filters the elements builds only what it keeps.
+  template <typename Fn>
+  void for_each_missing(const SeqSet& other, Seq cap, Fn&& fn) const;
 
   // --- Pruning ----------------------------------------------------------
 
@@ -251,5 +265,33 @@ class SeqSet {
 
   void check_invariants() const;
 };
+
+template <typename Fn>
+void SeqSet::for_each_missing(const SeqSet& other, Seq cap, Fn&& fn) const {
+  // Everything <= other's prune watermark is contained there by convention.
+  // (Our own elements at or below it are safe at all hosts, so never worth
+  // offering.)
+  const Seq floor = other.pruned_below_;
+  // A monotone cursor into other's intervals.
+  const auto theirs = other.intervals();
+  auto ot = theirs.begin();
+  for (const Interval& iv : intervals()) {
+    if (iv.lo > cap) return;
+    const Seq hi = std::min<Seq>(iv.hi, cap);
+    Seq q = std::max<Seq>(iv.lo, floor + 1);
+    while (q <= hi) {
+      while (ot != theirs.end() && ot->hi < q) ++ot;
+      if (ot != theirs.end() && ot->lo <= q) {
+        q = ot->hi + 1;  // covered by other: jump past its interval
+        continue;
+      }
+      Seq run_hi = hi;
+      if (ot != theirs.end()) run_hi = std::min<Seq>(run_hi, ot->lo - 1);
+      for (; q <= run_hi; ++q) {
+        if (!fn(q)) return;
+      }
+    }
+  }
+}
 
 }  // namespace rbcast::util

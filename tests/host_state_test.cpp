@@ -114,16 +114,25 @@ TEST(HostState, ChildrenSetOperations) {
   EXPECT_TRUE(s.children().empty());
 }
 
+std::vector<HostId> neighbors(const HostState& s) {
+  std::vector<HostId> out;
+  s.for_each_neighbor([&](HostId n) { out.push_back(n); });
+  return out;
+}
+
 TEST(HostState, NeighborsAreChildrenPlusParent) {
   HostState s(HostId{0}, hosts(5));
-  s.add_child(HostId{1});
   s.add_child(HostId{2});
-  EXPECT_EQ(s.neighbors().size(), 2u);
-  s.set_parent(HostId{3});
-  EXPECT_EQ(s.neighbors().size(), 3u);
-  // Parent that is also listed as child is not duplicated.
+  s.add_child(HostId{1});
+  EXPECT_EQ(neighbors(s), (std::vector<HostId>{HostId{1}, HostId{2}}));
+  // Children in ascending id order, then the parent.
+  s.set_parent(HostId{4});
   s.add_child(HostId{3});
-  EXPECT_EQ(s.neighbors().size(), 3u);
+  EXPECT_EQ(neighbors(s), (std::vector<HostId>{HostId{1}, HostId{2},
+                                               HostId{3}, HostId{4}}));
+  // Parent that is also listed as child is not duplicated.
+  s.add_child(HostId{4});
+  EXPECT_EQ(neighbors(s).size(), 4u);
 }
 
 TEST(HostState, AncestorWalkFollowsParentViews) {
@@ -131,7 +140,8 @@ TEST(HostState, AncestorWalkFollowsParentViews) {
   s.set_parent(HostId{1});
   s.learn_parent(HostId{1}, HostId{2});
   s.learn_parent(HostId{2}, HostId{3});
-  const auto walk = s.ancestors_of_self();
+  HostState::AncestorWalk walk;
+  s.ancestors_of_self(walk);
   EXPECT_FALSE(walk.cycle);
   EXPECT_EQ(walk.ancestors,
             (std::vector<HostId>{HostId{1}, HostId{2}, HostId{3}}));
@@ -142,7 +152,8 @@ TEST(HostState, AncestorWalkDetectsCycleThroughSelf) {
   s.set_parent(HostId{1});
   s.learn_parent(HostId{1}, HostId{2});
   s.learn_parent(HostId{2}, HostId{0});  // back to self
-  const auto walk = s.ancestors_of_self();
+  HostState::AncestorWalk walk;
+  s.ancestors_of_self(walk);
   EXPECT_TRUE(walk.cycle);
   EXPECT_EQ(walk.ancestors, (std::vector<HostId>{HostId{1}, HostId{2}}));
 }
@@ -154,8 +165,27 @@ TEST(HostState, AncestorWalkToleratesForeignCycle) {
   s.set_parent(HostId{1});
   s.learn_parent(HostId{1}, HostId{2});
   s.learn_parent(HostId{2}, HostId{1});
-  const auto walk = s.ancestors_of_self();
+  HostState::AncestorWalk walk;
+  s.ancestors_of_self(walk);
   EXPECT_FALSE(walk.cycle);
+  EXPECT_EQ(walk.ancestors, (std::vector<HostId>{HostId{1}, HostId{2}}));
+}
+
+TEST(HostState, AncestorWalkRefillsTheCallersBuffer) {
+  HostState s(HostId{0}, hosts(5));
+  s.set_parent(HostId{1});
+  s.learn_parent(HostId{1}, HostId{2});
+  s.learn_parent(HostId{2}, HostId{0});
+  HostState::AncestorWalk walk;
+  s.ancestors_of_self(walk);
+  ASSERT_TRUE(walk.cycle);
+  const HostId* buffer = walk.ancestors.data();
+  // A shorter, acyclic chain replaces the old one in the same storage.
+  s.learn_parent(HostId{1}, kNoHost);
+  s.ancestors_of_self(walk);
+  EXPECT_FALSE(walk.cycle);
+  EXPECT_EQ(walk.ancestors, (std::vector<HostId>{HostId{1}}));
+  EXPECT_EQ(walk.ancestors.data(), buffer);
 }
 
 TEST(HostState, SafePrefixIsMinOverAllHosts) {

@@ -102,6 +102,58 @@ TEST(Metrics, LatencyBookkeeping) {
   EXPECT_NEAR(f.metrics->delivery_latency(HostId{1}, 1), 0.25, 1e-9);
 }
 
+// Out-of-order first deliveries: the first one per (host, seq) wins, the
+// count is per seq, and both exports read seq-major, host-ascending.
+TEST(Metrics, FirstDeliveriesKeepTheirTimesCountsAndOrder) {
+  Fixture f;
+  f.metrics->record_broadcast(2);
+  f.metrics->record_broadcast(1);
+  f.sim.run_until(sim::milliseconds(100));
+  f.metrics->record_delivery(HostId{3}, 2);
+  f.metrics->record_delivery(HostId{2}, 1);
+  f.sim.run_until(sim::milliseconds(200));
+  f.metrics->record_delivery(HostId{0}, 2);
+  f.metrics->record_delivery(HostId{3}, 2);  // duplicate: ignored
+  f.sim.run_until(sim::milliseconds(400));
+  f.metrics->record_delivery(HostId{1}, 2);
+  f.metrics->record_delivery(HostId{2}, 1);  // duplicate: ignored
+  EXPECT_EQ(f.metrics->delivered_count(1), 1u);
+  EXPECT_EQ(f.metrics->delivered_count(2), 3u);
+  EXPECT_EQ(f.metrics->delivered_count(3), 0u);
+  EXPECT_NEAR(f.metrics->delivery_latency(HostId{3}, 2), 0.1, 1e-9);
+  EXPECT_NEAR(f.metrics->delivery_latency(HostId{2}, 1), 0.1, 1e-9);
+  EXPECT_LT(f.metrics->delivery_latency(kNoHost, 2), 0.0);
+  EXPECT_THROW(f.metrics->record_delivery(kNoHost, 2), std::invalid_argument);
+  EXPECT_THROW(f.metrics->record_delivery(HostId{4}, 2),
+               std::invalid_argument);
+  EXPECT_EQ(f.metrics->delivered_count(2), 3u);
+
+  std::ostringstream csv;
+  f.metrics->write_latencies_csv(csv);
+  EXPECT_EQ(csv.str(),
+            "seq,host,latency_seconds\n"
+            "1,2,0.1\n"
+            "2,0,0.2\n"
+            "2,1,0.4\n"
+            "2,3,0.1\n");
+  const util::Samples all = f.metrics->all_latencies();
+  EXPECT_EQ(all.values(), (std::vector<double>{0.1, 0.2, 0.4, 0.1}));
+}
+
+// A far-off (say forged) seq costs one entry like any other, and the seqs
+// around it stay unrecorded.
+TEST(Metrics, FarOffSeqCostsOneEntry) {
+  Fixture f;
+  const Seq far = (Seq{1} << 40) + 3;
+  f.metrics->record_broadcast(far);
+  f.sim.run_until(sim::milliseconds(50));
+  f.metrics->record_delivery(HostId{1}, far);
+  EXPECT_EQ(f.metrics->delivered_count(far), 1u);
+  EXPECT_EQ(f.metrics->delivered_count(far - 1), 0u);
+  EXPECT_NEAR(f.metrics->delivery_latency(HostId{1}, far), 0.05, 1e-9);
+  EXPECT_EQ(f.metrics->all_latencies().count(), 1u);
+}
+
 TEST(Metrics, LatencySamplesFilterBySeqRange) {
   Fixture f;
   f.metrics->record_broadcast(1);

@@ -688,12 +688,37 @@ TEST(SeqSetSharing, NoOpMutationsDoNotClone) {
   EXPECT_EQ(t_copy.prune_watermark(), 0u);
 }
 
-TEST(SeqSetSharing, EmptySetMergingAdoptsTheOtherBlock) {
+TEST(SeqSetSharing, BlocklessSetMergingAdoptsTheOtherBlock) {
   const SeqSet info = sample();
   SeqSet map;
+  ASSERT_EQ(map.capacity(), 0u);  // never written: no block
   map.merge(info);
   EXPECT_EQ(map, info);
   EXPECT_TRUE(map.shares_storage_with(info));
+}
+
+// A set whose own block pruning emptied keeps that block: merging refills
+// it in place instead of adopting the other set's block, which the next
+// write would have to clone back.
+TEST(SeqSetSharing, PrunedEmptySetRefillsItsOwnBlock) {
+  SeqSet map = SeqSet::of({1, 3, 5, 7});
+  const std::size_t capacity = map.capacity();
+  map.prune_below(10);
+  ASSERT_TRUE(map.intervals().empty());
+  ASSERT_EQ(map.capacity(), capacity);
+  SeqSet report;  // the same watermark, two intervals above it
+  report.prune_below(10);
+  report.insert_range(11, 15);
+  report.insert(20);
+  map.merge(report);
+  EXPECT_EQ(map, report);
+  EXPECT_FALSE(map.shares_storage_with(report));
+  EXPECT_EQ(map.capacity(), capacity);
+  // Writing to it now leaves the report alone and still fits.
+  map.insert(17);
+  EXPECT_EQ(map.to_string(), "{1..10(pruned),11..15,17,20}");
+  EXPECT_EQ(report.to_string(), "{1..10(pruned),11..15,20}");
+  EXPECT_EQ(map.capacity(), capacity);
 }
 
 TEST(SeqSetSharing, AssignmentReleasesTheOldBlock) {

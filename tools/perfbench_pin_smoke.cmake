@@ -45,7 +45,8 @@ set(s stream16=${WORK_DIR})
 expect_pin(PASS ${PINS} ${wan64} ${s}/stream16.out)
 expect_pin(PASS ${PINS} ${wan64} ${s}/fewer_allocs.out)
 expect_pin("FAIL stream16.delay_p50_s 10.08" ${PINS} ${wan64} ${s}/delay.out)
-expect_pin("FAIL stream16.allocs_per_delivery 17.5" ${PINS} ${wan64} ${s}/allocs.out)
+expect_pin("FAIL stream16.allocs_per_delivery [0-9.]+ [(]at_most"
+  ${PINS} ${wan64} ${s}/allocs.out)
 expect_pin("stream16: perfbench reports correct = False"
   ${PINS} ${wan64} ${s}/incorrect.out)
 expect_pin("stream16.delay_p99_s missing" ${PINS} ${wan64} ${s}/no_metric.out)
