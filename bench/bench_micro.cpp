@@ -222,9 +222,9 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1000)->Arg(10000);
 
 // Timer churn: the protocol's dominant queue workload is arm/disarm of
-// liveness and attach timers that almost never fire. A lazy-deletion heap
-// with no compaction grows without bound here; the benchmark holds a small
-// live set while cycling many cancelled tombstones through the queue.
+// liveness and attach timers that almost never fire. The benchmark holds a
+// small live set of far-future timers while cancelling and re-arming them
+// many times; a cancel unlinks its entry, so nothing accumulates.
 void BM_EventQueueChurn(benchmark::State& state) {
   const int rearms = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -88,29 +88,35 @@ sim::Duration Network::jitter() {
   return jitter_rng_.uniform_int(0, config_.jitter_max);
 }
 
-void Network::launch(LinkId link, const LinkState::TxResult& tx,
-                     Packet&& packet, bool to_host) {
-  for (int c = 0; c < tx.copies; ++c) {
-    std::uint32_t slot = free_head_;
-    if (slot != kNoSlot) {
-      free_head_ = inflight_[slot].next_free;
-    } else {
-      slot = static_cast<std::uint32_t>(inflight_.size());
-      inflight_.emplace_back();
-    }
-    InFlight& f = inflight_[slot];
-    // Only a spontaneous duplicate costs a copy; the last copy takes the
-    // packet itself.
-    if (c + 1 < tx.copies) {
-      f.packet = packet;
-    } else {
-      f.packet = std::move(packet);
-    }
-    f.link = link;
-    f.to_host = to_host;
-    f.event = simulator_.after(tx.arrival_offset[c] + jitter(),
-                               [this, slot] { land(slot); });
+std::uint32_t Network::acquire() {
+  std::uint32_t slot = free_head_;
+  if (slot != kNoSlot) {
+    free_head_ = inflight_[slot].next_free;
+  } else {
+    slot = static_cast<std::uint32_t>(inflight_.size());
+    inflight_.emplace_back();
   }
+  return slot;
+}
+
+void Network::forward(std::uint32_t slot, LinkId link,
+                      const LinkState::TxResult& tx, bool to_host) {
+  if (tx.copies == 2) {
+    // Only a spontaneous duplicate costs a copy. acquire() may grow the
+    // slab, so the source slot is indexed afresh.
+    const std::uint32_t copy = acquire();
+    inflight_[copy].packet = inflight_[slot].packet;
+    arm(copy, link, tx.arrival_offset[0], to_host);
+  }
+  arm(slot, link, tx.arrival_offset[tx.copies - 1], to_host);
+}
+
+void Network::arm(std::uint32_t slot, LinkId link, sim::Duration offset,
+                  bool to_host) {
+  InFlight& f = inflight_[slot];
+  f.link = link;
+  f.to_host = to_host;
+  f.event = simulator_.after(offset + jitter(), [this, slot] { land(slot); });
 }
 
 void Network::release(std::uint32_t slot) {
@@ -121,26 +127,15 @@ void Network::release(std::uint32_t slot) {
   free_head_ = slot;
 }
 
+void Network::discard(std::uint32_t slot, DropReason reason) {
+  drop(inflight_[slot].packet.d, reason);
+  inflight_[slot].packet = Packet{};
+  release(slot);
+}
+
 std::size_t Network::in_flight() const {
   return static_cast<std::size_t>(std::ranges::count_if(
       inflight_, [](const InFlight& f) { return f.link.valid(); }));
-}
-
-void Network::land(std::uint32_t slot) {
-  // Moved out first: the handlers below may launch packets, which can
-  // grow the slab and reuse this slot.
-  Packet p = std::move(inflight_[slot].packet);
-  const bool to_host = inflight_[slot].to_host;
-  release(slot);
-  if (!to_host) {
-    arrive_at_server(std::move(p));
-    return;
-  }
-  const auto idx = static_cast<std::size_t>(p.d.to.value);
-  RBCAST_ASSERT_MSG(deliver_[idx] != nullptr,
-                    "message addressed to unregistered host");
-  if (observer_ != nullptr) observer_->on_deliver(p.d);
-  deliver_[idx](p.d);
 }
 
 void Network::send(HostId from, HostId to, std::any payload,
@@ -184,24 +179,56 @@ void Network::send(HostId from, HostId to, std::any payload,
   }
   p.at = hs.server;
   ++p.d.hops;
-  launch(hs.access_link, tx, std::move(p), false);
+  const std::uint32_t slot = acquire();
+  inflight_[slot].packet = std::move(p);
+  forward(slot, hs.access_link, tx, false);
 }
 
-void Network::arrive_at_server(Packet&& p) {
+void Network::land(std::uint32_t slot) {
+  if (inflight_[slot].to_host) {
+    // Moved out first: the upcall may send, which can grow the slab and
+    // reuse this slot.
+    const Packet p = std::move(inflight_[slot].packet);
+    release(slot);
+    const auto idx = static_cast<std::size_t>(p.d.to.value);
+    RBCAST_ASSERT_MSG(deliver_[idx] != nullptr,
+                      "message addressed to unregistered host");
+    if (observer_ != nullptr) observer_->on_deliver(p.d);
+    deliver_[idx](p.d);
+    return;
+  }
+  // Arrived at server p.at. Only forward() grows the slab (observers
+  // watch; they never send), so `p` stays valid up to that call.
+  Packet& p = inflight_[slot].packet;
   const topo::HostSpec& dst = topology_.host(p.d.to);
   if (p.at == dst.server) {
-    deliver_to_host(std::move(p));
+    LinkState& access = link_state(dst.access_link);
+    if (!access.up()) {
+      discard(slot, DropReason::kLinkDown);
+      return;
+    }
+    // Direction 1 of an access link is server -> host.
+    const auto tx = access.transmit(p.d.bytes, 1, simulator_.now());
+    if (tx.copies == 0) {
+      discard(slot, DropReason::kRandomLoss);
+      return;
+    }
+    // Spontaneous duplication on the last hop delivers the message twice —
+    // the protocol must cope, so keep both copies.
+    ++p.d.hops;
+    forward(slot, dst.access_link, tx, true);
     return;
   }
   if (--p.ttl <= 0) {
-    drop(p.d, DropReason::kTtlExceeded);
+    discard(slot, DropReason::kTtlExceeded);
     return;
   }
   Server& here = servers_[static_cast<std::size_t>(p.at.value)];
   const auto choice = here.choose_link(
       dst.server, [this](LinkId id) { return link_up(id); });
   if (!choice.link.valid()) {
-    drop(p.d, choice.had_route ? DropReason::kLinkDown : DropReason::kNoRoute);
+    discard(slot,
+            choice.had_route ? DropReason::kLinkDown : DropReason::kNoRoute);
     return;
   }
   here.count_forwarded();
@@ -209,7 +236,7 @@ void Network::arrive_at_server(Packet&& p) {
   LinkState& ls = link_state(choice.link);
   const int dir = ls.direction_from(p.at);
   if (ls.queue_backlog(dir, simulator_.now()) > config_.max_queue_delay) {
-    drop(p.d, DropReason::kQueueOverflow);
+    discard(slot, DropReason::kQueueOverflow);
     return;
   }
   const auto tx = ls.transmit(p.d.bytes + config_.per_packet_overhead_bytes,
@@ -219,33 +246,14 @@ void Network::arrive_at_server(Packet&& p) {
     observer_->on_link_transmit(choice.link, p.d);
   }
   if (tx.copies == 0) {
-    drop(p.d, DropReason::kRandomLoss);
+    discard(slot, DropReason::kRandomLoss);
     return;
   }
   p.at = ls.spec().other_end(p.at);
   p.d.expensive =
       p.d.expensive || ls.spec().link_class == topo::LinkClass::kExpensive;
   ++p.d.hops;
-  launch(choice.link, tx, std::move(p), false);
-}
-
-void Network::deliver_to_host(Packet&& p) {
-  const topo::HostSpec& dst = topology_.host(p.d.to);
-  LinkState& access = link_state(dst.access_link);
-  if (!access.up()) {
-    drop(p.d, DropReason::kLinkDown);
-    return;
-  }
-  // Direction 1 of an access link is server -> host.
-  const auto tx = access.transmit(p.d.bytes, 1, simulator_.now());
-  if (tx.copies == 0) {
-    drop(p.d, DropReason::kRandomLoss);
-    return;
-  }
-  // Spontaneous duplication on the last hop delivers the message twice —
-  // the protocol must cope, so keep both copies.
-  ++p.d.hops;
-  launch(dst.access_link, tx, std::move(p), true);
+  forward(slot, choice.link, tx, false);
 }
 
 void Network::drop(const Delivery& d, DropReason reason) {

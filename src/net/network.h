@@ -8,12 +8,15 @@
 //
 // In-flight slab: a packet crossing a link lives in a network-owned slot
 // vector, not in the scheduled closure. The arrival event captures only
-// `[this, slot]`, which std::function stores inline, and the packet is
-// moved from hop to hop; only a spontaneous duplicate copies it. Freed
-// slots are recycled through an intrusive free list, so once the slab
-// has grown to the run's peak in-flight count a hop allocates nothing.
-// Each slot records its link and arrival event, which is how a failing
-// link cancels exactly what is in flight on it.
+// `[this, slot]`, which std::function stores inline. A packet keeps its
+// slot from its first hop to its last: each hop updates it in place and
+// re-arms the slot's event, and only a spontaneous duplicate copies it
+// into a second slot. The final hop moves it out for the upcall, which may
+// send and so grow the slab. Freed slots are recycled through an
+// intrusive free list, so once the slab has grown to the run's peak
+// in-flight count a hop allocates nothing. Each slot records its link and
+// arrival event, which is how a failing link cancels exactly what is in
+// flight on it.
 #pragma once
 
 #include <cstdint>
@@ -129,19 +132,27 @@ class Network {
 
   LinkState& link_state(LinkId id);
   [[nodiscard]] const LinkState& link_state(LinkId id) const;
-  void arrive_at_server(Packet&& packet);
-  void deliver_to_host(Packet&& packet);
   void drop(const Delivery& d, DropReason reason);
   [[nodiscard]] sim::Duration jitter();
 
-  // Puts the `tx.copies` copies of `packet` on `link`, each arriving at
-  // its `tx.arrival_offset` plus jitter: at the far server, or at the
-  // destination host when `to_host`. If the link goes down first, they
-  // are lost with everything else in flight on it.
-  void launch(LinkId link, const LinkState::TxResult& tx, Packet&& packet,
-              bool to_host);
-  // Arrival event of slab slot `slot`.
+  // Takes a slot off the free list, growing the slab when it is empty.
+  std::uint32_t acquire();
+  // Puts the packet in `slot` on `link`: its `tx.copies` copies (1 or 2)
+  // each arrive at their `tx.arrival_offset` plus jitter, at the far
+  // server, or at the destination host when `to_host`. A duplicate is
+  // copied into a second slot and scheduled first. If the link goes down
+  // first, they are lost with everything else in flight on it.
+  void forward(std::uint32_t slot, LinkId link, const LinkState::TxResult& tx,
+               bool to_host);
+  void arm(std::uint32_t slot, LinkId link, sim::Duration offset,
+           bool to_host);
+  // Arrival event of slab slot `slot`: the next hop, in place, or the
+  // upcall.
   void land(std::uint32_t slot);
+  // Reports the packet in `slot` as dropped, destroys it and frees the
+  // slot.
+  void discard(std::uint32_t slot, DropReason reason);
+  // Frees `slot`, whose packet has been moved out or destroyed.
   void release(std::uint32_t slot);
 
   sim::Simulator& simulator_;

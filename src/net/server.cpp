@@ -1,31 +1,19 @@
 #include "net/server.h"
 
+#include <algorithm>
+
 namespace rbcast::net {
 
 Server::Server(ServerId id, const topo::Topology& topology,
                const Routing& routing)
     : id_(id), routing_(&routing) {
   for (LinkId lid : topology.trunk_links_of(id)) {
-    const topo::LinkSpec& l = topology.link(lid);
-    links_by_neighbor_[l.other_end(id)].push_back(lid);
+    const ServerId neighbor = topology.link(lid).other_end(id);
+    // After every trunk to the same neighbor: insertion order within it.
+    trunks_.emplace(
+        std::ranges::upper_bound(trunks_, neighbor, {}, &Trunk::first),
+        neighbor, lid);
   }
-}
-
-Server::ForwardChoice Server::choose_link(
-    ServerId dst_server, const std::function<bool(LinkId)>& link_up) const {
-  ForwardChoice choice;
-  const ServerId hop = routing_->next_hop(id_, dst_server);
-  if (!hop.valid()) return choice;
-  choice.had_route = true;
-  auto it = links_by_neighbor_.find(hop);
-  if (it == links_by_neighbor_.end()) return choice;
-  for (LinkId lid : it->second) {
-    if (link_up(lid)) {
-      choice.link = lid;
-      return choice;
-    }
-  }
-  return choice;
 }
 
 }  // namespace rbcast::net

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "net/routing.h"
@@ -27,22 +27,39 @@ class Server {
     bool had_route{false};  // routing knew a next hop (link may be down)
   };
 
-  // Picks the outgoing link toward `dst_server` per the current routes.
-  // `link_up` reflects the live link states.
-  [[nodiscard]] ForwardChoice choose_link(
-      ServerId dst_server,
-      const std::function<bool(LinkId)>& link_up) const;
+  // Picks the outgoing link toward `dst_server` per the current routes:
+  // the first trunk to the next hop, in insertion order, for which
+  // `link_up(LinkId)` holds.
+  template <typename LinkUp>
+  [[nodiscard]] ForwardChoice choose_link(ServerId dst_server,
+                                          LinkUp&& link_up) const {
+    ForwardChoice choice;
+    const ServerId hop = routing_->next_hop(id_, dst_server);
+    if (!hop.valid()) return choice;
+    choice.had_route = true;
+    // A server has a handful of trunks: a linear scan beats a search.
+    for (const auto& [neighbor, link] : trunks_) {
+      if (neighbor > hop) break;
+      if (neighbor == hop && link_up(link)) {
+        choice.link = link;
+        break;
+      }
+    }
+    return choice;
+  }
 
   // --- accounting ---------------------------------------------------------
   void count_forwarded() { ++forwarded_; }
   [[nodiscard]] std::uint64_t forwarded() const { return forwarded_; }
 
  private:
+  using Trunk = std::pair<ServerId, LinkId>;  // (neighbor, link)
+
   ServerId id_;
   const Routing* routing_;
-  // Incident trunks grouped by neighbor server (ordered by neighbor id;
-  // within a neighbor, insertion order).
-  std::map<ServerId, std::vector<LinkId>> links_by_neighbor_;
+  // Incident trunks ordered by neighbor server; within a neighbor, in
+  // insertion order.
+  std::vector<Trunk> trunks_;
   std::uint64_t forwarded_{0};
 };
 

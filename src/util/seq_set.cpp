@@ -123,28 +123,53 @@ void SeqSet::insert_range(Seq lo, Seq hi) {
 }
 
 void SeqSet::merge(const SeqSet& other) {
-  if (other.pruned_below_ > pruned_below_) prune_below(other.pruned_below_);
-  // Covers s.merge(s) and copies of s: identical intervals add nothing.
-  if (rep_ == other.rep_ || other.size() == 0) return;
-  // The union is exactly `other`. Share its block only when we hold none
-  // of our own: an exclusive block emptied by pruning is refilled below
-  // without allocating, where sharing would make our next write clone.
-  if (rep_ == nullptr && pruned_below_ == other.pruned_below_) {
+  if (other.size() == 0) {
+    prune_below(other.pruned_below_);
+    return;
+  }
+  // A higher watermark is only raised here: the walk below drops and
+  // clamps our intervals against it, so no separate prune splices (and, on
+  // a shared block, clones) ahead of the walk's own write. Our intervals
+  // [0, k) lie wholly at or below it.
+  std::size_t k = 0;
+  if (other.pruned_below_ > pruned_below_) {
+    pruned_below_ = other.pruned_below_;
+    const auto ours = intervals();
+    k = static_cast<std::size_t>(
+        std::partition_point(ours.begin(), ours.end(),
+                             [this](const Interval& iv) {
+                               return iv.hi <= pruned_below_;
+                             }) -
+        ours.begin());
+  }
+  // Covers s.merge(s) and copies of s: identical intervals add nothing,
+  // and they all lie above other's watermark.
+  if (rep_ == other.rep_) return;
+  // When none survive, the union is exactly `other`. Share its block
+  // unless we own one: an exclusive block is refilled below without
+  // allocating, where sharing would make our next write clone.
+  if (k == size() && pruned_below_ == other.pruned_below_ &&
+      (rep_ == nullptr || rep_->refs > 1)) {
     *this = other;
     return;
   }
 
-  // In-place linear two-pointer union. Our n intervals are parked at the
-  // back of a block of n + m slots; the union is then written forward from
-  // the front, repeatedly taking the lower-starting interval from either
-  // input and coalescing it onto the output tail. Each output interval
-  // consumes at least one input, so the write cursor never passes the read
-  // cursor `a` — no scratch buffer, and no allocation at all once the
-  // capacity covers n + m and the block is ours alone.
-  const std::size_t n = size();
+  // In-place linear two-pointer union. Our n surviving intervals are
+  // parked at the back of a block of n + m slots; the union is then
+  // written forward from the front, repeatedly taking the lower-starting
+  // interval from either input and coalescing it onto the output tail.
+  // Each output interval consumes at least one input, so the write cursor
+  // never passes the read cursor `a` — no scratch buffer, and no
+  // allocation at all once the capacity covers n + m and the block is
+  // ours alone.
+  const std::size_t n = size() - k;
   const std::size_t m = other.size();
   Interval* const d = writable(n + m);
-  std::copy_backward(d, d + n, d + n + m);
+  if (k < m) {
+    std::copy_backward(d + k, d + k + n, d + m + n);
+  } else if (k > m) {
+    std::copy(d + k, d + k + n, d + m);
+  }
   const Interval* a = d + m;
   const Interval* const a_end = d + n + m;
   const Interval* b = other.data();

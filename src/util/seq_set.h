@@ -109,12 +109,14 @@ class SeqSet {
 
   // Union with another set: a linear two-pointer interval walk done in
   // place, O(intervals(this) + intervals(other)) regardless of element
-  // counts. Allocates only when intervals(this) + intervals(other) exceeds
-  // the current capacity or the block is shared. s.merge(s), merging an
-  // empty set and merging a set that shares this block change nothing. A
-  // set that holds no block, merging a set with the same watermark, shares
-  // that set's block; a set whose own block pruning emptied refills it in
-  // place instead.
+  // counts. A higher watermark in `other` prunes this set within the same
+  // walk. Allocates at most once, and only when the surviving
+  // intervals(this) + intervals(other) exceed the current capacity or the
+  // block is shared. s.merge(s), merging an empty set and merging a set
+  // that shares this block change nothing beyond the watermark. When the
+  // union is exactly `other` (none of ours lies above its watermark), a
+  // set holding no block or a shared one shares other's block; a set
+  // owning its block refills it in place instead.
   void merge(const SeqSet& other);
 
   [[nodiscard]] bool contains(Seq seq) const;

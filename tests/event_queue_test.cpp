@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace rbcast::sim {
@@ -225,6 +231,146 @@ TEST(EventQueue, ChurnRecyclesSlots) {
     EXPECT_EQ(q.slot_capacity(), 2u * kEach);
     EXPECT_LE(q.backing_size(), 2u * std::max<std::size_t>(2 * kEach, 64));
   }
+}
+
+TEST(EventQueue, ScheduleEarlierThanTheLastPopIsOrderedFirst) {
+  // A bare queue may be handed a time before the last one it fired, both
+  // when drained and while later events are still pending.
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule(100, [&] { fired.push_back(100); });
+  q.pop().action();
+  q.schedule(50, [&] { fired.push_back(50); });  // after a drain
+  q.schedule(200, [&] { fired.push_back(200); });
+  q.pop().action();
+  q.schedule(120, [&] { fired.push_back(120); });  // 200 still pending
+  q.schedule(10, [&] { fired.push_back(10); });
+  q.schedule(120, [&] { fired.push_back(121); });
+  EXPECT_EQ(q.next_time(), 10);
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(fired, (std::vector<int>{100, 50, 10, 120, 121, 200}));
+}
+
+// Differential test against an ordered-set model of (time, schedule
+// order). Every pop's time and action, every cancel() result and every
+// next_time() must match the model. The schedules mix near times, a pool
+// of shared "hot" times that later schedules join from other buckets,
+// offsets spread log-uniformly over [0, 2^40], a far class near 2^62, and
+// times earlier than the last pop, both while events are pending and
+// after a drain.
+TEST(EventQueue, RandomOperationsMatchAnOrderedSetModel) {
+  std::mt19937_64 rng(21);
+  EventQueue q;
+  struct Issued {
+    EventId id;
+    TimePoint time;
+  };
+  std::vector<Issued> issued;
+  std::set<std::pair<TimePoint, std::size_t>> model;  // (time, issue order)
+  std::size_t fired = 0;
+  TimePoint last_pop = 0;
+  std::array<TimePoint, 8> hot{};
+  for (TimePoint& t : hot) t = 1 + static_cast<TimePoint>(rng() % 1000);
+  // Cancels by the bucket their entry would occupy relative to the last
+  // pop: 0 for at or before it, else the bit width of the key difference.
+  std::array<int, 65> cancels_by_bucket{};
+  const auto bucket = [&last_pop](TimePoint t) {
+    if (t <= last_pop) return 0;
+    const auto key = [](TimePoint x) {
+      return static_cast<std::uint64_t>(x) ^ (std::uint64_t{1} << 63);
+    };
+    return static_cast<int>(std::bit_width(key(t) ^ key(last_pop)));
+  };
+
+  const auto schedule = [&](TimePoint t) {
+    const std::size_t index = issued.size();
+    issued.push_back({q.schedule(t, [&fired, index] { fired = index; }), t});
+    model.emplace(t, index);
+  };
+  const auto pop = [&] {
+    ASSERT_EQ(q.next_time(), model.begin()->first);
+    EventQueue::Fired f = q.pop();
+    ASSERT_EQ(f.time, model.begin()->first);
+    f.action();
+    ASSERT_EQ(fired, model.begin()->second);
+    last_pop = f.time;
+    model.erase(model.begin());
+  };
+
+  constexpr int kOps = 200000;
+  int drains = 0;
+  int early_after_drain = 0;
+  int early_while_pending = 0;
+  for (int op = 0; op < kOps; ++op) {
+    const auto r = rng() % 100;
+    if (r < 38 && model.size() < 4000) {
+      TimePoint t = last_pop;
+      switch (rng() % 6) {
+        case 0:
+          t += static_cast<TimePoint>(rng() % 16);
+          break;
+        case 1: {
+          TimePoint& h = hot[rng() % hot.size()];
+          if (h < last_pop) {
+            h = last_pop + static_cast<TimePoint>(
+                               rng() % (std::uint64_t{1} << (rng() % 24)));
+          }
+          t = h;
+          break;
+        }
+        case 2:
+        case 3:
+          t += static_cast<TimePoint>(
+              rng() % ((std::uint64_t{1} << (rng() % 41)) + 1));
+          break;
+        case 4:
+          t = (TimePoint{1} << 62) + static_cast<TimePoint>(rng() % 64);
+          break;
+        default:
+          t -= static_cast<TimePoint>(rng() % 1000);
+          if (t < last_pop) {
+            ++(model.empty() ? early_after_drain : early_while_pending);
+          }
+          break;
+      }
+      schedule(t);
+    } else if (r < 62) {
+      // Mostly recent handles (usually live), sometimes any handle ever
+      // issued (usually fired or cancelled already).
+      const std::size_t n = issued.size();
+      if (n == 0) continue;
+      const std::size_t index =
+          rng() % 8 == 0 ? rng() % n
+                         : n - 1 - rng() % std::min<std::size_t>(n, 512);
+      const Issued& e = issued[index];
+      const bool live = model.erase({e.time, index}) == 1;
+      const TimePoint t = e.time;
+      ASSERT_EQ(q.cancel(e.id), live) << "op " << op;
+      if (live) ++cancels_by_bucket[static_cast<std::size_t>(bucket(t))];
+    } else if (r < 95) {
+      if (!model.empty()) pop();
+    } else if (r < 99) {
+      if (!model.empty()) {
+        ASSERT_EQ(q.next_time(), model.begin()->first);
+      }
+    } else {
+      while (!model.empty()) pop();
+      ++drains;
+    }
+    ASSERT_EQ(q.size(), model.size()) << "op " << op;
+    ASSERT_EQ(q.backing_size(), q.size());
+    if (HasFatalFailure()) return;
+  }
+  while (!model.empty()) pop();
+  EXPECT_TRUE(q.empty());
+
+  EXPECT_GT(drains, 100);
+  EXPECT_GT(early_after_drain, 50);
+  EXPECT_GT(early_while_pending, 1000);
+  for (std::size_t b = 0; b <= 41; ++b) {
+    EXPECT_GT(cancels_by_bucket[b], 0) << "no cancel in bucket " << b;
+  }
+  EXPECT_GT(cancels_by_bucket[63], 0) << "no cancel in the far bucket";
 }
 
 }  // namespace

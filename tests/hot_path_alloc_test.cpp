@@ -527,6 +527,27 @@ TEST(SeqSetAllocations, MergeIntoABlockPruningEmptiedAllocatesNothing) {
   EXPECT_EQ(ours.to_string(), "{1..10(pruned),11..20,25,30}");
 }
 
+// A peer's MAP adopted its previous report's block, which that report
+// still shares. The next report raises the watermark past the first
+// interval and brings more intervals than the block holds: the merge
+// prunes within its walk, so the one clone it must make is sized for the
+// union and nothing is spliced or grown besides.
+TEST(SeqSetAllocations, HigherWatermarkIntoASharedBlockAllocatesOnce) {
+  SeqSet previous;
+  previous.prune_below(10);
+  for (const util::Seq q : {12, 13, 15, 16, 18, 19}) previous.insert(q);
+  SeqSet map;
+  map.merge(previous);
+  ASSERT_TRUE(map.shares_storage_with(previous));
+  ASSERT_LT(map.capacity(), std::size_t{2 + 5});
+  SeqSet report;
+  report.prune_below(14);
+  for (const util::Seq q : {15, 16, 18, 19, 21, 23, 25}) report.insert(q);
+  EXPECT_EQ(allocations_during([&] { map.merge(report); }), 1u);
+  EXPECT_EQ(map.to_string(), "{1..14(pruned),15..16,18..19,21,23,25}");
+  EXPECT_EQ(previous.to_string(), "{1..10(pruned),12..13,15..16,18..19}");
+}
+
 TEST(SeqSetAllocations, ReadQueriesAllocateNothing) {
   const SeqSet a = SeqSet::of({1, 2, 3, 7, 8, 12});
   const SeqSet b = SeqSet::contiguous(12);

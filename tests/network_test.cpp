@@ -537,5 +537,87 @@ TEST(Network, MultiHopPathNeverCopiesThePayload) {
   EXPECT_EQ(copies, 0);
 }
 
+// Host 0 on server 0 and host 1 on server 3, at the ends of a chain of
+// three cheap trunks: five hops. `duplication` applies to the middle
+// trunk only.
+topo::Topology five_hop_chain(double duplication) {
+  topo::Topology t;
+  const ServerId s0 = t.add_server();
+  const ServerId s1 = t.add_server();
+  const ServerId s2 = t.add_server();
+  const ServerId s3 = t.add_server();
+  t.add_link(s0, s1, topo::LinkClass::kCheap);
+  topo::LinkParams middle = topo::LinkParams::cheap_defaults();
+  middle.duplication_probability = duplication;
+  t.add_link(s1, s2, topo::LinkClass::kCheap, middle);
+  t.add_link(s2, s3, topo::LinkClass::kCheap);
+  t.add_host(s0);
+  t.add_host(s3);
+  return t;
+}
+
+TEST(Network, PacketKeepsOneSlabSlotForItsWholePath) {
+  Harness h;
+  h.init(five_hop_chain(0.0));
+  h.send(HostId{0}, HostId{1}, "one slot");
+  h.sim.run_until(sim::seconds(1));
+  ASSERT_EQ(h.inbox[1].size(), 1u);
+  EXPECT_EQ(h.inbox[1][0].hops, 5);
+  EXPECT_EQ(h.network->in_flight_capacity(), 1u);
+  EXPECT_EQ(h.network->in_flight(), 0u);
+}
+
+TEST(Network, TrunkDuplicateTakesExactlyOneMoreSlot) {
+  Harness h;
+  h.init(five_hop_chain(1.0));
+  h.send(HostId{0}, HostId{1}, "twice");
+  h.sim.run_until(sim::seconds(1));
+  ASSERT_EQ(h.inbox[1].size(), 2u);
+  for (const Received& r : h.inbox[1]) {
+    EXPECT_EQ(r.payload, "twice");
+    EXPECT_EQ(r.hops, 5);
+  }
+  EXPECT_EQ(h.network->in_flight_capacity(), 2u);
+  EXPECT_EQ(h.network->in_flight(), 0u);
+}
+
+TEST(Network, LinkFailureCancelsAPacketReArmedMidPath) {
+  // Host 0 -> cheap trunk -> expensive trunk -> host 1. At 30 ms a 500 B
+  // message has crossed the access link and the cheap trunk in its one
+  // slot and is ~70 ms into the expensive one, so that slot's event was
+  // re-armed twice. Failing the expensive trunk must cancel the current
+  // arrival, not a stale one.
+  topo::Topology t;
+  const ServerId s0 = t.add_server();
+  const ServerId s1 = t.add_server();
+  const ServerId s2 = t.add_server();
+  t.add_link(s0, s1, topo::LinkClass::kCheap);
+  const LinkId expensive = t.add_link(s1, s2, topo::LinkClass::kExpensive);
+  t.add_host(s0);
+  t.add_host(s2);
+  Harness h;
+  h.init(std::move(t));
+
+  h.send(HostId{0}, HostId{1}, "doomed", 500);
+  h.sim.run_until(sim::milliseconds(30));
+  ASSERT_EQ(h.network->in_flight(), 1u);
+  ASSERT_EQ(h.network->in_flight_capacity(), 1u);
+  const std::size_t pending = h.sim.pending_events();
+  h.network->set_link_up(expensive, false);
+  EXPECT_EQ(h.network->in_flight(), 0u);
+  // The arrival cancelled, one routing recompute scheduled.
+  EXPECT_EQ(h.sim.pending_events(), pending - 1 + 1);
+  h.sim.run_until(sim::seconds(1));
+  h.network->set_link_up(expensive, true);
+  h.sim.run_until(sim::seconds(5));
+  EXPECT_TRUE(h.inbox[1].empty());
+
+  // The freed slot carries the next message.
+  h.send(HostId{0}, HostId{1}, "after", 500);
+  h.sim.run_until(sim::seconds(10));
+  EXPECT_EQ(h.inbox[1].size(), 1u);
+  EXPECT_EQ(h.network->in_flight_capacity(), 1u);
+}
+
 }  // namespace
 }  // namespace rbcast::net

@@ -575,6 +575,62 @@ TEST(SeqSet, RandomizedMergeDifferentialAgainstStdSet) {
   }
 }
 
+// merge() raises a higher watermark inside its walk instead of pruning
+// first. Over random operands, with the receiver's block shared with an
+// earlier report, with the operand, or with nothing, the result must equal
+// pruning to the operand's watermark and merging after — and the sets
+// that shared a block must not see the write.
+TEST(SeqSet, MergeEqualsPruneThenMerge) {
+  std::mt19937_64 rng(211018);
+  const auto draw = [&rng] {
+    SeqSet s;
+    const Seq span = 1 + rng() % 80;
+    const int inserts = static_cast<int>(rng() % 40);
+    for (int i = 0; i < inserts; ++i) s.insert(1 + rng() % span);
+    if (rng() % 2 == 0) s.prune_below(rng() % (span + 1));
+    return s;
+  };
+  for (int trial = 0; trial < 20000; ++trial) {
+    SeqSet ours = draw();
+    SeqSet report = draw();
+    SeqSet earlier;  // an earlier report ours still shares a block with
+    switch (rng() % 4) {
+      case 0:
+        earlier = ours;
+        break;
+      case 1:  // the report grew out of ours and may still share its block
+        report = ours;
+        if (rng() % 2 == 0) report.insert(1 + rng() % 90);
+        report.prune_below(rng() % 90);
+        break;
+      case 2:  // ours is a blockless or block-sharing copy of an old report
+        ours = SeqSet{};
+        if (rng() % 2 == 0) ours = earlier = draw();
+        break;
+      default:
+        break;
+    }
+    const std::vector<SeqSet::Interval> earlier_intervals =
+        intervals_of(earlier);
+    const Seq earlier_watermark = earlier.prune_watermark();
+    const std::vector<SeqSet::Interval> report_intervals =
+        intervals_of(report);
+
+    SeqSet expected = ours;
+    expected.prune_below(report.prune_watermark());
+    expected.merge(report);
+    ours.merge(report);
+
+    ASSERT_EQ(ours.prune_watermark(), expected.prune_watermark())
+        << "trial " << trial;
+    ASSERT_EQ(intervals_of(ours), intervals_of(expected)) << "trial " << trial;
+    ASSERT_EQ(intervals_of(earlier), earlier_intervals) << "trial " << trial;
+    ASSERT_EQ(earlier.prune_watermark(), earlier_watermark)
+        << "trial " << trial;
+    ASSERT_EQ(intervals_of(report), report_intervals) << "trial " << trial;
+  }
+}
+
 // The INFO steady state: a peer's report only extends the last interval.
 // Once the receiver's capacity covers both operands, merging allocates
 // nothing — capacity stays put.
