@@ -464,16 +464,18 @@ void BroadcastHost::detach_from_parent(bool notify, bool timeout) {
 
 void BroadcastHost::info_round_intra() {
   // Frequent exchange with cluster members and parent-graph neighbors
-  // (cluster ∪ children ∪ {parent} \ {self}), in ascending id order.
-  info_targets_.assign(state_.cluster().begin(), state_.cluster().end());
-  info_targets_.insert(info_targets_.end(), state_.children().begin(),
-                       state_.children().end());
-  if (state_.parent().valid()) info_targets_.push_back(state_.parent());
-  std::sort(info_targets_.begin(), info_targets_.end());
-  info_targets_.erase(std::unique(info_targets_.begin(), info_targets_.end()),
-                      info_targets_.end());
-  std::erase(info_targets_, self());
-  const InfoMsg msg{state_.info(), state_.parent()};
+  // (cluster ∪ children ∪ {parent} \ {self}), in ascending id order. The
+  // parent is a member: it accepted our request, and on_delivery() drops
+  // non-members.
+  const HostId parent = state_.parent();
+  info_targets_.clear();
+  for (HostId j : state_.all_hosts()) {
+    if (j != self() &&
+        (j == parent || state_.in_cluster(j) || state_.is_child(j))) {
+      info_targets_.push_back(j);
+    }
+  }
+  const InfoMsg msg{state_.info(), parent};
   for (HostId j : info_targets_) {
     // A data message that piggybacked our INFO to j within the last round
     // already did this round's job (Section 6) — skip the standalone report.
@@ -564,13 +566,12 @@ void BroadcastHost::maintenance_round() {
   }
 
   // Child liveness (engineering necessity; see Config::child_timeout).
-  std::vector<HostId> stale;
+  // Removing the child under the iterator is safe (HostState::MemberSet).
   for (HostId child : state_.children()) {
     if (now - peer_book(child).last_heard > config_.child_timeout) {
-      stale.push_back(child);
+      state_.remove_child(child);
     }
   }
-  for (HostId child : stale) state_.remove_child(child);
 
   // Lapsed-offer sweep: keeps the optimistic-offer table bounded even for
   // peers no planner asks about anymore (e.g. removed children).

@@ -120,8 +120,8 @@ class BroadcastHost {
 
   // Seeds CLUSTER_i (static cluster knowledge mode, or "some information
   // to the contrary" at initialization — Section 4.2). Call before start().
-  void seed_cluster(std::set<HostId> cluster) {
-    state_.set_cluster(std::move(cluster));
+  void seed_cluster(const std::vector<HostId>& cluster) {
+    state_.set_cluster(cluster);
   }
 
   // Installs a protocol-event observer (nullptr to remove).

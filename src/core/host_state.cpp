@@ -23,20 +23,33 @@ HostState::HostState(HostId self, std::vector<HostId> all_hosts,
     all_hosts_.erase(std::unique(all_hosts_.begin(), all_hosts_.end()),
                      all_hosts_.end());
   }
-  RBCAST_CHECK_ARG(slot(self_) != npos, "self must be among all_hosts");
-  if (!all_hosts_.empty()) source_order_ = all_hosts_.back().value + 1;
+  const std::size_t self_slot = slot(self_);
+  RBCAST_CHECK_ARG(self_slot != npos, "self must be among all_hosts");
+  source_order_ = all_hosts_.back().value + 1;
   // "CLUSTER_i is initialized to {i}, i.e., in the beginning each host
   // assumes that it is in a cluster by itself."
-  cluster_.insert(self_);
+  member_flags_.assign(all_hosts_.size(), 0);
+  set_flag(self_slot, kInCluster, true);
 }
 
 void HostState::check_invariants() const {
 #if defined(RBCAST_PARANOID)
   // "CLUSTER_i always contains i"; a host is never its own child; the
-  // per-peer table is unsized or covers every slot; every stored body is
-  // recorded in INFO.
-  RBCAST_ASSERT(cluster_.contains(self_));
-  RBCAST_ASSERT(!children_.contains(self_));
+  // membership flags cover every slot and each set's size counts its bits;
+  // the per-peer table is unsized or covers every slot; every stored body
+  // is recorded in INFO.
+  RBCAST_ASSERT(member_flags_.size() == all_hosts_.size());
+  RBCAST_ASSERT(in_cluster(self_));
+  RBCAST_ASSERT(!is_child(self_));
+  std::size_t cluster_bits = 0;
+  std::size_t child_bits = 0;
+  for (const std::uint8_t flags : member_flags_) {
+    RBCAST_ASSERT((flags & ~(kInCluster | kChild)) == 0);
+    cluster_bits += (flags & kInCluster) != 0 ? 1 : 0;
+    child_bits += (flags & kChild) != 0 ? 1 : 0;
+  }
+  RBCAST_ASSERT(cluster_bits == cluster_size_);
+  RBCAST_ASSERT(child_bits == children_size_);
   RBCAST_ASSERT(peers_.empty() || peers_.size() == all_hosts_.size());
   for (const auto& [seq, body] : bodies_) {
     RBCAST_ASSERT_MSG(info_.contains(seq), "body stored without INFO entry");
@@ -72,7 +85,7 @@ Seq HostState::safe_prefix() const {
   return prefix;
 }
 
-std::size_t HostState::slot(HostId h) const {
+std::size_t HostState::search_slot(HostId h) const {
   const auto it = std::lower_bound(all_hosts_.begin(), all_hosts_.end(), h);
   if (it == all_hosts_.end() || *it != h) return npos;
   return static_cast<std::size_t>(it - all_hosts_.begin());
@@ -103,17 +116,27 @@ void HostState::learn_has(HostId j, Seq seq) {
 
 void HostState::update_cluster_from_cost_bit(HostId j, bool expensive) {
   if (j == self_) return;
-  if (expensive) {
-    cluster_.erase(j);
-  } else {
-    cluster_.insert(j);
-  }
+  const std::size_t k = slot(j);
+  RBCAST_CHECK_ARG(k != npos, "peer is not among all_hosts");
+  set_flag(k, kInCluster, !expensive);
 }
 
-void HostState::set_cluster(std::set<HostId> cluster) {
-  cluster_ = std::move(cluster);
-  cluster_.insert(self_);
+void HostState::set_cluster(const std::vector<HostId>& cluster) {
+  for (HostId j : cluster) {
+    RBCAST_CHECK_ARG(slot(j) != npos, "cluster member is not among all_hosts");
+  }
+  for (std::size_t k = 0; k < member_flags_.size(); ++k) {
+    set_flag(k, kInCluster, all_hosts_[k] == self_);
+  }
+  for (HostId j : cluster) set_flag(slot(j), kInCluster, true);
   check_invariants();
+}
+
+void HostState::add_child(HostId j) {
+  if (j == self_) return;
+  const std::size_t k = slot(j);
+  RBCAST_CHECK_ARG(k != npos, "peer is not among all_hosts");
+  set_flag(k, kChild, true);
 }
 
 HostId HostState::parent_of(HostId j) const {

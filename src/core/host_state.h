@@ -8,11 +8,16 @@
 //   CHILDREN_i  — i's children in the host parent graph
 //   p_i[j]      — i's view of j's parent; p_i[i] is i's true parent
 //   order(i)    — the static linear ordering over all hosts
+//
+// Every per-peer query is O(1) and allocates nothing: a peer's slot is one
+// verified array read (slot()), and CLUSTER_i and CHILDREN_i are two bits
+// per slot rather than ordered sets, read back in ascending id order.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -54,8 +59,16 @@ class HostState {
   // slot, never by raw id — ids are arbitrary (a config may say
   // 2000000000, a datagram's sender field is whatever the peer wrote).
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  // Binary search; npos for a host outside all_hosts().
-  [[nodiscard]] std::size_t slot(HostId h) const;
+  // npos for a host outside all_hosts(). Topologies number their hosts
+  // 0..n-1, so a member's id is usually its rank: the id is tried as the
+  // slot first and kept only if all_hosts() holds that very id there
+  // (a negative id wraps past the end). Any other id takes the binary
+  // search, so sparse and forged ids get the same answer, just slower.
+  [[nodiscard]] std::size_t slot(HostId h) const {
+    const auto guess = static_cast<std::size_t>(h.value);
+    if (guess < all_hosts_.size() && all_hosts_[guess] == h) return guess;
+    return search_slot(h);
+  }
 
   // --- static order ------------------------------------------------------
   [[nodiscard]] int order(HostId h) const {
@@ -95,17 +108,86 @@ class HostState {
   // Records that j provably has `seq` (we received a data message from j).
   void learn_has(HostId j, Seq seq);
 
-  // --- CLUSTER ---------------------------------------------------------------
+  // --- CLUSTER and CHILDREN ---------------------------------------------------
+  //
+  // Both sets live as one flag byte per slot, so membership tests and
+  // changes are O(1) and allocate nothing, and reading a set back walks
+  // the slots in ascending id order, which the INFO recipients, the
+  // forward loops and the model checker's state key all depend on.
 
-  [[nodiscard]] const std::set<HostId>& cluster() const { return cluster_; }
+  // One of the two sets, read in place: iterates member ids in ascending
+  // order and allocates nothing. It reflects later changes; clearing the
+  // member under an iterator is safe, any other change while iterating is
+  // not.
+  class MemberSet {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = HostId;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const HostId*;
+      using reference = HostId;
+
+      iterator() = default;
+      HostId operator*() const { return state_->all_hosts_[k_]; }
+      iterator& operator++() {
+        k_ = state_->next_member(k_ + 1, flag_);
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator before = *this;
+        ++*this;
+        return before;
+      }
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.k_ == b.k_;
+      }
+
+     private:
+      friend class MemberSet;
+      iterator(const HostState* state, std::uint8_t flag, std::size_t k)
+          : state_(state), flag_(flag), k_(k) {}
+      const HostState* state_{nullptr};
+      std::uint8_t flag_{0};
+      std::size_t k_{0};
+    };
+
+    [[nodiscard]] iterator begin() const {
+      return {state_, flag_, state_->next_member(0, flag_)};
+    }
+    [[nodiscard]] iterator end() const {
+      return {state_, flag_, state_->all_hosts_.size()};
+    }
+    [[nodiscard]] std::size_t size() const {
+      return state_->member_count(flag_);
+    }
+    [[nodiscard]] bool empty() const { return size() == 0; }
+    [[nodiscard]] bool contains(HostId j) const {
+      return state_->has_flag(j, flag_);
+    }
+
+   private:
+    friend class HostState;
+    MemberSet(const HostState* state, std::uint8_t flag)
+        : state_(state), flag_(flag) {}
+    const HostState* state_;
+    std::uint8_t flag_;
+  };
+
+  [[nodiscard]] MemberSet cluster() const { return {this, kInCluster}; }
+  // False for a non-member.
   [[nodiscard]] bool in_cluster(HostId j) const {
-    return cluster_.contains(j);
+    return has_flag(j, kInCluster);
   }
   // Applies the paper's cost-bit rule: a cheap delivery from j adds j to
-  // CLUSTER_i, an expensive one removes it. No-op for self.
+  // CLUSTER_i, an expensive one removes it. No-op for self; throws
+  // std::invalid_argument for a j outside all_hosts().
   void update_cluster_from_cost_bit(HostId j, bool expensive);
-  // Overrides the cluster set (static cluster knowledge mode).
-  void set_cluster(std::set<HostId> cluster);
+  // Overrides the cluster set (static cluster knowledge mode); self stays
+  // in. Throws std::invalid_argument, changing nothing, if any listed
+  // host is outside all_hosts().
+  void set_cluster(const std::vector<HostId>& cluster);
 
   // --- parent graph ---------------------------------------------------------
 
@@ -117,12 +199,17 @@ class HostState {
   [[nodiscard]] HostId parent_of(HostId j) const;
   void learn_parent(HostId j, HostId parent);
 
-  [[nodiscard]] const std::set<HostId>& children() const { return children_; }
-  void add_child(HostId j) {
-    if (j != self_) children_.insert(j);
+  [[nodiscard]] MemberSet children() const { return {this, kChild}; }
+  // Self is never a child: adding it is a no-op. Throws
+  // std::invalid_argument for a j outside all_hosts().
+  void add_child(HostId j);
+  // No-op for a host that is not a child, members and non-members alike.
+  void remove_child(HostId j) {
+    const std::size_t k = slot(j);
+    if (k != npos) set_flag(k, kChild, false);
   }
-  void remove_child(HostId j) { children_.erase(j); }
-  [[nodiscard]] bool is_child(HostId j) const { return children_.contains(j); }
+  // False for a non-member.
+  [[nodiscard]] bool is_child(HostId j) const { return has_flag(j, kChild); }
 
   // Parent-graph neighbors: calls fn(h) for each child in ascending id
   // order, then for the current parent (if any, and not also a child).
@@ -130,8 +217,8 @@ class HostState {
   // here; fn must not add or remove children.
   template <typename Fn>
   void for_each_neighbor(Fn&& fn) const {
-    for (HostId child : children_) fn(child);
-    if (parent_.valid() && !children_.contains(parent_)) fn(parent_);
+    for (HostId child : children()) fn(child);
+    if (parent_.valid() && !is_child(parent_)) fn(parent_);
   }
 
   // Ancestor chain of self according to p_i[]: follows parent pointers
@@ -150,6 +237,33 @@ class HostState {
  private:
   // Full-structure consistency sweep; no-op unless RBCAST_PARANOID.
   void check_invariants() const;
+  // slot()'s binary search, for ids that are not their own rank.
+  [[nodiscard]] std::size_t search_slot(HostId h) const;
+
+  // member_flags_ bits.
+  static constexpr std::uint8_t kInCluster = 1;
+  static constexpr std::uint8_t kChild = 2;
+  [[nodiscard]] bool has_flag(HostId j, std::uint8_t flag) const {
+    const std::size_t k = slot(j);
+    return k != npos && (member_flags_[k] & flag) != 0;
+  }
+  [[nodiscard]] std::size_t member_count(std::uint8_t flag) const {
+    return flag == kInCluster ? cluster_size_ : children_size_;
+  }
+  // The first slot at or after k whose `flag` is set (n when none is).
+  [[nodiscard]] std::size_t next_member(std::size_t k,
+                                        std::uint8_t flag) const {
+    while (k < member_flags_.size() && (member_flags_[k] & flag) == 0) ++k;
+    return k;
+  }
+  // Sets or clears `flag` at slot k, keeping its set's size in step.
+  void set_flag(std::size_t k, std::uint8_t flag, bool on) {
+    std::uint8_t& flags = member_flags_[k];
+    if (((flags & flag) != 0) == on) return;
+    flags = static_cast<std::uint8_t>(flags ^ flag);
+    std::size_t& size = flag == kInCluster ? cluster_size_ : children_size_;
+    size = on ? size + 1 : size - 1;
+  }
   // MAP_i[j] and p_i[j], side by side (an INFO receipt writes both).
   struct PeerView {
     SeqSet map;
@@ -180,8 +294,12 @@ class HostState {
   // the inter-cluster INFO round guarantees in steady state.
   std::vector<PeerView> peers_;
   HostId parent_{kNoHost};
-  std::set<HostId> cluster_;
-  std::set<HostId> children_;
+  // CLUSTER_i and CHILDREN_i: kInCluster and kChild bits, one byte per
+  // slot, sized to all_hosts() at construction (n bytes, a fraction of
+  // one PeerView per peer), plus each set's member count.
+  std::vector<std::uint8_t> member_flags_;
+  std::size_t cluster_size_{0};
+  std::size_t children_size_{0};
 };
 
 }  // namespace rbcast::core

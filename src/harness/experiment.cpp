@@ -88,7 +88,7 @@ Experiment::Experiment(topo::Topology topology, ScenarioOptions options)
           core::Config::ClusterKnowledge::kStatic) {
         for (const auto& cluster : ground_clusters) {
           if (std::find(cluster.begin(), cluster.end(), h) != cluster.end()) {
-            node->seed_cluster({cluster.begin(), cluster.end()});
+            node->seed_cluster(cluster);
             break;
           }
         }

@@ -28,22 +28,23 @@ Metrics::Metrics(sim::Simulator& simulator, net::Network& network)
 void Metrics::attach() { network_.set_observer(this); }
 
 Metrics::KindSlots& Metrics::kind_slots(const std::string& kind) {
+  // Kinds are a handful of short names: a length mismatch rejects most
+  // entries, and the rest compare inline rather than through memcmp.
   for (KindSlots& k : kinds_) {
-    if (k.kind == kind) return k;
+    if (k.kind.size() == kind.size() &&
+        std::equal(kind.begin(), kind.end(), k.kind.begin(),
+                   [](char a, char b) { return a == b; })) {
+      return k;
+    }
   }
   kinds_.push_back(KindSlots{.kind = kind});
   return kinds_.back();
 }
 
-void Metrics::add(std::uint64_t*& slot,
-                  std::initializer_list<std::string_view> name,
-                  std::uint64_t by) {
-  if (slot == nullptr) {
-    std::string key;
-    for (std::string_view part : name) key += part;
-    slot = &counters_.slot(key);
-  }
-  *slot += by;
+std::uint64_t* Metrics::resolve(std::initializer_list<std::string_view> name) {
+  std::string key;
+  for (std::string_view part : name) key += part;
+  return &counters_.slot(key);
 }
 
 bool Metrics::crosses_clusters(HostId a, HostId b) {
@@ -57,31 +58,31 @@ bool Metrics::crosses_clusters(HostId a, HostId b) {
 
 void Metrics::on_host_send(const net::Delivery& d) {
   KindSlots& k = kind_slots(d.kind);
-  add(k.send, {"send.", d.kind});
-  add(k.send_bytes, {"send_bytes.", d.kind}, d.bytes);
+  add(k.send, 1, "send.", d.kind);
+  add(k.send_bytes, d.bytes, "send_bytes.", d.kind);
   if (crosses_clusters(d.from, d.to)) {
-    add(k.send_intercluster, {"send.intercluster.", d.kind});
-    add(k.send_bytes_intercluster, {"send_bytes.intercluster.", d.kind},
-        d.bytes);
+    add(k.send_intercluster, 1, "send.intercluster.", d.kind);
+    add(k.send_bytes_intercluster, d.bytes, "send_bytes.intercluster.",
+        d.kind);
   }
 }
 
 void Metrics::on_deliver(const net::Delivery& d) {
-  add(kind_slots(d.kind).deliver, {"deliver.", d.kind});
+  add(kind_slots(d.kind).deliver, 1, "deliver.", d.kind);
 }
 
 void Metrics::on_drop(const net::Delivery& d, net::DropReason reason) {
-  add(drop_[static_cast<std::size_t>(reason)], {"drop.", to_string(reason)});
-  add(kind_slots(d.kind).drop_kind, {"drop_kind.", d.kind});
+  add(drop_[static_cast<std::size_t>(reason)], 1, "drop.", to_string(reason));
+  add(kind_slots(d.kind).drop_kind, 1, "drop_kind.", d.kind);
 }
 
 void Metrics::on_link_transmit(LinkId link, const net::Delivery& d) {
   const auto& spec = network_.topology().link(link);
   const auto cls = static_cast<std::size_t>(spec.link_class);
-  const std::string_view cls_name = topo::to_string(spec.link_class);
-  add(link_[cls], {"link.", cls_name});
-  add(kind_slots(d.kind).link[cls], {"link.", cls_name, ".", d.kind});
-  add(link_bytes_[cls], {"link_bytes.", cls_name}, d.bytes);
+  const char* cls_name = topo::to_string(spec.link_class);
+  add(link_[cls], 1, "link.", cls_name);
+  add(kind_slots(d.kind).link[cls], 1, "link.", cls_name, ".", d.kind);
+  add(link_bytes_[cls], d.bytes, "link_bytes.", cls_name);
   link_busy_[static_cast<std::size_t>(link.value)] +=
       spec.transmission_time(d.bytes);
 }

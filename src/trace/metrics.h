@@ -148,10 +148,19 @@ class Metrics : public net::NetObserver {
 
   [[nodiscard]] bool crosses_clusters(HostId a, HostId b);
   [[nodiscard]] KindSlots& kind_slots(const std::string& kind);
-  // Adds `by` to the counter named by concatenating `name`, resolving
-  // `slot` first if this is its first use.
-  void add(std::uint64_t*& slot, std::initializer_list<std::string_view> name,
-           std::uint64_t by = 1);
+  // Adds `by` to the counter behind `slot`. Only its first use names the
+  // counter: the name parts are concatenated and looked up out of line,
+  // so a resolved increment is one null test and one add.
+  template <typename... Parts>
+  void add(std::uint64_t*& slot, std::uint64_t by, const Parts&... name) {
+    if (slot == nullptr) [[unlikely]] {
+      slot = resolve({std::string_view(name)...});
+    }
+    *slot += by;
+  }
+  // The counter named by concatenating `name`, created at 0 if absent.
+  [[nodiscard]] std::uint64_t* resolve(
+      std::initializer_list<std::string_view> name);
 
   sim::Simulator& simulator_;
   net::Network& network_;

@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <stdexcept>
+
+#include "util/rng.h"
+
 namespace rbcast::core {
 namespace {
+
+std::set<HostId> as_set(const HostState::MemberSet& members) {
+  return {members.begin(), members.end()};
+}
 
 std::vector<HostId> hosts(int n) {
   std::vector<HostId> out;
@@ -14,7 +25,7 @@ std::vector<HostId> hosts(int n) {
 TEST(HostState, InitialConditionsMatchThePaper) {
   HostState s(HostId{2}, hosts(4));
   // "in the beginning each host assumes that it is in a cluster by itself"
-  EXPECT_EQ(s.cluster(), (std::set<HostId>{HostId{2}}));
+  EXPECT_EQ(as_set(s.cluster()), (std::set<HostId>{HostId{2}}));
   EXPECT_FALSE(s.parent().valid());
   EXPECT_TRUE(s.info().empty());
   EXPECT_TRUE(s.children().empty());
@@ -242,6 +253,178 @@ TEST(HostState, SlotIsRankAmongSortedMembers) {
                           kNoHost}) {
     EXPECT_EQ(s.slot(outsider), HostState::npos) << outsider;
   }
+}
+
+TEST(HostState, SlotOfDenseIdsIsTheId) {
+  const HostState s(HostId{3}, hosts(6));
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(s.slot(HostId{i}), std::size_t(i));
+  for (HostId outsider : {HostId{6}, HostId{-2}, kNoHost,
+                          HostId{std::numeric_limits<std::int32_t>::min()},
+                          HostId{std::numeric_limits<std::int32_t>::max()}}) {
+    EXPECT_EQ(s.slot(outsider), HostState::npos) << outsider;
+  }
+}
+
+TEST(HostState, SlotOfSparseIdsIsTheirRank) {
+  // Id 7 as a guess would index past the end; 2000000000 far past it. Id 0
+  // is its own rank, so it takes the direct path.
+  const HostState s(HostId{7}, {HostId{0}, HostId{7}, HostId{2000000000}});
+  EXPECT_EQ(s.slot(HostId{0}), 0u);
+  EXPECT_EQ(s.slot(HostId{7}), 1u);
+  EXPECT_EQ(s.slot(HostId{2000000000}), 2u);
+  for (HostId outsider : {HostId{1}, HostId{2}, HostId{6}, HostId{8},
+                          HostId{1999999999}, kNoHost, HostId{-7}}) {
+    EXPECT_EQ(s.slot(outsider), HostState::npos) << outsider;
+  }
+}
+
+TEST(HostState, SlotWhereAnIdIndexesAnotherMember) {
+  // Id 2 read as a slot lands on member 4; the guess is checked, not
+  // trusted.
+  const HostState s(HostId{4}, {HostId{4}, HostId{1}, HostId{1}, HostId{9},
+                                HostId{0}, HostId{4}});
+  EXPECT_EQ(s.all_hosts(),
+            (std::vector<HostId>{HostId{0}, HostId{1}, HostId{4}, HostId{9}}));
+  EXPECT_EQ(s.slot(HostId{0}), 0u);
+  EXPECT_EQ(s.slot(HostId{1}), 1u);
+  EXPECT_EQ(s.slot(HostId{4}), 2u);
+  EXPECT_EQ(s.slot(HostId{9}), 3u);
+  for (HostId outsider : {HostId{2}, HostId{3}, HostId{5}, kNoHost}) {
+    EXPECT_EQ(s.slot(outsider), HostState::npos) << outsider;
+  }
+}
+
+TEST(HostState, NonMemberMembershipQueriesReadFalse) {
+  HostState s(HostId{0}, hosts(3));
+  s.add_child(HostId{1});
+  s.update_cluster_from_cost_bit(HostId{2}, /*expensive=*/false);
+  for (HostId outsider : {HostId{3}, HostId{2000000000}, kNoHost}) {
+    EXPECT_FALSE(s.in_cluster(outsider)) << outsider;
+    EXPECT_FALSE(s.is_child(outsider)) << outsider;
+    EXPECT_FALSE(s.cluster().contains(outsider)) << outsider;
+    EXPECT_FALSE(s.children().contains(outsider)) << outsider;
+    s.remove_child(outsider);  // nothing to remove
+  }
+  EXPECT_EQ(as_set(s.cluster()), (std::set<HostId>{HostId{0}, HostId{2}}));
+  EXPECT_EQ(as_set(s.children()), (std::set<HostId>{HostId{1}}));
+}
+
+TEST(HostState, NonMemberMutatorsThrowAndChangeNothing) {
+  HostState s(HostId{0}, hosts(4));
+  s.add_child(HostId{1});
+  s.update_cluster_from_cost_bit(HostId{2}, /*expensive=*/false);
+  const std::set<HostId> cluster_before = as_set(s.cluster());
+  const std::set<HostId> children_before = as_set(s.children());
+  for (HostId outsider : {HostId{4}, HostId{2000000000}, kNoHost}) {
+    EXPECT_THROW(s.add_child(outsider), std::invalid_argument) << outsider;
+    EXPECT_THROW(s.update_cluster_from_cost_bit(outsider, false),
+                 std::invalid_argument)
+        << outsider;
+    EXPECT_THROW(s.update_cluster_from_cost_bit(outsider, true),
+                 std::invalid_argument)
+        << outsider;
+    // One bad entry rejects the whole set, members included.
+    EXPECT_THROW(s.set_cluster({HostId{3}, outsider}), std::invalid_argument)
+        << outsider;
+  }
+  EXPECT_EQ(as_set(s.cluster()), cluster_before);
+  EXPECT_EQ(as_set(s.children()), children_before);
+  EXPECT_EQ(s.cluster().size(), 2u);
+  EXPECT_EQ(s.children().size(), 1u);
+}
+
+// CLUSTER_i and CHILDREN_i against a std::set model, over dense and sparse
+// ids: after every one of 20,000 random operations the two agree on
+// membership, size, ascending iteration and the parent-graph neighbor
+// order.
+void run_membership_differential(std::vector<HostId> members,
+                                 std::uint64_t seed) {
+  const HostId self = members[members.size() / 2];
+  HostState s(self, members);
+  std::set<HostId> cluster{self};
+  std::set<HostId> children;
+  util::Rng rng(seed);
+  const auto pick = [&] {
+    return members[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(members.size()) - 1))];
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const HostId j = rng.uniform_int(0, 9) == 0 ? self : pick();
+    switch (rng.uniform_int(0, 6)) {
+      case 0:  // cheap cost bit
+        s.update_cluster_from_cost_bit(j, /*expensive=*/false);
+        cluster.insert(j);
+        break;
+      case 1:  // expensive cost bit
+        s.update_cluster_from_cost_bit(j, /*expensive=*/true);
+        if (j != self) cluster.erase(j);
+        break;
+      case 2:
+        s.add_child(j);
+        if (j != self) children.insert(j);
+        break;
+      case 3:
+        s.remove_child(j);
+        children.erase(j);
+        break;
+      case 4: {  // static cluster knowledge
+        std::vector<HostId> seeded;
+        const auto count = rng.uniform_int(0, 4);
+        for (std::int64_t k = 0; k < count; ++k) seeded.push_back(pick());
+        s.set_cluster(seeded);
+        cluster = {seeded.begin(), seeded.end()};
+        cluster.insert(self);
+        break;
+      }
+      default:  // a new parent, or NIL
+        s.set_parent(rng.uniform_int(0, 3) == 0 ? kNoHost : j);
+        break;
+    }
+    ASSERT_EQ(as_set(s.cluster()), cluster) << "op " << op;
+    ASSERT_EQ(as_set(s.children()), children) << "op " << op;
+    ASSERT_EQ(s.cluster().size(), cluster.size()) << "op " << op;
+    ASSERT_EQ(s.children().size(), children.size()) << "op " << op;
+    ASSERT_EQ(s.children().empty(), children.empty()) << "op " << op;
+    const std::vector<HostId> in_order(s.cluster().begin(), s.cluster().end());
+    ASSERT_EQ(in_order, std::vector<HostId>(cluster.begin(), cluster.end()))
+        << "op " << op;
+    for (HostId h : members) {
+      ASSERT_EQ(s.in_cluster(h), cluster.contains(h)) << "op " << op;
+      ASSERT_EQ(s.cluster().contains(h), cluster.contains(h)) << "op " << op;
+      ASSERT_EQ(s.is_child(h), children.contains(h)) << "op " << op;
+      ASSERT_EQ(s.children().contains(h), children.contains(h))
+          << "op " << op;
+    }
+    std::vector<HostId> expected(children.begin(), children.end());
+    if (s.parent().valid() && !children.contains(s.parent())) {
+      expected.push_back(s.parent());
+    }
+    ASSERT_EQ(neighbors(s), expected) << "op " << op;
+  }
+}
+
+TEST(HostState, MembershipMatchesAnOrderedSetModelOnDenseIds) {
+  run_membership_differential(hosts(12), 20260901);
+}
+
+TEST(HostState, MembershipMatchesAnOrderedSetModelOnSparseIds) {
+  run_membership_differential({HostId{0}, HostId{3}, HostId{4}, HostId{7},
+                               HostId{40}, HostId{41}, HostId{1000},
+                               HostId{2000000000}},
+                              20260902);
+}
+
+TEST(HostState, ClearingTheChildUnderAnIteratorKeepsTheWalk) {
+  HostState s(HostId{0}, hosts(6));
+  for (int i = 1; i < 6; ++i) s.add_child(HostId{i});
+  std::vector<HostId> seen;
+  for (HostId child : s.children()) {
+    seen.push_back(child);
+    if (child.value % 2 == 1) s.remove_child(child);
+  }
+  EXPECT_EQ(seen, (std::vector<HostId>{HostId{1}, HostId{2}, HostId{3},
+                                       HostId{4}, HostId{5}}));
+  EXPECT_EQ(as_set(s.children()), (std::set<HostId>{HostId{2}, HostId{4}}));
 }
 
 TEST(HostState, LearningAboutNonMemberThrows) {

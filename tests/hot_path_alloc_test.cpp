@@ -1,16 +1,19 @@
 // Measured allocation gate for the hot path: the event queue, the
 // simulator's step and a network hop, the protocol upcalls, HostState's
-// per-peer queries, the attachment and gap-fill rounds, SeqSet and the
-// first-delivery record of trace::Metrics. Every case warms its structures
-// to steady state first, then counts operator new calls with a counting
-// global allocator (support/alloc_counter), so the bound covers whatever
-// the code calls, not a list of function names. The INFO rounds have their
-// own gate, info_alloc_test.
+// per-peer queries and CLUSTER/CHILDREN churn, the attachment and gap-fill
+// rounds, SeqSet and the first-delivery record of trace::Metrics, plus a
+// check that the counter sees every form of operator new. Every case warms
+// its structures to steady state first, then counts operator new calls
+// with a counting global allocator (support/alloc_counter), so the bound
+// covers whatever the code calls, not a list of function names. The INFO
+// rounds have their own gate, info_alloc_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <any>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <optional>
 #include <variant>
 #include <vector>
@@ -453,6 +456,34 @@ TEST(HostStateAllocations, QueriesAndRepeatedLearningAllocateNothing) {
   EXPECT_GT(sink, 0u);
 }
 
+// CLUSTER_i and CHILDREN_i are flags on the peer slots, so membership churn
+// (the cost-bit rule on every receipt, children coming and going) touches
+// no tree: 1,000 flips of each kind allocate nothing once the state exists.
+TEST(HostStateAllocations, MembershipChurnAllocatesNothing) {
+  std::vector<HostId> all;
+  for (int i = 0; i < 8; ++i) all.push_back(HostId{i});
+  core::HostState state(HostId{3}, all, HostId{0});
+  std::size_t sink = 0;
+  auto churn = [&](int i) {
+    const HostId peer{i % 8};
+    state.update_cluster_from_cost_bit(peer, /*expensive=*/false);
+    sink += state.in_cluster(peer) ? 1 : 0;
+    state.add_child(peer);
+    sink += state.is_child(peer) ? 1 : 0;
+    state.update_cluster_from_cost_bit(peer, /*expensive=*/true);
+    state.remove_child(peer);
+    sink += state.cluster().size() + state.children().size();
+  };
+  churn(0);
+  EXPECT_EQ(allocations_during([&] {
+              for (int i = 0; i < 1000; ++i) churn(i);
+            }),
+            0u);
+  EXPECT_GT(sink, 0u);
+  EXPECT_EQ(state.cluster().size(), 1u);  // {self}
+  EXPECT_TRUE(state.children().empty());
+}
+
 // A peer's reports alternate between fresh seqs above its watermark and a
 // watermark covering them all (it pruned everything), with a data receipt
 // from it in between. The pruned-empty MAP keeps its block, so the next
@@ -609,6 +640,37 @@ TEST(MetricsAllocations, LaterDeliveriesOfASeqAllocateNothing) {
   EXPECT_EQ(allocations_during([&] { metrics.record_delivery(HostId{3}, far); }),
             2u);
   EXPECT_EQ(metrics.delivered_count(far), 1u);
+}
+
+// --- the counter itself ------------------------------------------------------
+
+// The counter replaces every replaceable operator new, not only the plain
+// ones: nothrow and over-aligned allocations count too, and their blocks
+// come back through the matching delete (a mismatch aborts under ASan).
+TEST(AllocationCounter, CountsNothrowAlignedAndTemporaryBufferAllocations) {
+  EXPECT_EQ(allocations_during([] {
+              int* p = new (std::nothrow) int(7);
+              ASSERT_NE(p, nullptr);
+              delete p;
+            }),
+            1u);
+  struct alignas(64) Wide {
+    char bytes[64];
+  };
+  EXPECT_EQ(allocations_during([] {
+              auto wide = std::make_unique<Wide>();
+              EXPECT_EQ(reinterpret_cast<std::uintptr_t>(wide.get()) % 64, 0u);
+            }),
+            1u);
+  // std::stable_sort takes its merge buffer with new(std::nothrow).
+  std::vector<int> values(1000);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<int>((i * 7919) % 1000);
+  }
+  EXPECT_GE(allocations_during(
+                [&] { std::stable_sort(values.begin(), values.end()); }),
+            1u);
+  EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
 }
 
 // --- one end-to-end window ---------------------------------------------------

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <variant>
 #include <vector>
 
@@ -48,8 +47,8 @@ struct Round {
     util::RngFactory rngs(1);
     host = std::make_unique<BroadcastHost>(transport, HostId{0}, HostId{0},
                                            all, config, rngs.stream("host", 0));
-    std::set<HostId> cluster;
-    for (int i = 1; i <= kClusterPeers; ++i) cluster.insert(HostId{i});
+    std::vector<HostId> cluster;
+    for (int i = 1; i <= kClusterPeers; ++i) cluster.push_back(HostId{i});
     host->seed_cluster(cluster);
     for (int i = 0; i < 5; ++i) host->broadcast("m");
     transport.on_send = [this](HostId, const ProtocolMessage& message) {

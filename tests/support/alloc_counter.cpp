@@ -13,6 +13,17 @@ void* counted_alloc(std::size_t size) {
   return std::malloc(size == 0 ? 1 : size);
 }
 
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  if (g_counting) ++g_allocs;
+  void* p = nullptr;
+  const auto a = static_cast<std::size_t>(align);
+  if (posix_memalign(&p, a < sizeof(void*) ? sizeof(void*) : a,
+                     size == 0 ? 1 : size) != 0) {
+    return nullptr;
+  }
+  return p;
+}
+
 }  // namespace
 
 namespace rbcast::testing {
@@ -39,7 +50,58 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// Every other replaceable form too: a nothrow or over-aligned new left to
+// the runtime would go uncounted, and its block would reach the free()
+// below from a different allocator (which ASan reports as a mismatch).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
+}
+
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}

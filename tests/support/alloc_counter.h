@@ -1,6 +1,7 @@
 // Counting global allocation functions for measured allocation gates.
-// Linking alloc_counter.cpp into a test binary replaces the global
-// operator new/delete; the count advances only while counting is on. The
+// Linking alloc_counter.cpp into a test binary replaces every replaceable
+// global operator new/delete (plain, nothrow, over-aligned, sized); the
+// count advances only while counting is on. The
 // replacements live in their own translation unit so the compiler never
 // inlines them into a caller's new/delete pair.
 #pragma once

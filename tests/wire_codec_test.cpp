@@ -477,7 +477,9 @@ TEST(BroadcastHostCounters, MalformedPayloadCountedAndDropped) {
   // A malformed datagram must not vouch for its claimed sender: the host
   // learned nothing about host 0's cluster membership or liveness, so
   // CLUSTER is still its initial {self}.
-  EXPECT_EQ(host.state().cluster(), std::set<HostId>{HostId{1}});
+  const auto cluster = host.state().cluster();
+  EXPECT_EQ(std::set<HostId>(cluster.begin(), cluster.end()),
+            std::set<HostId>{HostId{1}});
 }
 
 }  // namespace
