@@ -1,8 +1,9 @@
 // E12 — micro-benchmarks of the substrates (google-benchmark).
 //
 // Not a paper experiment: these quantify the cost of the building blocks
-// (INFO-set operations, event queue, routing recompute, full simulation
-// throughput) so that scenario wall-times are explainable.
+// (INFO-set operations, event queue, the transport coalescer, the body
+// store, routing recompute, full simulation throughput) so that scenario
+// wall-times are explainable.
 //
 // This binary is also the repo's perf gate: CI runs it with
 // --benchmark_format=json and tools/bench_compare.py checks the result
@@ -15,9 +16,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "rbcast.h"
+#include "transport/coalescer.h"
 
 namespace {
 
@@ -274,6 +278,63 @@ void BM_EventQueueMixed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventQueueMixed)->Arg(10000);
+
+// --- transport coalescer and body store ------------------------------------
+
+// stream16's coalescer pattern: batching is on but almost every frame goes
+// out alone. Each iteration queues one frame for each of 16 destinations
+// and lets every deadline fire, so it measures enqueue plus a singleton
+// deadline flush, which recycles the queue's batch buffers.
+void BM_CoalescerSingletonFlush(benchmark::State& state) {
+  constexpr int kDestinations = 16;
+  sim::Simulator simulator;
+  std::size_t flushed = 0;
+  transport::Coalescer coalescer(
+      simulator, transport::CoalescerConfig{sim::milliseconds(5), 1200},
+      [&flushed](HostId, std::span<transport::Coalescer::Item> items) {
+        flushed += items.size();
+      });
+  for (auto _ : state) {
+    for (int to = 0; to < kDestinations; ++to) {
+      transport::Coalescer::Item item;
+      item.payload = to;
+      item.bytes = 64;
+      item.kind = "data";
+      coalescer.enqueue(HostId{to}, std::move(item));
+    }
+    simulator.run_for(sim::milliseconds(5));
+  }
+  benchmark::DoNotOptimize(flushed);
+  state.SetItemsProcessed(state.iterations() * kDestinations);
+}
+BENCHMARK(BM_CoalescerSingletonFlush);
+
+// The body store's life cycle: 64 messages recorded (every eighth one late,
+// as a gap fill below the maximum), each read back once, then pruned.
+void BM_HostStateRecordPrune(benchmark::State& state) {
+  constexpr util::Seq kWindow = 64;
+  std::vector<HostId> hosts;
+  for (int i = 0; i < 16; ++i) hosts.push_back(HostId{i});
+  core::HostState host_state(HostId{3}, hosts, HostId{0});
+  const core::Payload body(std::string(256, 'b'));
+  util::Seq next = 1;
+  for (auto _ : state) {
+    const util::Seq base = next;
+    for (util::Seq q = base; q < base + kWindow; ++q) {
+      if (q % 8 != 0) host_state.record_message(q, body);
+    }
+    for (util::Seq q = base; q < base + kWindow; ++q) {
+      if (q % 8 == 0) host_state.record_message(q, body);
+    }
+    for (util::Seq q = base; q < base + kWindow; ++q) {
+      benchmark::DoNotOptimize(host_state.body_of(q));
+    }
+    next = base + kWindow;
+    host_state.prune(next - 1);
+  }
+  state.SetItemsProcessed(state.iterations() * kWindow);
+}
+BENCHMARK(BM_HostStateRecordPrune);
 
 // --- telemetry plane ------------------------------------------------------
 

@@ -147,23 +147,22 @@ void BroadcastHost::start() {
 Seq BroadcastHost::broadcast(std::string body) {
   RBCAST_ASSERT_MSG(is_source(), "broadcast() called on a non-source host");
   const Seq seq = next_seq_++;
+  HostState::StoredMessage message{seq, Payload(body), std::nullopt};
+  if (config_.auth_enabled) {
+    message.auth = make_auth_tag(config_.auth_secret, self(), seq, body);
+  }
   // "INFO_s ... gets updated every time a new broadcast message is
   // generated at the source."
-  const bool fresh = state_.record_message(seq, std::move(body));
+  const bool fresh = state_.record_message(seq, message.body, message.auth);
   RBCAST_ASSERT(fresh);
-  if (config_.auth_enabled) {
-    auth_tags_[seq] = make_auth_tag(config_.auth_secret, self(), seq,
-                                    state_.body_of(seq)->view());
-  }
   ++counters_.deliveries;
   if (observer_ != nullptr) observer_->on_delivered(self(), seq);
-  if (app_deliver_) app_deliver_(seq, state_.body_of(seq)->view());
+  if (app_deliver_) app_deliver_(seq, message.body.view());
   // "Broadcast is initiated when the source sends a message to its cluster
   // neighbors" — in parent-graph terms, to its children.
   for (HostId child : state_.children()) {
     if (!state_.map(child).contains(seq)) {
-      send_message(child, make_data(seq, *state_.body_of(seq),
-                                    /*gap_fill=*/false));
+      send_message(child, make_data(message, /*gap_fill=*/false));
       note_offered(child, seq);
       ++counters_.data_forwarded;
     }
@@ -260,22 +259,23 @@ void BroadcastHost::handle_data(HostId from, const DataMsg& m) {
     if (observer_ != nullptr) observer_->on_new_max_rejected(self(), from, m.seq);
     return;
   }
-  // The tag verified in on_delivery() travels with the body: forwards and
-  // gap fills re-attach the source's original signature.
-  if (config_.auth_enabled && m.auth.has_value()) auth_tags_[m.seq] = *m.auth;
-  accept_message(m.seq, m.body, new_max, from);
+  // The tag verified in on_delivery() is stored with the body: forwards
+  // and gap fills re-attach the source's original signature.
+  accept_message({m.seq, m.body, config_.auth_enabled ? m.auth : std::nullopt},
+                 new_max, from);
 }
 
-void BroadcastHost::accept_message(Seq seq, const Payload& body,
+void BroadcastHost::accept_message(const HostState::StoredMessage& message,
                                    bool was_new_max, HostId from) {
-  const bool fresh = state_.record_message(seq, body);
+  const Seq seq = message.seq;
+  const bool fresh = state_.record_message(seq, message.body, message.auth);
   RBCAST_ASSERT(fresh);
   ++counters_.deliveries;
   if (observer_ != nullptr) {
     observer_->on_delivered(self(), seq);
     if (!was_new_max) observer_->on_gapfill_accepted(self(), from, seq);
   }
-  if (app_deliver_) app_deliver_(seq, body.view());
+  if (app_deliver_) app_deliver_(seq, message.body.view());
 
   if (was_new_max) {
     // "upon receipt of a broadcast message, a host sends it on to all its
@@ -283,7 +283,7 @@ void BroadcastHost::accept_message(Seq seq, const Payload& body,
     for (HostId child : state_.children()) {
       if (child == from) continue;
       if (state_.map(child).contains(seq)) continue;
-      send_message(child, make_data(seq, body, /*gap_fill=*/false));
+      send_message(child, make_data(message, /*gap_fill=*/false));
       note_offered(child, seq);
       ++counters_.data_forwarded;
     }
@@ -298,7 +298,7 @@ void BroadcastHost::accept_message(Seq seq, const Payload& body,
       if (std::binary_search(offered.begin(), offered.end(), seq)) {
         return;  // just offered it
       }
-      send_message(n, make_data(seq, body, /*gap_fill=*/true));
+      send_message(n, make_data(message, /*gap_fill=*/true));
       note_offered(n, seq);
       ++counters_.gapfills_sent;
       if (observer_ != nullptr) observer_->on_gapfill_relayed(self(), n, seq);
@@ -585,9 +585,7 @@ void BroadcastHost::maintenance_round() {
   if (config_.enable_pruning) {
     const Seq safe = state_.safe_prefix();
     if (safe > state_.info().prune_watermark()) {
-      state_.prune(safe);
-      // Tags live exactly as long as the bodies they sign.
-      auth_tags_.erase(auth_tags_.begin(), auth_tags_.upper_bound(safe));
+      state_.prune(safe);  // bodies and their tags alike
     }
   }
 }
@@ -612,23 +610,19 @@ void BroadcastHost::send_message(HostId to, ProtocolMessage m) {
   endpoint_.send(to, std::any(std::move(m)), bytes, kind, trace_id);
 }
 
-DataMsg BroadcastHost::make_data(Seq seq, const Payload& body,
+DataMsg BroadcastHost::make_data(const HostState::StoredMessage& message,
                                  bool gap_fill) const {
-  DataMsg m{seq, body, gap_fill, std::nullopt, std::nullopt};
+  DataMsg m{message.seq, message.body, gap_fill, std::nullopt, message.auth};
   if (config_.piggyback_info) {
     m.piggyback = std::make_pair(state_.info(), state_.parent());
-  }
-  if (config_.auth_enabled) {
-    auto it = auth_tags_.find(seq);
-    if (it != auth_tags_.end()) m.auth = it->second;
   }
   return m;
 }
 
 void BroadcastHost::send_gapfill(HostId to, Seq seq) {
-  const Payload* body = state_.body_of(seq);
-  RBCAST_ASSERT(body != nullptr);
-  send_message(to, make_data(seq, *body, /*gap_fill=*/true));
+  const HostState::StoredMessage* message = state_.stored(seq);
+  RBCAST_ASSERT(message != nullptr);
+  send_message(to, make_data(*message, /*gap_fill=*/true));
   note_offered(to, seq);
   ++counters_.gapfills_sent;
   if (observer_ != nullptr) observer_->on_gapfill_offered(self(), to, seq);

@@ -153,8 +153,9 @@ class BroadcastHost {
 
   // --- helpers -----------------------------------------------------------
   void send_message(HostId to, ProtocolMessage m);
-  // Builds a data message (attaching the piggybacked INFO when enabled).
-  [[nodiscard]] DataMsg make_data(Seq seq, const Payload& body,
+  // Builds a data message carrying `message`'s body and tag (attaching the
+  // piggybacked INFO when enabled).
+  [[nodiscard]] DataMsg make_data(const HostState::StoredMessage& message,
                                   bool gap_fill) const;
   void send_gapfill(HostId to, Seq seq);
   // Records that `seq` was just offered to `to` (any data send counts);
@@ -169,8 +170,8 @@ class BroadcastHost {
   void begin_attach(HostId candidate, const std::string& rule);
   void on_attach_timeout(HostId candidate);
   void detach_from_parent(bool notify, bool timeout);
-  void accept_message(Seq seq, const Payload& body, bool was_new_max,
-                      HostId from);
+  void accept_message(const HostState::StoredMessage& message,
+                      bool was_new_max, HostId from);
   struct PeerBook;
   // The bookkeeping entry of member `j`; sizes peers_ on first use.
   [[nodiscard]] PeerBook& peer_book(HostId j);
@@ -234,11 +235,6 @@ class BroadcastHost {
   std::vector<Seq> offer_seqs_;
   HostState::AncestorWalk ancestor_walk_;
   std::vector<HostId> far_behind_;
-
-  // Source tags of accepted messages (Config::auth_enabled): relays
-  // forward the original tag verbatim — they cannot re-sign — so it must
-  // be kept alongside the body. Pruned in lockstep with HostState.
-  std::map<Seq, AuthTag> auth_tags_;
 
   Counters counters_;
 

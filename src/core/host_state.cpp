@@ -36,8 +36,8 @@ void HostState::check_invariants() const {
 #if defined(RBCAST_PARANOID)
   // "CLUSTER_i always contains i"; a host is never its own child; the
   // membership flags cover every slot and each set's size counts its bits;
-  // the per-peer table is unsized or covers every slot; every stored body
-  // is recorded in INFO.
+  // the per-peer table is unsized or covers every slot; the stored
+  // messages are strictly ascending and each is recorded in INFO.
   RBCAST_ASSERT(member_flags_.size() == all_hosts_.size());
   RBCAST_ASSERT(in_cluster(self_));
   RBCAST_ASSERT(!is_child(self_));
@@ -51,27 +51,42 @@ void HostState::check_invariants() const {
   RBCAST_ASSERT(cluster_bits == cluster_size_);
   RBCAST_ASSERT(child_bits == children_size_);
   RBCAST_ASSERT(peers_.empty() || peers_.size() == all_hosts_.size());
-  for (const auto& [seq, body] : bodies_) {
-    RBCAST_ASSERT_MSG(info_.contains(seq), "body stored without INFO entry");
+  for (std::size_t k = 0; k < bodies_.size(); ++k) {
+    RBCAST_ASSERT_MSG(k == 0 || bodies_[k - 1].seq < bodies_[k].seq,
+                      "stored messages out of seq order");
+    RBCAST_ASSERT_MSG(info_.contains(bodies_[k].seq),
+                      "body stored without INFO entry");
   }
 #endif
 }
 
-bool HostState::record_message(Seq seq, Payload body) {
+bool HostState::record_message(Seq seq, Payload body,
+                               std::optional<AuthTag> auth) {
   if (!info_.insert(seq)) return false;
-  bodies_.emplace(seq, std::move(body));
+  // INFO did not hold seq, so neither does the store.
+  StoredMessage message{seq, std::move(body), auth};
+  if (bodies_.empty() || bodies_.back().seq < seq) {
+    bodies_.push_back(std::move(message));
+  } else {
+    bodies_.insert(std::ranges::lower_bound(bodies_, seq, {},
+                                            &StoredMessage::seq),
+                   std::move(message));
+  }
   check_invariants();
   return true;
 }
 
-const Payload* HostState::body_of(Seq seq) const {
-  auto it = bodies_.find(seq);
-  return it != bodies_.end() ? &it->second : nullptr;
+const HostState::StoredMessage* HostState::stored(Seq seq) const {
+  const auto it =
+      std::ranges::lower_bound(bodies_, seq, {}, &StoredMessage::seq);
+  return it != bodies_.end() && it->seq == seq ? &*it : nullptr;
 }
 
 void HostState::prune(Seq watermark) {
   info_.prune_below(watermark);
-  bodies_.erase(bodies_.begin(), bodies_.upper_bound(watermark));
+  bodies_.erase(bodies_.begin(), std::ranges::upper_bound(
+                                     bodies_, watermark, {},
+                                     &StoredMessage::seq));
 }
 
 Seq HostState::safe_prefix() const {

@@ -17,10 +17,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/auth.h"
 #include "core/config.h"
 #include "core/payload.h"
 #include "util/ids.h"
@@ -79,14 +81,34 @@ class HostState {
 
   [[nodiscard]] const SeqSet& info() const { return info_; }
 
-  // Records receipt of message `seq` with payload `body`. Returns true if
-  // it was new (first receipt — exactly-once delivery to the application
-  // keys off this).
-  bool record_message(Seq seq, Payload body);
+  // A message kept for gap fills until pruning: its body and, when
+  // Config::auth_enabled, the source's tag, which relays forward verbatim
+  // because they cannot re-sign.
+  struct StoredMessage {
+    Seq seq{0};
+    Payload body;
+    std::optional<AuthTag> auth;
+  };
+
+  // Records receipt of message `seq` with payload `body` (and its tag, if
+  // any). Returns true if it was new (first receipt — exactly-once delivery
+  // to the application keys off this).
+  bool record_message(Seq seq, Payload body,
+                      std::optional<AuthTag> auth = std::nullopt);
 
   [[nodiscard]] bool has_message(Seq seq) const { return info_.contains(seq); }
+  // A stored message; nullptr if unknown or pruned away. The pointer lasts
+  // until the next record_message() or prune().
+  [[nodiscard]] const StoredMessage* stored(Seq seq) const;
   // Payload of a stored message; nullptr if unknown or pruned away.
-  [[nodiscard]] const Payload* body_of(Seq seq) const;
+  [[nodiscard]] const Payload* body_of(Seq seq) const {
+    const StoredMessage* message = stored(seq);
+    return message != nullptr ? &message->body : nullptr;
+  }
+  // Every stored message, in ascending seq order.
+  [[nodiscard]] std::span<const StoredMessage> stored_messages() const {
+    return bodies_;
+  }
 
   // Drops state for the safe prefix 1..watermark (Section 6 pruning).
   void prune(Seq watermark);
@@ -279,7 +301,11 @@ class HostState {
   int source_order_{0};  // 1 + max host id: strictly above every peer
 
   SeqSet info_;
-  std::map<Seq, Payload> bodies_;
+  // The stored messages, ascending by seq, one entry each: an in-order
+  // receipt appends, a gap fill inserts at its place, and prune() erases
+  // the prefix but keeps the capacity, so a steady stream allocates
+  // nothing here once the buffer has grown to the unpruned window.
+  std::vector<StoredMessage> bodies_;
   // Indexed by slot, so an INFO receipt touches no tree and allocates
   // nothing beyond the merge's interval growth. Ascending slot order is
   // ascending id order — the order the std::map tables this replaces

@@ -26,16 +26,28 @@ void Coalescer::enqueue(HostId to, Item item) {
   RBCAST_CHECK_ARG(to.valid(), "Coalescer::enqueue: bad destination");
   Queue& q = queues_[to.value];
   const std::size_t cost = kBatchPerFrameBytes + item.bytes;
-  // An empty queue costs the container header once its first frame lands.
-  // A frame that cannot fit even alone still goes out (as an oversized
-  // singleton datagram) rather than sticking in the queue forever.
-  if (!q.items.empty() &&
-      q.bytes + cost > config_.max_bytes) {
+  // A frame that would push the datagram past the budget sends the queue
+  // ahead of it as one batch and starts a fresh queue. It joins that queue
+  // before the batch is lent out, so frames a re-entrant flush callback
+  // enqueues line up behind it. A frame that cannot fit even alone still
+  // goes out (as an oversized singleton datagram) rather than sticking in
+  // the queue forever.
+  std::vector<Item> batch;
+  const bool size_flush =
+      !q.items.empty() && q.bytes + cost > config_.max_bytes;
+  if (size_flush) {
     ++stats_.size_flushes;
-    do_flush(q, to);
+    batch = take_batch(q);
   }
-  if (q.items.empty()) {
-    q.bytes = kBatchHeaderBytes;
+  // An empty queue costs the container header once its first frame lands.
+  if (q.items.empty()) q.bytes = kBatchHeaderBytes;
+  q.bytes += cost;
+  q.items.push_back(std::move(item));
+  ++stats_.frames_enqueued;
+  if (size_flush) lend(q, to, std::move(batch));
+  // The queue's first frame arms the deadline (after the flush above, so
+  // the timer is scheduled after whatever the callback sent).
+  if (!q.timer_armed && !q.items.empty()) {
     q.timer = scheduler_.after(config_.flush_delay, [this, to] {
       auto it = queues_.find(to.value);
       if (it == queues_.end() || it->second.items.empty()) return;
@@ -45,9 +57,6 @@ void Coalescer::enqueue(HostId to, Item item) {
     });
     q.timer_armed = true;
   }
-  q.bytes += cost;
-  q.items.push_back(std::move(item));
-  ++stats_.frames_enqueued;
   if (q.items.size() >= kMaxBatchFrames) {
     ++stats_.size_flushes;
     do_flush(q, to);
@@ -72,18 +81,28 @@ std::size_t Coalescer::pending_frames() const {
   return n;
 }
 
-void Coalescer::do_flush(Queue& q, HostId to) {
+std::vector<Coalescer::Item> Coalescer::take_batch(Queue& q) {
   if (q.timer_armed) {
     scheduler_.cancel(q.timer);
     q.timer_armed = false;
   }
-  std::vector<Item> items;
-  items.swap(q.items);
+  std::vector<Item> batch = std::move(q.spare);
+  batch.swap(q.items);
   q.bytes = 0;
-  ++stats_.batches_flushed;
-  // Flush after clearing the queue: the callback may re-enter enqueue().
-  flush_(to, std::move(items));
+  return batch;
 }
+
+void Coalescer::lend(Queue& q, HostId to, std::vector<Item> batch) {
+  ++stats_.batches_flushed;
+  // The queue no longer holds these frames, so the callback may re-enter
+  // enqueue(). A nested flush finds no spare and takes an empty buffer;
+  // this batch's buffer then becomes the spare again.
+  flush_(to, batch);
+  batch.clear();
+  q.spare = std::move(batch);
+}
+
+void Coalescer::do_flush(Queue& q, HostId to) { lend(q, to, take_batch(q)); }
 
 void register_coalescer_metrics(util::MetricsRegistry& registry,
                                 std::function<Coalescer::Stats()> stats_fn,

@@ -17,12 +17,17 @@
 // size budget. Timers come from the same util::Scheduler the owning
 // transport runs on, so simulated batching is as deterministic as
 // everything else in the DES.
+//
+// A flush lends the batch to the backend as a span over a buffer the
+// queue keeps: once every destination's two buffers have grown to their
+// largest batch, queueing and flushing allocate nothing.
 #pragma once
 
 #include <any>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,7 +68,10 @@ class Coalescer {
     std::uint64_t deadline_flushes{0};
   };
 
-  using FlushFn = std::function<void(HostId to, std::vector<Item> items)>;
+  // Receives one batch, in enqueue order. The items are the coalescer's
+  // and are destroyed when the call returns: move out whatever must
+  // outlive it. The callback may re-enter enqueue().
+  using FlushFn = std::function<void(HostId to, std::span<Item> items)>;
 
   Coalescer(util::Scheduler& scheduler, CoalescerConfig config, FlushFn flush);
   ~Coalescer();
@@ -87,11 +95,19 @@ class Coalescer {
  private:
   struct Queue {
     std::vector<Item> items;
+    // Empty between flushes; a flush swaps it in for `items`, lends the
+    // batch out, then clears and keeps it, so both buffers keep capacity.
+    std::vector<Item> spare;
     std::size_t bytes{0};  // encoded datagram size if flushed now
     util::EventId timer{};
     bool timer_armed{false};
   };
 
+  // Empties `q` (cancelling its deadline) and returns its frames, held in
+  // the buffer that was the spare.
+  std::vector<Item> take_batch(Queue& q);
+  // Hands `batch` to the flush callback, then keeps its buffer as q's spare.
+  void lend(Queue& q, HostId to, std::vector<Item> batch);
   void do_flush(Queue& q, HostId to);
 
   util::Scheduler& scheduler_;

@@ -1,5 +1,6 @@
 #include "transport/sim_transport.h"
 
+#include <iterator>
 #include <utility>
 
 #include "transport/wire.h"
@@ -19,8 +20,8 @@ class SimTransport::BatchingEndpoint final : public net::HostEndpoint {
         self_(self),
         inner_(owner.network_.endpoint(self)),
         coalescer_(owner.simulator_, owner.coalesce_,
-                   [this](HostId to, std::vector<Coalescer::Item> items) {
-                     flush(to, std::move(items));
+                   [this](HostId to, std::span<Coalescer::Item> items) {
+                     flush(to, items);
                    }) {}
 
   [[nodiscard]] HostId self() const override { return self_; }
@@ -46,7 +47,7 @@ class SimTransport::BatchingEndpoint final : public net::HostEndpoint {
   }
 
  private:
-  void flush(HostId to, std::vector<Coalescer::Item> items) {
+  void flush(HostId to, std::span<Coalescer::Item> items) {
     // A batch of one still amortizes nothing but must stay a well-formed
     // datagram: charge it as the bare frame it would be on the UDP wire.
     if (items.size() == 1) {
@@ -59,7 +60,10 @@ class SimTransport::BatchingEndpoint final : public net::HostEndpoint {
     for (const Coalescer::Item& item : items) {
       bytes += kBatchPerFrameBytes + item.bytes;
     }
-    inner_.send(to, std::any(SimBatch{std::move(items)}), bytes, "batch",
+    // Only a real batch needs a vector of its own, built once here.
+    SimBatch batch{{std::make_move_iterator(items.begin()),
+                    std::make_move_iterator(items.end())}};
+    inner_.send(to, std::any(std::move(batch)), bytes, "batch",
                 /*trace_id=*/0);
   }
 

@@ -30,8 +30,8 @@ class UdpTransport::Binding final : public net::HostEndpoint {
     if (owner.config_coalesce_.enabled()) {
       coalescer = std::make_unique<Coalescer>(
           owner.scheduler_, owner.config_coalesce_,
-          [this](HostId to, std::vector<Coalescer::Item> items) {
-            owner_.flush_from(*this, to, std::move(items));
+          [this](HostId to, std::span<Coalescer::Item> items) {
+            owner_.flush_from(*this, to, items);
           });
     }
   }
@@ -243,7 +243,7 @@ void UdpTransport::send_from(Binding& from, HostId to, std::any payload,
 }
 
 void UdpTransport::flush_from(Binding& from, HostId to,
-                              std::vector<Coalescer::Item> items) {
+                              std::span<Coalescer::Item> items) {
   RBCAST_ASSERT(!items.empty());
   const PeerState* dest = find_peer(to);
   if (dest == nullptr || dest->peer.port == 0) {

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -147,7 +148,7 @@ class UdpTransport final : public Transport {
   // Coalescer flush: materialises one datagram from `items`, draws the
   // impairment plan once for it, and counts impairment per contained frame.
   void flush_from(Binding& from, HostId to,
-                  std::vector<Coalescer::Item> items);
+                  std::span<Coalescer::Item> items);
   // `frames` is the contained-frame count for impairment accounting; `d`
   // (unbatched path only) lets the observer see impairment drops.
   void send_datagram(Binding& from, const PeerState& dest,

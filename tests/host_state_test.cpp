@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
 
@@ -225,6 +230,87 @@ TEST(HostState, PruneDropsBodiesButKeepsContainment) {
   ASSERT_NE(s.body_of(8), nullptr);
   EXPECT_TRUE(s.has_message(7));
   EXPECT_EQ(s.info().max_seq(), 10u);
+}
+
+// The flat body store against a std::map model, over 20,000 random
+// operations: in-order receipts (some skipping ahead, leaving holes), late
+// gap fills and duplicates below the maximum, a forged far seq near 2^39,
+// and prunes at random watermarks. After every operation the store agrees
+// with the model on record_message()'s verdict, on body_of() and stored()
+// for the touched seq, its neighbors and a random probe, and on the stored
+// messages read in ascending order.
+TEST(HostState, BodyStoreMatchesAnOrderedMapModel) {
+  struct Entry {
+    std::string body;
+    std::optional<AuthTag> auth;
+  };
+  HostState s(HostId{0}, hosts(3));
+  std::map<Seq, Entry> model;
+  Seq watermark = 0;
+  Seq next = 1;  // the next in-order seq
+  constexpr Seq kFar = Seq{1} << 39;
+  util::Rng rng(20261019);
+  const auto check = [&](Seq probe, int op) {
+    const auto it = model.find(probe);
+    const HostState::StoredMessage* stored = s.stored(probe);
+    ASSERT_EQ(stored != nullptr, it != model.end()) << "op " << op;
+    ASSERT_EQ(s.body_of(probe) != nullptr, it != model.end()) << "op " << op;
+    if (stored == nullptr) return;
+    ASSERT_EQ(stored->seq, probe) << "op " << op;
+    ASSERT_EQ(stored->body, it->second.body) << "op " << op;
+    ASSERT_EQ(stored->auth, it->second.auth) << "op " << op;
+    ASSERT_EQ(s.body_of(probe), &stored->body) << "op " << op;
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const auto roll = rng.uniform_int(0, 99);
+    Seq seq = 0;
+    if (roll < 45) {  // in order, sometimes skipping ahead
+      seq = next;
+      next += static_cast<Seq>(1 + rng.uniform_int(0, 2));
+    } else if (roll < 85) {  // a gap fill or a duplicate, maybe pruned
+      seq = static_cast<Seq>(
+          rng.uniform_int(1, static_cast<std::int64_t>(next)));
+    } else if (roll < 87) {  // forged far seqs
+      seq = kFar + static_cast<Seq>(rng.uniform_int(0, 3));
+    } else {  // prune at a random watermark, possibly below the current one
+      const auto w = static_cast<Seq>(
+          rng.uniform_int(0, static_cast<std::int64_t>(next)));
+      s.prune(w);
+      watermark = std::max(watermark, w);
+      model.erase(model.begin(), model.upper_bound(w));
+      ASSERT_EQ(s.info().prune_watermark(), watermark) << "op " << op;
+      seq = w;
+    }
+    if (roll < 87) {
+      Entry entry{"b" + std::to_string(seq) + "/" + std::to_string(op),
+                  std::nullopt};
+      if (rng.uniform_int(0, 1) == 0) {
+        entry.auth = AuthTag{seq, static_cast<std::uint64_t>(op)};
+      }
+      const bool fresh = seq > watermark && !model.contains(seq);
+      ASSERT_EQ(s.record_message(seq, entry.body, entry.auth), fresh)
+          << "op " << op << " seq " << seq;
+      if (fresh) model.emplace(seq, std::move(entry));
+      ASSERT_TRUE(s.has_message(seq)) << "op " << op;
+    }
+    for (Seq probe : {seq - 1, seq, seq + 1, kFar}) check(probe, op);
+    check(static_cast<Seq>(
+              rng.uniform_int(0, static_cast<std::int64_t>(next) + 2)),
+          op);
+    const std::span<const HostState::StoredMessage> stored =
+        s.stored_messages();
+    ASSERT_EQ(stored.size(), model.size()) << "op " << op;
+    auto it = model.begin();
+    for (const HostState::StoredMessage& m : stored) {
+      ASSERT_EQ(m.seq, it->first) << "op " << op;
+      ASSERT_EQ(m.body, it->second.body) << "op " << op;
+      ++it;
+    }
+  }
+  // A prune past the far seqs empties the store.
+  s.prune(kFar + 4);
+  EXPECT_TRUE(s.stored_messages().empty());
+  EXPECT_EQ(s.stored(kFar), nullptr);
 }
 
 TEST(HostState, OrderIsHostIdValueWithSourcePromotedToMaximum) {

@@ -1,8 +1,9 @@
 // Measured allocation gate for the hot path: the event queue, the
 // simulator's step and a network hop, the protocol upcalls, HostState's
-// per-peer queries and CLUSTER/CHILDREN churn, the attachment and gap-fill
-// rounds, SeqSet and the first-delivery record of trace::Metrics, plus a
-// check that the counter sees every form of operator new. Every case warms
+// per-peer queries, CLUSTER/CHILDREN churn and body store, the transport
+// coalescer, the attachment and gap-fill rounds, SeqSet and the
+// first-delivery record of trace::Metrics, plus a check that the counter
+// sees every form of operator new. Every case warms
 // its structures to steady state first, then counts operator new calls
 // with a counting global allocator (support/alloc_counter), so the bound
 // covers whatever the code calls, not a list of function names. The INFO
@@ -15,6 +16,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "support/counting_transport.h"
 #include "topo/generators.h"
 #include "trace/metrics.h"
+#include "transport/coalescer.h"
 #include "util/rng.h"
 #include "util/seq_set.h"
 
@@ -304,16 +307,21 @@ TEST(RelayAllocations, NewDataForwardsOneSharedBodyToEveryChild) {
   ASSERT_EQ(r.host->parent(), Relay::kParent);
   ASSERT_EQ(r.host->state().children().size(), 3u);
 
-  // Warm-up relay of seq 1: sizes the per-peer tables and the offer lists.
-  r.deliver(Relay::kParent,
-            DataMsg{1, Payload("first"), false, std::nullopt, std::nullopt});
-  ASSERT_EQ(r.forwards, 3u);
-  r.children_report_nothing();
+  // Warm-up relays of seqs 1..3: they size the per-peer tables, the offer
+  // lists and the body store, whose buffer (doubling from one entry) then
+  // has room for a fourth message.
+  for (util::Seq seq = 1; seq <= 3; ++seq) {
+    r.forwards = 0;
+    r.deliver(Relay::kParent, DataMsg{seq, Payload("warm"), false,
+                                      std::nullopt, std::nullopt});
+    ASSERT_EQ(r.forwards, 3u);
+    r.children_report_nothing();
+  }
 
-  const Payload body("second");
+  const Payload body("fourth");
   const net::Delivery d =
       delivery(Relay::kParent, Relay::kSelf,
-               DataMsg{2, body, false, std::nullopt, std::nullopt});
+               DataMsg{4, body, false, std::nullopt, std::nullopt});
   r.received = &body;
   r.forwards = 0;
   const std::uint64_t allocs =
@@ -321,9 +329,9 @@ TEST(RelayAllocations, NewDataForwardsOneSharedBodyToEveryChild) {
   ASSERT_EQ(r.forwards, 3u);
   // Zero-copy fan-out: every child's DataMsg reads the received buffer.
   EXPECT_EQ(r.shared_forwards, 3u);
-  // One std::map node to store the body for gap fills, plus one std::any
-  // box per forwarded message. The body bytes are never copied.
-  EXPECT_EQ(allocs, 1u + 3u);
+  // One std::any box per forwarded message and nothing else: the body is
+  // stored for gap fills in spare capacity, and its bytes are never copied.
+  EXPECT_EQ(allocs, 3u);
 }
 
 TEST(RelayAllocations, RepeatedAttachRequestAllocatesOnlyTheAccept) {
@@ -362,9 +370,10 @@ TEST(RelayAllocations, GapFillRoundWithLiveOffersAllocatesNothing) {
 }
 
 // A gap fill relayed while offers of other seqs are pending toward every
-// child: checking them builds no set, so the only allocations are the
-// stored body's map node and one box per relayed message.
-TEST(RelayAllocations, RelayedGapFillWithOffersPendingAllocatesOnlyBodyAndBoxes) {
+// child: checking them builds no set and the body store inserts the fill
+// into spare capacity, so the only allocations are one box per relayed
+// message.
+TEST(RelayAllocations, RelayedGapFillWithOffersPendingAllocatesOnlyTheBoxes) {
   Relay r;
   // New maxima k and k + 2 are forwarded to the three children (offers
   // now pending toward each); then the parent fills k + 1, which every
@@ -386,8 +395,11 @@ TEST(RelayAllocations, RelayedGapFillWithOffersPendingAllocatesOnlyBodyAndBoxes)
     r.children_report_nothing();
     return allocs;
   };
-  (void)relay_round(1);  // warm-up
-  EXPECT_EQ(relay_round(4), 1u + 3u);
+  // Warm-up: seqs 1..3 grow the store's buffer to four entries, and seq 6
+  // (the second new maximum of the measured round) to eight, so the fill
+  // of seq 5 lands in spare capacity.
+  (void)relay_round(1);
+  EXPECT_EQ(relay_round(4), 3u);
   EXPECT_EQ(r.host->counters().gapfills_sent, 6u);
 }
 
@@ -520,6 +532,103 @@ TEST(HostStateAllocations, LearningIntoAMapThatPruningEmptiedAllocatesNothing) {
             0u);
   EXPECT_TRUE(state.map(HostId{5}).intervals().empty());
   EXPECT_EQ(state.map(HostId{5}).prune_watermark(), util::Seq{20 * kCycles});
+}
+
+// The body store at steady capacity: each cycle records 32 messages (every
+// fourth one arrives late, as a gap fill inserted below the maximum) and
+// then prunes them all. The entries share prebuilt bodies and the buffer
+// keeps its capacity across prunes, so once it has grown to the window
+// nothing allocates.
+TEST(HostStateAllocations, RecordPruneCyclesAtSteadyCapacityAllocateNothing) {
+  std::vector<HostId> all;
+  for (int i = 0; i < 8; ++i) all.push_back(HostId{i});
+  core::HostState state(HostId{3}, all, HostId{0});
+  const Payload body("body");
+  constexpr util::Seq kWindow = 32;
+  util::Seq next = 1;
+  const auto cycle = [&] {
+    const util::Seq base = next;
+    for (util::Seq q = base; q < base + kWindow; ++q) {
+      if (q % 4 != 1) state.record_message(q, body);
+    }
+    for (util::Seq q = base; q < base + kWindow; q += 4) {
+      state.record_message(q, body);  // the late fills
+    }
+    next = base + kWindow;
+    state.prune(next - 1);
+  };
+  cycle();  // warm-up: grows the store and INFO to the window
+  cycle();
+  EXPECT_EQ(allocations_during([&] {
+              for (int i = 0; i < 100; ++i) cycle();
+            }),
+            0u);
+  EXPECT_TRUE(state.stored_messages().empty());
+  EXPECT_EQ(state.info().prune_watermark(), next - 1);
+}
+
+// --- Coalescer -----------------------------------------------------------------
+
+// A coalescer whose flush moves each payload out, as the backends do.
+struct CoalescerRig {
+  sim::Simulator sim;
+  std::size_t flushed_frames = 0;
+  std::size_t batches = 0;
+  transport::Coalescer coalescer{
+      sim, transport::CoalescerConfig{sim::milliseconds(5), 200},
+      [this](HostId, std::span<transport::Coalescer::Item> items) {
+        ++batches;
+        for (transport::Coalescer::Item& item : items) {
+          std::any payload = std::move(item.payload);
+          flushed_frames += payload.has_value() ? 1 : 0;
+        }
+      }};
+
+  // An item small enough that building it allocates nothing.
+  static transport::Coalescer::Item item(std::size_t bytes) {
+    transport::Coalescer::Item out;
+    out.payload = 7;
+    out.bytes = bytes;
+    out.kind = "data";
+    return out;
+  }
+};
+
+// Deadline flushes of lone frames to four destinations, then size flushes
+// of 40-byte frames into a 200-byte budget: once each queue's two buffers
+// have held a batch, queueing and flushing allocate nothing.
+TEST(CoalescerAllocations, SingletonAndSizeFlushesAllocateNothingOnceWarm) {
+  CoalescerRig rig;
+  const auto singletons = [&rig] {
+    for (int to = 1; to <= 4; ++to) {
+      rig.coalescer.enqueue(HostId{to}, CoalescerRig::item(40));
+    }
+    rig.sim.run_for(sim::milliseconds(10));  // every deadline fires
+  };
+  const auto size_flushes = [&rig] {
+    for (int k = 0; k < 12; ++k) {
+      rig.coalescer.enqueue(HostId{1}, CoalescerRig::item(40));
+    }
+    rig.sim.run_for(sim::milliseconds(10));  // the remainder's deadline
+  };
+  singletons();  // warm-up: the queues' map nodes and both buffers
+  singletons();
+  size_flushes();
+  size_flushes();
+  const std::size_t batches = rig.batches;
+  EXPECT_EQ(allocations_during([&] {
+              for (int i = 0; i < 50; ++i) {
+                singletons();
+                size_flushes();
+              }
+            }),
+            0u);
+  // Per iteration: four singletons, then 12 frames as three batches of
+  // four (6 + 4 * 44 bytes fill the budget): two size flushes, one deadline.
+  EXPECT_EQ(rig.batches - batches, 50u * (4 + 3));
+  EXPECT_EQ(rig.coalescer.stats().size_flushes, 52u * 2);
+  EXPECT_EQ(rig.flushed_frames, rig.coalescer.stats().frames_enqueued);
+  EXPECT_EQ(rig.coalescer.pending_frames(), 0u);
 }
 
 // --- SeqSet ------------------------------------------------------------------
@@ -687,6 +796,29 @@ TEST(IdleWindowAllocations, ConvergedRunAllocatesOnlyTheMessageBoxes) {
   const std::uint64_t allocs =
       allocations_during([&] { e->run_for(sim::seconds(20)); });
   const std::uint64_t sends = e->metrics().host_sends() - sends_before;
+  ASSERT_GT(sends, 0u);
+  EXPECT_EQ(allocs, sends);
+}
+
+// The same window with stream16's transport: a star of trunks losing 1 %
+// of messages, and every send coalesced for 5 ms. The coalescer lends each
+// flushed batch out of a buffer its queue keeps, so batching adds nothing
+// to the message boxes.
+TEST(IdleWindowAllocations, BatchedLossyRunAllocatesOnlyTheMessageBoxes) {
+  topo::ClusteredWanOptions wan{.clusters = 4, .hosts_per_cluster = 4};
+  wan.shape = topo::TrunkShape::kStar;
+  wan.expensive.loss_probability = 0.01;
+  harness::ScenarioOptions options;
+  options.protocol.batch_flush_delay = sim::milliseconds(5);
+  harness::Experiment e(topo::make_clustered_wan(wan).topology, options);
+  e.start();
+  e.broadcast_stream(20, sim::milliseconds(500), sim::seconds(1));
+  e.run_until(sim::seconds(60));
+  ASSERT_TRUE(e.all_delivered());
+  const std::uint64_t sends_before = e.metrics().host_sends();
+  const std::uint64_t allocs =
+      allocations_during([&] { e.run_for(sim::seconds(20)); });
+  const std::uint64_t sends = e.metrics().host_sends() - sends_before;
   ASSERT_GT(sends, 0u);
   EXPECT_EQ(allocs, sends);
 }

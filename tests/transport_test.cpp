@@ -14,6 +14,7 @@
 #include <any>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "topo/generators.h"
+#include "transport/coalescer.h"
 #include "transport/impairment.h"
 #include "transport/sim_transport.h"
 #include "transport/udp_transport.h"
@@ -315,6 +317,55 @@ TEST(SimTransport, BatchingCoalescesSendsAndUnpacksPerFrameDeliveries) {
   EXPECT_EQ(stats.batches_flushed, 1u);
   EXPECT_EQ(stats.deadline_flushes, 1u);
   EXPECT_EQ(stats.size_flushes, 0u);
+}
+
+// --- Coalescer re-entrancy ---------------------------------------------------
+
+// The first three flushes each queue five more frames for the same host
+// from inside the flush callback. With 40-byte frames, four fill a
+// 200-byte datagram, so the fifth of every group forces a nested size
+// flush while the outer batch is still lent out. Every frame still goes out
+// exactly once, in the order enqueue() was called, and no batch overflows.
+TEST(Coalescer, FlushCallbackThatEnqueuesToTheSameHostLosesAndReordersNothing) {
+  sim::Simulator sim;
+  int next = 0;
+  const auto item = [&next] {
+    Coalescer::Item out;
+    out.payload = next++;
+    out.bytes = 40;
+    out.kind = "data";
+    return out;
+  };
+  std::vector<int> sent;
+  std::vector<std::size_t> batch_sizes;
+  std::unique_ptr<Coalescer> coalescer;
+  coalescer = std::make_unique<Coalescer>(
+      sim, CoalescerConfig{sim::milliseconds(5), 200},
+      [&](HostId to, std::span<Coalescer::Item> items) {
+        EXPECT_EQ(to, HostId{1});
+        batch_sizes.push_back(items.size());
+        for (Coalescer::Item& frame : items) {
+          sent.push_back(std::any_cast<int>(frame.payload));
+        }
+        if (batch_sizes.size() <= 3) {
+          for (int k = 0; k < 5; ++k) coalescer->enqueue(to, item());
+        }
+      });
+  for (int k = 0; k < 5; ++k) coalescer->enqueue(HostId{1}, item());
+  sim.run_for(sim::milliseconds(10));  // the last queue's deadline
+
+  std::vector<int> expected(20);
+  for (int k = 0; k < 20; ++k) expected[static_cast<std::size_t>(k)] = k;
+  EXPECT_EQ(sent, expected);
+  for (std::size_t n : batch_sizes) {
+    EXPECT_GE(n, 1u);
+    EXPECT_LE(n, 4u);
+  }
+  const Coalescer::Stats stats = coalescer->stats();
+  EXPECT_EQ(stats.frames_enqueued, 20u);
+  EXPECT_EQ(stats.batches_flushed, batch_sizes.size());
+  EXPECT_EQ(stats.deadline_flushes, 1u);
+  EXPECT_EQ(coalescer->pending_frames(), 0u);
 }
 
 // --- UdpTransport receive loop (the bugfix sweep) ---------------------------
