@@ -36,7 +36,7 @@ void ablate_margin() {
     const auto built = make_clustered_wan(wan);
 
     harness::ScenarioOptions options;
-    options.protocol = default_protocol_config();
+    options.protocol = core::Config::for_size(built.topology.host_count());
     options.protocol.parent_switch_margin = margin;
     options.seed = 21;
 
@@ -96,20 +96,18 @@ void ablate_piggyback() {
         wan.expensive.loss_probability = 0.15;
         wan.cheap.loss_probability = 0.03;
         wan.seed = seed;
+        const auto built = make_clustered_wan(wan);
 
         harness::ScenarioOptions options;
-        options.protocol = default_protocol_config();
+        options.protocol = core::Config::for_size(built.topology.host_count());
         options.protocol.piggyback_info = piggyback;
-        auto stretch = [&](sim::Duration d) {
-          return static_cast<sim::Duration>(static_cast<double>(d) * scale);
-        };
         options.protocol.info_period_intra =
-            stretch(options.protocol.info_period_intra);
+            util::scaled(options.protocol.info_period_intra, scale);
         options.protocol.info_period_inter =
-            stretch(options.protocol.info_period_inter);
+            util::scaled(options.protocol.info_period_inter, scale);
         options.seed = seed;
 
-        harness::Experiment e(make_clustered_wan(wan).topology, options);
+        harness::Experiment e(built.topology, options);
         warm_up(e);
         constexpr int kMessages = 60;
         const sim::TimePoint t0 = e.simulator().now();
@@ -164,13 +162,14 @@ void ablate_far_targets() {
     wan.shape = topo::TrunkShape::kLine;
     wan.expensive.loss_probability = 0.30;
     wan.cheap.loss_probability = 0.05;
+    const auto built = make_clustered_wan(wan);
 
     harness::ScenarioOptions options;
-    options.protocol = default_protocol_config();
+    options.protocol = core::Config::for_size(built.topology.host_count());
     options.protocol.far_fill_targets = targets;
     options.seed = 23;
 
-    harness::Experiment e(make_clustered_wan(wan).topology, options);
+    harness::Experiment e(built.topology, options);
     warm_up(e);
     const double completion =
         stream_and_finish(e, 100, sim::milliseconds(500));
@@ -200,13 +199,14 @@ void ablate_pruning() {
       wan.hosts_per_cluster = 2;
       // Light loss keeps INFO sets fragmented so size differences show.
       wan.expensive.loss_probability = 0.05;
+      const auto built = make_clustered_wan(wan);
 
       harness::ScenarioOptions options;
-      options.protocol = default_protocol_config();
+      options.protocol = core::Config::for_size(built.topology.host_count());
       options.protocol.enable_pruning = pruning;
       options.seed = 24;
 
-      harness::Experiment e(make_clustered_wan(wan).topology, options);
+      harness::Experiment e(built.topology, options);
       warm_up(e);
       stream_and_finish(e, messages, sim::milliseconds(200));
       e.run_for(sim::seconds(20));  // let pruning catch up

@@ -25,8 +25,7 @@ Row run_one(harness::ProtocolKind kind) {
 
   harness::ScenarioOptions options;
   options.protocol_kind = kind;
-  options.protocol = scaled_protocol_config(net.hosts.size());
-  options.basic = default_basic_config();
+  options.protocol = core::Config::for_size(net.topology.host_count());
   options.gossip.gossip_period = sim::seconds(1);
   options.gossip.fanout = 2;
   options.source = source;

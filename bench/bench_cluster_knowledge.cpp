@@ -27,13 +27,14 @@ Row run_one(core::Config::ClusterKnowledge mode) {
   wan.clusters = 3;
   wan.hosts_per_cluster = 4;
   wan.shape = topo::TrunkShape::kRing;
+  const auto built = make_clustered_wan(wan);
 
   harness::ScenarioOptions options;
-  options.protocol = default_protocol_config();
+  options.protocol = core::Config::for_size(built.topology.host_count());
   options.protocol.cluster_knowledge = mode;
   options.seed = 11;
 
-  harness::Experiment e(make_clustered_wan(wan).topology, options);
+  harness::Experiment e(built.topology, options);
   warm_up(e, sim::seconds(40));
 
   constexpr int kMessages = 40;
@@ -43,12 +44,9 @@ Row run_one(core::Config::ClusterKnowledge mode) {
   e.run_until(t0 + sim::from_seconds(kWindow));
 
   const auto& m = e.metrics();
-  const double data = static_cast<double>(m.counter("send.data") +
-                                          m.counter("send.gapfill"));
-  const double control = static_cast<double>(m.host_sends()) - data;
   return Row{
       static_cast<double>(m.intercluster_data_sends()) / kMessages,
-      m.all_latencies().mean(), control / kWindow};
+      m.all_latencies().mean(), control_sends(m) / kWindow};
 }
 
 void run() {

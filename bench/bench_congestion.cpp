@@ -43,10 +43,8 @@ Row run_one(int hosts_per_cluster, harness::ProtocolKind kind) {
 
   harness::ScenarioOptions options;
   options.protocol_kind = kind;
-  options.protocol =
-      scaled_protocol_config(static_cast<std::size_t>(4) * hosts_per_cluster);
+  options.protocol = core::Config::for_size(built.topology.host_count());
   options.protocol.data_bytes = 1024;  // meaty updates stress the queues
-  options.basic = default_basic_config();
   options.seed = 5;
 
   harness::Experiment e(built.topology, options);
@@ -81,7 +79,7 @@ OverloadRow run_overload(sim::Duration interval, bool batched) {
   const auto built = make_clustered_wan(wan);
 
   harness::ScenarioOptions options;
-  options.protocol = default_protocol_config();
+  options.protocol = core::Config::for_size(built.topology.host_count());
   // Small commutative updates: framing dominates the payload, which is the
   // regime where coalescing pays (a replicated-database hot-key stream).
   options.protocol.data_bytes = 16;
@@ -121,19 +119,6 @@ OverloadRow run_overload(sim::Duration interval, bool batched) {
   return OverloadRow{
       static_cast<double>(lat.count()) / sim::to_seconds(horizon),
       lat.quantile(0.99), amortization};
-}
-
-// Google-benchmark JSON shape so tools/bench_compare.py can gate these
-// rows against the committed baseline (BENCH_congestion.json). The
-// "times" are deterministic virtual metrics of seeded simulations —
-// identical on every machine — so the gate threshold can be tight.
-void emit_json_row(std::ostream& os, bool& first, const std::string& name,
-                   double value, const char* unit) {
-  if (!first) os << ",\n";
-  first = false;
-  os << "    {\"name\": \"" << name << "\", \"run_type\": \"iteration\", "
-     << "\"iterations\": 1, \"real_time\": " << value << ", \"cpu_time\": "
-     << value << ", \"time_unit\": \"" << unit << "\"}";
 }
 
 void run(bool json) {
@@ -202,8 +187,7 @@ void run(bool json) {
     }
   }
   if (json) {
-    std::cout << "{\n  \"context\": {\"virtual_time\": true},\n"
-              << "  \"benchmarks\": [\n" << rows.str() << "\n  ]\n}\n";
+    print_json(rows.str());
   } else {
     overload_table.print(std::cout);
   }

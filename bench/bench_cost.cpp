@@ -28,15 +28,14 @@ double run_one(int k, int m, harness::ProtocolKind kind) {
   wan.clusters = k;
   wan.hosts_per_cluster = m;
   wan.shape = topo::TrunkShape::kRing;
+  const auto built = make_clustered_wan(wan);
 
   harness::ScenarioOptions options;
   options.protocol_kind = kind;
-  options.protocol =
-      scaled_protocol_config(static_cast<std::size_t>(k) * m);
-  options.basic = default_basic_config();
+  options.protocol = core::Config::for_size(built.topology.host_count());
   options.seed = 1;
 
-  harness::Experiment e(make_clustered_wan(wan).topology, options);
+  harness::Experiment e(built.topology, options);
   warm_up(e, sim::seconds(30 + 2 * k * m));
 
   constexpr int kMessages = 40;

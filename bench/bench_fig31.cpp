@@ -25,8 +25,7 @@ Row run_one(harness::ProtocolKind kind) {
 
   harness::ScenarioOptions options;
   options.protocol_kind = kind;
-  options.protocol = default_protocol_config();
-  options.basic = default_basic_config();
+  options.protocol = core::Config::for_size(fig.topology.host_count());
   options.seed = 8;
 
   harness::Experiment e(fig.topology, options);

@@ -54,7 +54,7 @@ void run() {
   fig.topology.set_link_params(fig.trunk_cpp_c, slow);
 
   harness::ScenarioOptions options;
-  options.protocol = default_protocol_config();
+  options.protocol = core::Config::for_size(fig.topology.host_count());
   options.seed = 9;
   harness::Experiment e(fig.topology, options);
   warm_up(e);

@@ -24,7 +24,7 @@ Outcome run_one(bool nonneighbor_gapfill) {
   const auto fig = topo::make_figure_4_1();
 
   harness::ScenarioOptions options;
-  options.protocol = default_protocol_config();
+  options.protocol = core::Config::for_size(fig.topology.host_count());
   options.protocol.nonneighbor_gapfill = nonneighbor_gapfill;
   // i and j keep s as their parent (the figure's premise).
   options.protocol.parent_timeout = sim::seconds(100000);

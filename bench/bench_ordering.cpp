@@ -29,13 +29,14 @@ Row run_one(double trunk_loss, bool ordered) {
   wan.hosts_per_cluster = 3;
   wan.expensive.loss_probability = trunk_loss;
   wan.cheap.loss_probability = trunk_loss / 5.0;
+  const auto built = make_clustered_wan(wan);
 
   harness::ScenarioOptions options;
-  options.protocol = default_protocol_config();
+  options.protocol = core::Config::for_size(built.topology.host_count());
   options.ordered_delivery = ordered;
   options.seed = 14;
 
-  harness::Experiment e(make_clustered_wan(wan).topology, options);
+  harness::Experiment e(built.topology, options);
   warm_up(e);
   stream_and_finish(e, 80, sim::milliseconds(400));
 

@@ -33,8 +33,7 @@ Row run_one(harness::ProtocolKind kind) {
 
   harness::ScenarioOptions options;
   options.protocol_kind = kind;
-  options.protocol = default_protocol_config();
-  options.basic = default_basic_config();
+  options.protocol = core::Config::for_size(built.topology.host_count());
   options.seed = 4;
 
   harness::Experiment e(built.topology, options);

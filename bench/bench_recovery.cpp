@@ -29,14 +29,14 @@ Row run_one(double trunk_loss, harness::ProtocolKind kind) {
   wan.shape = topo::TrunkShape::kRing;
   wan.expensive.loss_probability = trunk_loss;
   wan.cheap.loss_probability = trunk_loss / 5.0;
+  const auto built = make_clustered_wan(wan);
 
   harness::ScenarioOptions options;
   options.protocol_kind = kind;
-  options.protocol = default_protocol_config();
-  options.basic = default_basic_config();
+  options.protocol = core::Config::for_size(built.topology.host_count());
   options.seed = 3;
 
-  harness::Experiment e(make_clustered_wan(wan).topology, options);
+  harness::Experiment e(built.topology, options);
   warm_up(e);
 
   constexpr int kMessages = 40;
@@ -57,19 +57,6 @@ Row run_one(double trunk_loss, harness::ProtocolKind kind) {
   return Row{redeliveries / kMessages,
              redeliveries > 0 ? intercluster / redeliveries : 0.0,
              completion};
-}
-
-// Google-benchmark JSON shape so tools/bench_compare.py can gate these
-// rows against the committed baseline (BENCH_recovery.json). The "times"
-// are deterministic virtual metrics of seeded simulations — identical on
-// every machine — so the gate threshold can be tight.
-void emit_json_row(std::ostream& os, bool& first, const std::string& name,
-                   double value, const char* unit) {
-  if (!first) os << ",\n";
-  first = false;
-  os << "    {\"name\": \"" << name << "\", \"run_type\": \"iteration\", "
-     << "\"iterations\": 1, \"real_time\": " << value << ", \"cpu_time\": "
-     << value << ", \"time_unit\": \"" << unit << "\"}";
 }
 
 void run(bool json) {
@@ -107,8 +94,7 @@ void run(bool json) {
     }
   }
   if (json) {
-    std::cout << "{\n  \"context\": {\"virtual_time\": true},\n"
-              << "  \"benchmarks\": [\n" << rows.str() << "\n  ]\n}\n";
+    print_json(rows.str());
   } else {
     table.print(std::cout);
   }

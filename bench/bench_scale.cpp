@@ -24,13 +24,13 @@ void sweep_scale() {
     wan.clusters = clusters;
     wan.hosts_per_cluster = 4;
     wan.shape = topo::TrunkShape::kRing;
+    const auto built = make_clustered_wan(wan);
 
     harness::ScenarioOptions options;
-    options.protocol =
-        scaled_protocol_config(static_cast<std::size_t>(hosts));
+    options.protocol = core::Config::for_size(built.topology.host_count());
     options.seed = 15;
 
-    harness::Experiment e(make_clustered_wan(wan).topology, options);
+    harness::Experiment e(built.topology, options);
     warm_up(e, sim::seconds(30 + 2 * hosts));
 
     const sim::TimePoint t0 = e.simulator().now();
@@ -39,17 +39,13 @@ void sweep_scale() {
     const double window =
         sim::to_seconds(e.simulator().now() - t0);
 
-    const auto& m = e.metrics();
-    const double data = static_cast<double>(m.counter("send.data") +
-                                            m.counter("send.gapfill"));
-    const double control = static_cast<double>(m.host_sends()) - data;
     const auto latency = e.metrics().all_latencies();
     table.row()
         .cell(hosts)
         .cell(completion, 1)
         .cell(latency.mean(), 3)
         .cell(latency.quantile(0.95), 3)
-        .cell(control / window / hosts, 2)
+        .cell(control_sends(e.metrics()) / window / hosts, 2)
         .cell(static_cast<std::uint64_t>(e.convergence().depth));
   }
   table.print(std::cout);
@@ -70,7 +66,7 @@ void sweep_workload() {
     const ServerId source_server = built.topology.host(HostId{0}).server;
 
     harness::ScenarioOptions options;
-    options.protocol = scaled_protocol_config(16);
+    options.protocol = core::Config::for_size(built.topology.host_count());
     options.protocol.data_bytes = 1024;
     options.seed = 16;
 

@@ -32,17 +32,8 @@ Point run_one(double period_scale) {
   const auto built = make_clustered_wan(wan);
 
   harness::ScenarioOptions options;
-  options.protocol = default_protocol_config();
-  auto scale = [&](sim::Duration d) {
-    return std::max<sim::Duration>(
-        1, static_cast<sim::Duration>(static_cast<double>(d) * period_scale));
-  };
-  options.protocol.info_period_intra = scale(options.protocol.info_period_intra);
-  options.protocol.info_period_inter = scale(options.protocol.info_period_inter);
-  options.protocol.gapfill_period_neighbor =
-      scale(options.protocol.gapfill_period_neighbor);
-  options.protocol.gapfill_period_far =
-      scale(options.protocol.gapfill_period_far);
+  options.protocol = core::Config::for_size(built.topology.host_count());
+  scale_periods(options.protocol, period_scale);
   options.seed = 7;
 
   harness::Experiment e(built.topology, options);
@@ -67,11 +58,7 @@ Point run_one(double period_scale) {
   for (util::Seq q = 2; q <= kMessages + 1; ++q) {  // skip the warm-up msg
     delivered += static_cast<double>(m.delivered_count(q));
   }
-  const double data = static_cast<double>(m.counter("send.data") +
-                                          m.counter("send.gapfill") +
-                                          m.counter("send.data_retx"));
-  const double control = static_cast<double>(m.host_sends()) - data;
-  return Point{control / kWindow, delivered / expected_deliveries,
+  return Point{control_sends(m) / kWindow, delivered / expected_deliveries,
                m.all_latencies().mean()};
 }
 

@@ -4,58 +4,25 @@
 // builds a scenario through harness::Experiment, runs a warm-up phase (the
 // protocol's tree must form before steady-state numbers mean anything),
 // resets the metrics, streams a measured workload, and prints a table.
+// Protocol timing comes from core::Config::for_size(n), so the experiments
+// are comparable.
 #pragma once
 
-#include <cstdio>
 #include <iostream>
+#include <ostream>
 #include <string>
 
 #include "rbcast.h"
 
 namespace rbcast::bench {
 
-// Steady-state protocol parameters used across benches (one place so the
-// experiments are comparable). Deliberately mid-range: Section 6 points
-// out these are the cost/reliability tuning knobs; bench_tradeoff sweeps
-// them explicitly.
-inline core::Config default_protocol_config() {
-  core::Config c;
-  c.attach_period = sim::seconds(1);
-  c.info_period_intra = sim::milliseconds(500);
-  c.info_period_inter = sim::seconds(2);
-  c.gapfill_period_neighbor = sim::seconds(1);
-  c.gapfill_period_far = sim::seconds(4);
-  c.parent_timeout = sim::seconds(6);
-  // Must comfortably exceed the worst host-to-host round trip (slow trunks
-  // plus queueing), or a host behind a slow link livelocks cycling through
-  // candidates whose accepts keep arriving "late".
-  c.attach_ack_timeout = sim::seconds(2);
-  c.data_bytes = 256;
-  return c;
-}
-
-// Section 6: the exchange frequencies "can be tuned according to specific
-// cost-reliability requirements". A real deployment must keep the
-// aggregate control traffic inside the expensive-trunk capacity, which
-// grows with the host count (INFO exchange is all-pairs). This helper
-// applies that tuning: beyond 16 hosts, the inter-cluster periods stretch
-// proportionally so control load per trunk stays roughly constant.
-inline core::Config scaled_protocol_config(std::size_t host_count) {
-  core::Config c = default_protocol_config();
-  const double factor =
-      std::max(1.0, static_cast<double>(host_count) / 16.0);
-  auto scale = [&](sim::Duration d) {
-    return static_cast<sim::Duration>(static_cast<double>(d) * factor);
-  };
-  c.info_period_inter = scale(c.info_period_inter);
-  c.gapfill_period_far = scale(c.gapfill_period_far);
-  return c;
-}
-
-inline core::BasicConfig default_basic_config() {
-  core::BasicConfig c;
-  c.retransmit_period = sim::seconds(2);
-  return c;
+// Scales the four exchange periods by `factor`: the Section 6 cost knob
+// that bench_control_overhead and bench_tradeoff sweep.
+inline void scale_periods(core::Config& c, double factor) {
+  c.info_period_intra = util::scaled(c.info_period_intra, factor);
+  c.info_period_inter = util::scaled(c.info_period_inter, factor);
+  c.gapfill_period_neighbor = util::scaled(c.gapfill_period_neighbor, factor);
+  c.gapfill_period_far = util::scaled(c.gapfill_period_far, factor);
 }
 
 // Runs one warm-up broadcast and lets the host parent graph converge.
@@ -82,6 +49,34 @@ inline double stream_and_finish(harness::Experiment& e, int count,
 
 inline void print_header(const std::string& id, const std::string& claim) {
   std::cout << "\n=== " << id << " ===\n" << claim << "\n\n";
+}
+
+// Host sends that carry no data: INFO, attachment and detach traffic (and
+// the basic algorithm's acks).
+inline double control_sends(const trace::Metrics& m) {
+  return static_cast<double>(m.host_sends() - m.counter("send.data") -
+                             m.counter("send.gapfill") -
+                             m.counter("send.data_retx"));
+}
+
+// --json output of the gated benches: google-benchmark-shaped rows, so
+// tools/bench_compare.py can hold them to a committed baseline
+// (BENCH_congestion.json, BENCH_recovery.json). The "times" are
+// deterministic virtual metrics of seeded simulations, identical on every
+// machine, so the gate threshold can be tight.
+inline void emit_json_row(std::ostream& os, bool& first,
+                          const std::string& name, double value,
+                          const char* unit) {
+  if (!first) os << ",\n";
+  first = false;
+  os << "    {\"name\": \"" << name << "\", \"run_type\": \"iteration\", "
+     << "\"iterations\": 1, \"real_time\": " << value << ", \"cpu_time\": "
+     << value << ", \"time_unit\": \"" << unit << "\"}";
+}
+
+inline void print_json(const std::string& rows) {
+  std::cout << "{\n  \"context\": {\"virtual_time\": true},\n"
+            << "  \"benchmarks\": [\n" << rows << "\n  ]\n}\n";
 }
 
 }  // namespace rbcast::bench

@@ -4,7 +4,8 @@
 // with which hosts enact INFO exchange, parent pointer exchange, and gap
 // filling. These can be tuned according to specific cost-reliability
 // requirements." Every such frequency is a field here; the trade-off bench
-// (E7) sweeps them.
+// (E7) sweeps them. Config{} holds the paper-faithful defaults;
+// Config::for_size(n) is the one tuned profile the experiment benches use.
 #pragma once
 
 #include <cstddef>
@@ -156,6 +157,31 @@ struct Config {
 
   // Payload size of one data message body.
   std::size_t data_bytes{256};
+
+  // --- tuning ---------------------------------------------------------------
+
+  // The tuned profile for `host_count` hosts: mid-range periods under which
+  // the benches' WANs converge within seconds, with the inter-cluster
+  // periods stretched by host_count/16 beyond 16 hosts. INFO exchange is
+  // all-pairs, so without the stretch each expensive trunk's control load
+  // would grow with n until it crowded out the data.
+  static Config for_size(std::size_t host_count) {
+    Config c;
+    c.attach_period = util::seconds(1);
+    c.info_period_inter = util::seconds(2);
+    c.gapfill_period_far = util::seconds(4);
+    c.parent_timeout = util::seconds(6);
+    // Must comfortably exceed the worst host-to-host round trip (slow
+    // trunks plus queueing), or a host behind a slow link livelocks cycling
+    // through candidates whose accepts keep arriving "late".
+    c.attach_ack_timeout = util::seconds(2);
+    if (host_count > 16) {
+      const double factor = static_cast<double>(host_count) / 16.0;
+      c.info_period_inter = util::scaled(c.info_period_inter, factor);
+      c.gapfill_period_far = util::scaled(c.gapfill_period_far, factor);
+    }
+    return c;
+  }
 };
 
 }  // namespace rbcast::core

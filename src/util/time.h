@@ -32,6 +32,13 @@ constexpr Duration from_seconds(double s) {
   return us <= 0.0 ? 0 : static_cast<Duration>(us + 0.5);
 }
 
+// Scales a duration by `factor`, truncating to whole ticks but never below
+// one: a period tuned down to zero would re-arm its timer forever.
+constexpr Duration scaled(Duration d, double factor) {
+  const auto ticks = static_cast<Duration>(static_cast<double>(d) * factor);
+  return ticks < 1 ? 1 : ticks;
+}
+
 constexpr double to_seconds(Duration d) {
   return static_cast<double>(d) / 1e6;
 }

@@ -17,6 +17,7 @@
 #include "core/messages.h"
 #include "core/wire_codec.h"
 #include "support/fake_network.h"
+#include "support/fast_config.h"
 #include "util/rng.h"
 
 namespace rbcast::core {
@@ -124,16 +125,7 @@ TEST(AuthWire, WireSizeAccountsForTheTag) {
 // --- BroadcastHost reject path ---------------------------------------------
 
 Config auth_config() {
-  Config c;
-  c.attach_period = sim::milliseconds(100);
-  c.info_period_intra = sim::milliseconds(50);
-  c.info_period_inter = sim::milliseconds(200);
-  c.gapfill_period_neighbor = sim::milliseconds(100);
-  c.gapfill_period_far = sim::milliseconds(300);
-  c.parent_timeout = sim::seconds(1);
-  c.attach_ack_timeout = sim::milliseconds(100);
-  c.child_timeout = sim::seconds(3);
-  c.data_bytes = 16;
+  Config c = rbcast::testing::hub_config();
   c.auth_enabled = true;
   return c;
 }

@@ -9,25 +9,13 @@
 #include <vector>
 
 #include "support/fake_network.h"
+#include "support/fast_config.h"
 
 namespace rbcast::core {
 namespace {
 
 using rbcast::testing::FakeHub;
-
-core::Config fast_config() {
-  Config c;
-  c.attach_period = sim::milliseconds(100);
-  c.info_period_intra = sim::milliseconds(50);
-  c.info_period_inter = sim::milliseconds(200);
-  c.gapfill_period_neighbor = sim::milliseconds(100);
-  c.gapfill_period_far = sim::milliseconds(300);
-  c.parent_timeout = sim::seconds(1);
-  c.attach_ack_timeout = sim::milliseconds(100);
-  c.child_timeout = sim::seconds(3);
-  c.data_bytes = 16;
-  return c;
-}
+using rbcast::testing::hub_config;
 
 struct Cluster {
   sim::Simulator sim;
@@ -35,7 +23,7 @@ struct Cluster {
   std::vector<std::unique_ptr<BroadcastHost>> nodes;
   std::vector<std::vector<Seq>> delivered;
 
-  explicit Cluster(int n, Config config = fast_config(),
+  explicit Cluster(int n, Config config = hub_config(),
                    HostId source = HostId{0}) {
     std::vector<HostId> all;
     for (int i = 0; i < n; ++i) all.push_back(HostId{i});
@@ -342,7 +330,7 @@ TEST(BroadcastHost, DropsFramesFromNonMembers) {
 // One intra-cluster round reaches exactly cluster ∪ neighbors, and one
 // inter-cluster round everyone else, each in ascending id order.
 TEST(BroadcastHost, InfoRoundsCoverClusterNeighborsAndEveryoneElse) {
-  Config config = fast_config();
+  Config config = hub_config();
   config.cluster_knowledge = Config::ClusterKnowledge::kStatic;
   Cluster c(8, config);
   BroadcastHost& h = c.node(3);
@@ -381,7 +369,7 @@ TEST(BroadcastHost, InfoRoundsCoverClusterNeighborsAndEveryoneElse) {
 // reads the sender's own interval block, and the sender's next accepted
 // message gives it a fresh block instead of writing through the copies.
 TEST(BroadcastHost, InfoRoundCopiesShareTheSendersSetUntilItChanges) {
-  Config config = fast_config();
+  Config config = hub_config();
   config.cluster_knowledge = Config::ClusterKnowledge::kStatic;
   Cluster c(6, config);
   BroadcastHost& h = c.node(0);
@@ -443,7 +431,7 @@ TEST(BroadcastHost, CostBitMaintainsClusterView) {
 }
 
 TEST(BroadcastHost, StaticClusterKnowledgeIgnoresCostBit) {
-  Config config = fast_config();
+  Config config = hub_config();
   config.cluster_knowledge = Config::ClusterKnowledge::kStatic;
   Cluster c(2, config);
   c.node(1).seed_cluster({HostId{0}, HostId{1}});
@@ -454,7 +442,7 @@ TEST(BroadcastHost, StaticClusterKnowledgeIgnoresCostBit) {
 }
 
 TEST(BroadcastHost, PruningReleasesSafePrefix) {
-  Config config = fast_config();
+  Config config = hub_config();
   config.enable_pruning = true;
   Cluster c(2, config);
   c.start_all();
@@ -472,7 +460,7 @@ TEST(BroadcastHost, PruningReleasesSafePrefix) {
 }
 
 TEST(BroadcastHost, PruningDisabledKeepsEverything) {
-  Config config = fast_config();
+  Config config = hub_config();
   config.enable_pruning = false;
   Cluster c(2, config);
   c.start_all();
@@ -483,7 +471,7 @@ TEST(BroadcastHost, PruningDisabledKeepsEverything) {
 }
 
 TEST(BroadcastHost, PiggybackCarriesSenderInfoOnData) {
-  Config config = fast_config();
+  Config config = hub_config();
   config.piggyback_info = true;
   Cluster c(3, config);
   c.start_all();
@@ -520,7 +508,7 @@ TEST(BroadcastHost, PiggybackDisabledByDefault) {
 TEST(BroadcastHost, PiggybackRefreshesMapWithoutInfoMessages) {
   // With separate INFO exchange effectively disabled, the piggyback alone
   // must keep the child's view of the parent's INFO set fresh.
-  Config config = fast_config();
+  Config config = hub_config();
   config.piggyback_info = true;
   Cluster c(2, config);
   c.start_all();
@@ -571,7 +559,7 @@ TEST(BroadcastHost, SourceNeverRunsAttachment) {
 TEST(BroadcastHost, SingleClusterCycleIsBrokenByHighestOrder) {
   // Host 3 is the (idle, unreachable) source, so hosts 0..2 all run the
   // attachment procedure and host 2 has the highest order among them.
-  Cluster c(4, fast_config(), /*source=*/HostId{3});
+  Cluster c(4, hub_config(), /*source=*/HostId{3});
   c.hub.isolate(HostId{3}, {HostId{0}, HostId{1}, HostId{2}}, true);
 
   auto deliver = [&](int to, int from, ProtocolMessage m,
@@ -682,7 +670,7 @@ TEST(BroadcastHost, LostAttachAcceptRecoversAfterExclusionExpiry) {
 }
 
 TEST(BroadcastHost, GapFillOffersAreNotRepeatedAgainstStaleMap) {
-  Config cfg = fast_config();
+  Config cfg = hub_config();
   cfg.gapfill_suppress_period = sim::milliseconds(250);
   Cluster c(2, cfg);
   // Periodic tasks are NOT started: rounds run by hand, so nothing but the
@@ -742,11 +730,10 @@ TEST(BroadcastHost, AttachRetriesAreBoundedUnderTotalPartition) {
   // 1/attach_ack_timeout; the retry burst must cap it near 1/attach_period.
   constexpr int kHosts = 12;
   const HostId cut_host{kHosts - 1};
-  Config cfg = fast_config();
+  Config cfg = hub_config();
   cfg.attach_period = sim::milliseconds(500);
   cfg.attach_ack_timeout = sim::milliseconds(50);
   cfg.attach_retry_burst = 3;
-  cfg.parent_timeout = sim::seconds(1);
   Cluster c(kHosts, cfg);
   for (int j = 0; j + 1 < kHosts; ++j) {
     c.hub.set_expensive(cut_host, HostId{j}, true);

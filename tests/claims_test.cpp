@@ -4,7 +4,7 @@
 // conclusions are part of the test suite.
 #include <gtest/gtest.h>
 
-#include "bench/support/common.h"
+#include "core/config.h"
 #include "harness/experiment.h"
 #include "topo/generators.h"
 
@@ -15,9 +15,10 @@ using harness::Experiment;
 using harness::ProtocolKind;
 using harness::ScenarioOptions;
 
-// The benches' own protocol timing, so these claims cannot drift from the
+// Every scenario runs the benches' own size-aware protocol timing,
+// core::Config::for_size(n), so these claims cannot drift from the
 // experiments they stand for.
-using bench::default_protocol_config;
+using core::Config;
 
 // Shared runner: warm up, stream, return the experiment for inspection.
 std::unique_ptr<Experiment> run_scenario(topo::Topology topology,
@@ -25,8 +26,7 @@ std::unique_ptr<Experiment> run_scenario(topo::Topology topology,
                                          std::uint64_t seed = 1) {
   ScenarioOptions options;
   options.protocol_kind = kind;
-  options.protocol = default_protocol_config();
-  options.basic.retransmit_period = sim::seconds(2);
+  options.protocol = Config::for_size(topology.host_count());
   options.seed = seed;
   auto e = std::make_unique<Experiment>(std::move(topology), options);
   e->start();
@@ -137,9 +137,8 @@ TEST(Claims, BasicCongestsTheSourceServer) {
 
   // A burst: messages with no spacing.
   ScenarioOptions options;
-  options.protocol = default_protocol_config();
+  options.protocol = Config::for_size(built_a.topology.host_count());
   options.protocol.data_bytes = 1024;
-  options.basic.retransmit_period = sim::seconds(2);
 
   auto run_burst = [&](topo::Topology t, ProtocolKind kind) {
     options.protocol_kind = kind;
@@ -166,9 +165,10 @@ TEST(Claims, ControlTrafficIndependentOfDataRate) {
     topo::ClusteredWanOptions wan;
     wan.clusters = 3;
     wan.hosts_per_cluster = 2;
+    const auto built = make_clustered_wan(wan);
     ScenarioOptions options;
-    options.protocol = default_protocol_config();
-    Experiment e(make_clustered_wan(wan).topology, options);
+    options.protocol = Config::for_size(built.topology.host_count());
+    Experiment e(built.topology, options);
     e.start();
     e.broadcast();
     e.run_for(sim::seconds(20));
@@ -196,11 +196,12 @@ TEST(Claims, OrderingCostsDelayOnlyUnderLoss) {
     wan.clusters = 2;
     wan.hosts_per_cluster = 2;
     wan.expensive.loss_probability = loss;
+    const auto built = make_clustered_wan(wan);
     ScenarioOptions options;
-    options.protocol = default_protocol_config();
+    options.protocol = Config::for_size(built.topology.host_count());
     options.ordered_delivery = ordered;
     options.seed = 9;
-    Experiment e(make_clustered_wan(wan).topology, options);
+    Experiment e(built.topology, options);
     e.start();
     e.broadcast();
     e.run_for(sim::seconds(20));

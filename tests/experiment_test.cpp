@@ -3,18 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include "support/fast_config.h"
 #include "topo/generators.h"
 
 namespace rbcast::harness {
 namespace {
 
+using rbcast::testing::fast_config;
+
 ScenarioOptions fast_options() {
   ScenarioOptions options;
-  options.protocol.attach_period = sim::milliseconds(500);
-  options.protocol.info_period_intra = sim::milliseconds(200);
-  options.protocol.info_period_inter = sim::seconds(1);
-  options.protocol.gapfill_period_neighbor = sim::milliseconds(500);
-  options.protocol.gapfill_period_far = sim::seconds(2);
+  options.protocol = fast_config();
   options.protocol.data_bytes = 32;
   return options;
 }

@@ -1,6 +1,7 @@
 #include "topo/generators.h"
 
 #include "harness/experiment.h"
+#include "support/fast_config.h"
 
 #include <gtest/gtest.h>
 
@@ -177,12 +178,7 @@ TEST(Generators, ArpanetSurvivesSingleTrunkFailures) {
 TEST(Generators, ArpanetBroadcastsEndToEnd) {
   const Arpanet net = make_arpanet();
   harness::ScenarioOptions options;
-  options.protocol.attach_period = sim::milliseconds(500);
-  options.protocol.info_period_intra = sim::milliseconds(200);
-  options.protocol.info_period_inter = sim::seconds(1);
-  options.protocol.gapfill_period_neighbor = sim::milliseconds(500);
-  options.protocol.gapfill_period_far = sim::seconds(2);
-  options.protocol.data_bytes = 64;
+  options.protocol = rbcast::testing::fast_config();
   // Source at MIT.
   options.source = net.hosts_at.at("MIT").front();
   harness::Experiment e(net.topology, options);

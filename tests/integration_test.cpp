@@ -223,7 +223,6 @@ struct Figure41Scenario {
 
 TEST(Integration, Figure41NonNeighborGapFillingCompletesDelivery) {
   ScenarioOptions options = paper_options();
-  options.protocol.gapfill_period_far = sim::seconds(2);
   Figure41Scenario scenario(options);
   scenario.run_engineered_losses();
 
@@ -243,7 +242,6 @@ TEST(Integration, Figure41FailsWithoutNonNeighborGapFilling) {
   // Ablation: with the Section 4.4 extension disabled, the same scenario
   // must stall (this is exactly why the paper adds it).
   ScenarioOptions options = paper_options();
-  options.protocol.gapfill_period_far = sim::seconds(2);
   options.protocol.nonneighbor_gapfill = false;
   Figure41Scenario scenario(options);
   scenario.run_engineered_losses();

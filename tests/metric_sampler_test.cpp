@@ -11,20 +11,17 @@
 #include <vector>
 
 #include "harness/experiment.h"
+#include "support/fast_config.h"
 #include "topo/generators.h"
 
 namespace rbcast::trace {
 namespace {
 
+using rbcast::testing::fast_config;
+
 harness::ScenarioOptions fast_options(std::uint64_t seed = 1) {
   harness::ScenarioOptions options;
-  options.protocol.attach_period = sim::milliseconds(500);
-  options.protocol.info_period_intra = sim::milliseconds(200);
-  options.protocol.info_period_inter = sim::seconds(1);
-  options.protocol.gapfill_period_neighbor = sim::milliseconds(500);
-  options.protocol.gapfill_period_far = sim::seconds(2);
-  options.protocol.parent_timeout = sim::seconds(3);
-  options.protocol.attach_ack_timeout = sim::milliseconds(400);
+  options.protocol = fast_config();
   options.protocol.data_bytes = 32;
   options.seed = seed;
   return options;

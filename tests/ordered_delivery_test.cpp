@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "support/fast_config.h"
 #include "topo/generators.h"
 
 namespace rbcast::core {
 namespace {
+
+using rbcast::testing::fast_config;
 
 struct Capture {
   std::vector<util::Seq> out;
@@ -73,11 +76,7 @@ TEST(OrderedDelivery, EndToEndThroughExperiment) {
 
   harness::ScenarioOptions options;
   options.ordered_delivery = true;
-  options.protocol.attach_period = sim::milliseconds(500);
-  options.protocol.info_period_intra = sim::milliseconds(200);
-  options.protocol.info_period_inter = sim::seconds(1);
-  options.protocol.gapfill_period_neighbor = sim::milliseconds(500);
-  options.protocol.gapfill_period_far = sim::seconds(2);
+  options.protocol = fast_config();
   options.protocol.data_bytes = 32;
   options.seed = 31;
 

@@ -12,6 +12,7 @@
 #include "core/multi_source.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "support/fast_config.h"
 #include "topo/generators.h"
 #include "transport/sim_transport.h"
 #include "util/rng.h"
@@ -124,15 +125,7 @@ TEST(ProtocolDetach, DestroyedBasicReceiverIsDetached) {
 TEST(ProtocolDetach, DestroyedMultiSourceNodeIsDetached) {
   const HostId doomed{2};
   World w(doomed);
-  Config config;
-  config.attach_period = sim::milliseconds(500);
-  config.info_period_intra = sim::milliseconds(200);
-  config.info_period_inter = sim::seconds(1);
-  config.gapfill_period_neighbor = sim::milliseconds(500);
-  config.gapfill_period_far = sim::seconds(2);
-  config.parent_timeout = sim::seconds(4);
-  config.attach_ack_timeout = sim::milliseconds(400);
-  config.data_bytes = 64;
+  const Config config = rbcast::testing::fast_config();
   const std::vector<HostId> sources{HostId{0}, HostId{3}};
   std::vector<std::unique_ptr<MultiSourceNode>> nodes;
   for (HostId h : w.all) {
