@@ -36,22 +36,44 @@ const char* to_string(EventType type) {
   return "?";
 }
 
-std::string Event::describe() const {
+EventLog::EventLog(util::Scheduler& clock) : clock_(clock) {
+  // Room for the chunk pointers of 256 Ki events and for 16 detail texts,
+  // so until then a push allocates only at a chunk boundary or for a new
+  // detail text.
+  chunks_.reserve(64);
+  details_.reserve(16);
+  details_.emplace_back();
+}
+
+std::string EventLog::describe(const Event& e) const {
   std::ostringstream os;
-  os << '[' << sim::to_seconds(at) << "s] " << host << ' '
-     << to_string(type);
-  if (peer.valid()) os << ' ' << peer;
-  if (seq != 0) os << " #" << seq;
-  if (!detail.empty()) os << " (" << detail << ')';
+  os << '[' << sim::to_seconds(e.at) << "s] " << e.host << ' '
+     << to_string(e.type);
+  if (e.peer.valid()) os << ' ' << e.peer;
+  if (e.seq != 0) os << " #" << e.seq;
+  if (e.detail != 0) os << " (" << detail(e) << ')';
   return os.str();
 }
 
+std::uint32_t EventLog::intern(const std::string& text) {
+  if (text.empty()) return 0;
+  for (std::size_t i = 1; i < details_.size(); ++i) {
+    if (details_[i] == text) return static_cast<std::uint32_t>(i);
+  }
+  details_.push_back(text);
+  return static_cast<std::uint32_t>(details_.size() - 1);
+}
+
 void EventLog::push(EventType type, HostId host, HostId peer, util::Seq seq,
-                    std::string detail) {
-  events_.push_back(Event{clock_.now(), type, host, peer, seq,
-                          std::move(detail)});
+                    std::uint32_t detail) {
+  const std::size_t slot = size_ % kChunkEvents;
+  if (slot == 0 && size_ / kChunkEvents == chunks_.size()) {
+    chunks_.push_back(std::make_unique<Event[]>(kChunkEvents));
+  }
+  Event& e = chunks_[size_ / kChunkEvents][slot];
+  e = Event{clock_.now(), seq, host, peer, type, detail};
+  ++size_;
   if (sink_ != nullptr) {
-    const Event& e = events_.back();
     TraceRecord r;
     r.at = e.at;
     r.category = "protocol";
@@ -59,56 +81,56 @@ void EventLog::push(EventType type, HostId host, HostId peer, util::Seq seq,
     r.host = host;
     if (e.peer.valid()) r.field("peer", std::int64_t{e.peer.value});
     if (e.seq != 0) r.field("seq", std::uint64_t{e.seq});
-    if (!e.detail.empty()) r.field("detail", e.detail);
+    if (e.detail != 0) r.field("detail", details_[e.detail]);
     sink_->record(r);
   }
 }
 
 void EventLog::on_attach_requested(HostId host, HostId candidate,
                                    const std::string& rule) {
-  push(EventType::kAttachRequested, host, candidate, 0, rule);
+  push(EventType::kAttachRequested, host, candidate, 0, intern(rule));
 }
 
 void EventLog::on_attached(HostId host, HostId parent) {
-  push(EventType::kAttached, host, parent, 0, {});
+  push(EventType::kAttached, host, parent, 0);
 }
 
 void EventLog::on_detached(HostId host, HostId old_parent, bool timeout) {
   push(timeout ? EventType::kParentTimeout : EventType::kDetached, host,
-       old_parent, 0, {});
+       old_parent, 0);
 }
 
 void EventLog::on_cycle_broken(HostId host) {
-  push(EventType::kCycleBroken, host, kNoHost, 0, {});
+  push(EventType::kCycleBroken, host, kNoHost, 0);
 }
 
 void EventLog::on_attach_timeout(HostId host, HostId candidate) {
-  push(EventType::kAttachTimeout, host, candidate, 0, {});
+  push(EventType::kAttachTimeout, host, candidate, 0);
 }
 
 void EventLog::on_new_max_rejected(HostId host, HostId from, util::Seq seq) {
-  push(EventType::kNewMaxRejected, host, from, seq, {});
+  push(EventType::kNewMaxRejected, host, from, seq);
 }
 
 void EventLog::on_delivered(HostId host, util::Seq seq) {
-  push(EventType::kDelivered, host, kNoHost, seq, {});
+  push(EventType::kDelivered, host, kNoHost, seq);
 }
 
 void EventLog::on_gapfill_offered(HostId host, HostId to, util::Seq seq) {
-  push(EventType::kGapFillOffered, host, to, seq, {});
+  push(EventType::kGapFillOffered, host, to, seq);
 }
 
 void EventLog::on_gapfill_accepted(HostId host, HostId from, util::Seq seq) {
-  push(EventType::kGapFillAccepted, host, from, seq, {});
+  push(EventType::kGapFillAccepted, host, from, seq);
 }
 
 void EventLog::on_gapfill_relayed(HostId host, HostId to, util::Seq seq) {
-  push(EventType::kGapFillRelayed, host, to, seq, {});
+  push(EventType::kGapFillRelayed, host, to, seq);
 }
 
 std::size_t EventLog::count(EventType type) const {
   std::size_t n = 0;
-  for (const Event& e : events_) {
+  for (const Event& e : events()) {
     if (e.type == type) ++n;
   }
   return n;
@@ -116,7 +138,7 @@ std::size_t EventLog::count(EventType type) const {
 
 std::vector<Event> EventLog::events_of(HostId host) const {
   std::vector<Event> out;
-  for (const Event& e : events_) {
+  for (const Event& e : events()) {
     if (e.host == host) out.push_back(e);
   }
   return out;
@@ -125,7 +147,7 @@ std::vector<Event> EventLog::events_of(HostId host) const {
 std::vector<Event> EventLog::between(sim::TimePoint from,
                                      sim::TimePoint to) const {
   std::vector<Event> out;
-  for (const Event& e : events_) {
+  for (const Event& e : events()) {
     if (e.at >= from && e.at < to) out.push_back(e);
   }
   return out;
@@ -149,13 +171,14 @@ void mix(std::uint64_t& h, const T& value) {
 
 std::uint64_t EventLog::digest() const {
   std::uint64_t h = kDigestSeed;
-  for (const Event& e : events_) {
+  for (const Event& e : events()) {
     mix(h, e.at);
     mix(h, static_cast<std::int32_t>(e.type));
     mix(h, e.host.value);
     mix(h, e.peer.value);
     mix(h, e.seq);
-    h = util::fnv1a(h, e.detail.data(), e.detail.size());
+    const std::string& text = detail(e);
+    h = util::fnv1a(h, text.data(), text.size());
     mix(h, '\n');
   }
   return h;
@@ -163,12 +186,12 @@ std::uint64_t EventLog::digest() const {
 
 void EventLog::dump(std::ostream& os, bool include_deliveries) const {
   std::size_t deliveries = 0;
-  for (const Event& e : events_) {
+  for (const Event& e : events()) {
     if (e.type == EventType::kDelivered && !include_deliveries) {
       ++deliveries;
       continue;
     }
-    os << e.describe() << '\n';
+    os << describe(e) << '\n';
   }
   if (deliveries > 0) {
     os << "(+ " << deliveries << " delivery events)\n";

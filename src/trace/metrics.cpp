@@ -11,11 +11,26 @@ namespace {
 const util::Accumulator kEmptyAccumulator{};
 }
 
+std::vector<Metrics::IndexEntry>::const_iterator Metrics::seek(Seq seq) const {
+  return std::lower_bound(
+      index_.begin(), index_.end(), seq,
+      [](const IndexEntry& entry, Seq key) { return entry.seq < key; });
+}
+
 template <typename Fn>
-void Metrics::for_each_delivery(const FirstDeliveries& entry, Fn&& fn) {
-  for (std::size_t index = 0; index < entry.at.size(); ++index) {
-    if (entry.at[index] == kNotDelivered) continue;
-    fn(HostId{static_cast<HostId::value_type>(index)}, entry.at[index]);
+void Metrics::for_each_broadcast(Seq lo, Seq hi, Fn&& fn) const {
+  for (auto it = seek(lo); it != index_.end() && it->seq <= hi; ++it) {
+    const sim::TimePoint* r = row(it->row);
+    if (r[kBroadcastAt] != kNever) fn(it->seq, r);
+  }
+}
+
+template <typename Fn>
+void Metrics::for_each_delivery(const sim::TimePoint* r, Fn&& fn) const {
+  for (std::size_t index = 0; index < hosts_; ++index) {
+    const sim::TimePoint at = r[kRowHeader + index];
+    if (at == kNever) continue;
+    fn(HostId{static_cast<HostId::value_type>(index)}, at);
   }
 }
 
@@ -23,7 +38,9 @@ Metrics::Metrics(sim::Simulator& simulator, net::Network& network)
     : simulator_(simulator),
       network_(network),
       backlog_(network.topology().server_count()),
-      link_busy_(network.topology().link_count(), 0) {}
+      link_busy_(network.topology().link_count(), 0),
+      hosts_(network.topology().host_count()),
+      row_stride_(kRowHeader + hosts_) {}
 
 void Metrics::attach() { network_.set_observer(this); }
 
@@ -93,19 +110,54 @@ void Metrics::on_queue_backlog(ServerId server, LinkId /*link*/,
       sim::to_seconds(backlog));
 }
 
+const sim::TimePoint* Metrics::find_row(Seq seq) const {
+  const auto it = seek(seq);
+  return it != index_.end() && it->seq == seq ? row(it->row) : nullptr;
+}
+
+sim::TimePoint* Metrics::row_for(Seq seq) {
+  // Broadcasts arrive in seq order, so a new seq is almost always the
+  // largest yet and appends; anything else is a binary search.
+  std::size_t pos = index_.size();
+  if (!index_.empty() && index_.back().seq >= seq) {
+    const auto it = seek(seq);
+    if (it->seq == seq) return row(it->row);
+    pos = static_cast<std::size_t>(it - index_.begin());
+  }
+  if (rows_ == row_chunks_.size() * kRowsPerChunk) {
+    row_chunks_.push_back(std::make_unique_for_overwrite<sim::TimePoint[]>(
+        kRowsPerChunk * row_stride_));
+    // The index grows with the chunks, so a seq whose row fits in an
+    // existing chunk allocates nothing.
+    const std::size_t rows = row_chunks_.size() * kRowsPerChunk;
+    if (index_.capacity() < rows) {
+      index_.reserve(std::max(rows, 2 * index_.capacity()));
+    }
+  }
+  const std::uint32_t index = rows_++;
+  index_.insert(index_.begin() + static_cast<std::ptrdiff_t>(pos),
+                IndexEntry{seq, index});
+  sim::TimePoint* r = row(index);
+  std::fill(r, r + row_stride_, kNever);
+  r[kCount] = 0;
+  return r;
+}
+
 void Metrics::record_broadcast(Seq seq) {
-  broadcast_at_[seq] = simulator_.now();
+  sim::TimePoint* r = row_for(seq);
+  if (r[kBroadcastAt] == kNever) ++broadcasts_;
+  r[kBroadcastAt] = simulator_.now();
 }
 
 void Metrics::record_delivery(HostId host, Seq seq) {
   const auto index = static_cast<std::size_t>(host.value);  // kNoHost wraps
-  const std::size_t hosts = network_.topology().host_count();
-  RBCAST_CHECK_ARG(index < hosts, "record_delivery: host outside the topology");
-  FirstDeliveries& entry = first_delivery_[seq];
-  if (entry.at.empty()) entry.at.assign(hosts, kNotDelivered);
-  if (entry.at[index] != kNotDelivered) return;  // keeps the first one
-  entry.at[index] = simulator_.now();
-  ++entry.count;
+  RBCAST_CHECK_ARG(index < hosts_,
+                   "record_delivery: host outside the topology");
+  sim::TimePoint* r = row_for(seq);
+  sim::TimePoint& at = r[kRowHeader + index];
+  if (at != kNever) return;  // keeps the first one
+  at = simulator_.now();
+  ++r[kCount];
 }
 
 std::uint64_t Metrics::counter_prefix_sum(const std::string& prefix) const {
@@ -131,14 +183,11 @@ std::uint64_t Metrics::intercluster_control_sends() const {
 }
 
 double Metrics::delivery_latency(HostId host, Seq seq) const {
-  auto bit = broadcast_at_.find(seq);
-  if (bit == broadcast_at_.end()) return -1.0;
-  auto sit = first_delivery_.find(seq);
-  if (sit == first_delivery_.end()) return -1.0;
+  const sim::TimePoint* r = find_row(seq);
+  if (r == nullptr || r[kBroadcastAt] == kNever) return -1.0;
   const auto index = static_cast<std::size_t>(host.value);  // kNoHost wraps
-  const std::vector<sim::TimePoint>& at = sit->second.at;
-  if (index >= at.size() || at[index] == kNotDelivered) return -1.0;
-  return sim::to_seconds(at[index] - bit->second);
+  if (index >= hosts_ || r[kRowHeader + index] == kNever) return -1.0;
+  return sim::to_seconds(r[kRowHeader + index] - r[kBroadcastAt]);
 }
 
 util::Samples Metrics::all_latencies() const {
@@ -147,20 +196,17 @@ util::Samples Metrics::all_latencies() const {
 
 util::Samples Metrics::latencies_between(Seq lo, Seq hi) const {
   util::Samples out;
-  for (const auto& [seq, entry] : first_delivery_) {
-    if (seq < lo || seq > hi) continue;
-    auto bit = broadcast_at_.find(seq);
-    if (bit == broadcast_at_.end()) continue;
-    for_each_delivery(entry, [&](HostId, sim::TimePoint at) {
-      out.add(sim::to_seconds(at - bit->second));
+  for_each_broadcast(lo, hi, [&](Seq, const sim::TimePoint* r) {
+    for_each_delivery(r, [&](HostId, sim::TimePoint at) {
+      out.add(sim::to_seconds(at - r[kBroadcastAt]));
     });
-  }
+  });
   return out;
 }
 
 std::size_t Metrics::delivered_count(Seq seq) const {
-  auto it = first_delivery_.find(seq);
-  return it != first_delivery_.end() ? it->second.count : 0;
+  const sim::TimePoint* r = find_row(seq);
+  return r != nullptr ? static_cast<std::size_t>(r[kCount]) : 0;
 }
 
 sim::Duration Metrics::link_busy_time(LinkId link) const {
@@ -193,15 +239,13 @@ std::vector<std::pair<double, double>> Metrics::completion_curve(
     double bucket_seconds, std::size_t host_count) const {
   RBCAST_CHECK_ARG(bucket_seconds > 0, "bucket must be positive");
   std::vector<double> times;
-  for (const auto& [seq, entry] : first_delivery_) {
-    if (!broadcast_at_.contains(seq)) continue;
-    for_each_delivery(entry, [&](HostId, sim::TimePoint at) {
+  for_each_broadcast(0, ~Seq{0}, [&](Seq, const sim::TimePoint* r) {
+    for_each_delivery(r, [&](HostId, sim::TimePoint at) {
       times.push_back(sim::to_seconds(at));
     });
-  }
+  });
   const double expected =
-      static_cast<double>(broadcast_at_.size()) *
-      static_cast<double>(host_count);
+      static_cast<double>(broadcasts_) * static_cast<double>(host_count);
   std::vector<std::pair<double, double>> curve;
   if (times.empty() || expected == 0) return curve;
   std::sort(times.begin(), times.end());
@@ -232,14 +276,12 @@ void Metrics::write_counters_csv(std::ostream& os) const {
 
 void Metrics::write_latencies_csv(std::ostream& os) const {
   os << "seq,host,latency_seconds\n";
-  for (const auto& [seq, entry] : first_delivery_) {
-    auto bit = broadcast_at_.find(seq);
-    if (bit == broadcast_at_.end()) continue;
-    for_each_delivery(entry, [&](HostId host, sim::TimePoint at) {
+  for_each_broadcast(0, ~Seq{0}, [&](Seq seq, const sim::TimePoint* r) {
+    for_each_delivery(r, [&](HostId host, sim::TimePoint at) {
       os << seq << ',' << host.value << ','
-         << sim::to_seconds(at - bit->second) << '\n';
+         << sim::to_seconds(at - r[kBroadcastAt]) << '\n';
     });
-  }
+  });
 }
 
 void Metrics::reset() {
@@ -251,8 +293,9 @@ void Metrics::reset() {
   std::fill(backlog_.begin(), backlog_.end(), util::Accumulator{});
   std::fill(link_busy_.begin(), link_busy_.end(), 0);
   window_start_ = simulator_.now();
-  broadcast_at_.clear();
-  first_delivery_.clear();
+  index_.clear();
+  rows_ = 0;
+  broadcasts_ = 0;
 }
 
 }  // namespace rbcast::trace

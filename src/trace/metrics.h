@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
-#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -179,21 +179,46 @@ class Metrics : public net::NetObserver {
   std::vector<sim::Duration> link_busy_;
   sim::TimePoint window_start_{0};
 
-  std::map<Seq, sim::TimePoint> broadcast_at_;
-  // First receipts of one message: the time at each topology host, indexed
-  // by host id (kNotDelivered where it has not arrived), and how many
-  // arrived. Sized on the seq's first delivery, so each message costs one
-  // entry and one vector however many hosts receive it; a forged or
-  // far-off seq costs the same.
-  static constexpr sim::TimePoint kNotDelivered = -1;
-  struct FirstDeliveries {
-    std::vector<sim::TimePoint> at;
-    std::size_t count{0};
+  // Broadcast time and first receipts per seq, one row per distinct seq.
+  // A row is kRowHeader slots — the broadcast time (kNever until
+  // record_broadcast) and how many hosts received the seq — then one
+  // first-receipt time per topology host (kNever where it has not
+  // arrived). Rows are appended to fixed-size chunks, so no seq costs a
+  // heap block of its own, and index_ maps seqs, in ascending order, to
+  // their rows: memory grows with the number of distinct seqs, never with
+  // their values, and a forged or far-off seq costs one row like any other.
+  static constexpr sim::TimePoint kNever = -1;
+  static constexpr std::size_t kBroadcastAt = 0;
+  static constexpr std::size_t kCount = 1;
+  static constexpr std::size_t kRowHeader = 2;
+  static constexpr std::size_t kRowsPerChunk = 64;
+  struct IndexEntry {
+    Seq seq;
+    std::uint32_t row;
   };
-  std::map<Seq, FirstDeliveries> first_delivery_;
-  // Calls fn(host, at) for every first delivery of `entry`, in host order.
+  // The first index entry whose seq is not below `seq`.
+  [[nodiscard]] std::vector<IndexEntry>::const_iterator seek(Seq seq) const;
+  // The row of `seq`, or nullptr when it has none.
+  [[nodiscard]] const sim::TimePoint* find_row(Seq seq) const;
+  // The row of `seq`, appended (all kNever, count 0) when it has none.
+  [[nodiscard]] sim::TimePoint* row_for(Seq seq);
+  [[nodiscard]] sim::TimePoint* row(std::uint32_t index) const {
+    return row_chunks_[index / kRowsPerChunk].get() +
+           (index % kRowsPerChunk) * row_stride_;
+  }
+  // Calls fn(seq, row) for every broadcast seq in [lo, hi], ascending.
   template <typename Fn>
-  static void for_each_delivery(const FirstDeliveries& entry, Fn&& fn);
+  void for_each_broadcast(Seq lo, Seq hi, Fn&& fn) const;
+  // Calls fn(host, at) for every first receipt in row `r`, in host order.
+  template <typename Fn>
+  void for_each_delivery(const sim::TimePoint* r, Fn&& fn) const;
+
+  std::size_t hosts_;       // topology hosts at construction
+  std::size_t row_stride_;  // kRowHeader + hosts_
+  std::vector<IndexEntry> index_;
+  std::vector<std::unique_ptr<sim::TimePoint[]>> row_chunks_;
+  std::uint32_t rows_{0};      // rows in use; reset() keeps the chunks
+  std::size_t broadcasts_{0};  // rows with a broadcast time
 
   // Cached ground-truth cluster index, refreshed when links change.
   std::vector<int> cluster_index_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
 
 #include "harness/experiment.h"
 #include "net/fault_plan.h"
@@ -13,6 +14,10 @@ namespace rbcast::trace {
 namespace {
 
 using rbcast::testing::fast_config;
+
+// The log is an array of these records: a heap-owning member would make
+// each record larger and cost a heap block per event.
+static_assert(sizeof(Event) == 32 && std::is_trivially_copyable_v<Event>);
 
 harness::ScenarioOptions fast_options() {
   harness::ScenarioOptions options;
@@ -31,7 +36,7 @@ TEST(EventLog, RecordsDirectCalls) {
 
   ASSERT_EQ(log.events().size(), 3u);
   EXPECT_EQ(log.events()[0].type, EventType::kAttachRequested);
-  EXPECT_EQ(log.events()[0].detail, "I.1");
+  EXPECT_EQ(log.detail(log.events()[0]), "I.1");
   EXPECT_EQ(log.events()[0].at, sim::seconds(2));
   EXPECT_EQ(log.events()[2].seq, 7u);
   EXPECT_EQ(log.count(EventType::kAttached), 1u);
@@ -43,7 +48,7 @@ TEST(EventLog, DescribeIsReadable) {
   sim::Simulator simulator;
   EventLog log(simulator);
   log.on_attach_requested(HostId{2}, HostId{5}, "II.3");
-  const std::string line = log.events()[0].describe();
+  const std::string line = log.describe(log.events()[0]);
   EXPECT_NE(line.find("h2"), std::string::npos);
   EXPECT_NE(line.find("attach-requested"), std::string::npos);
   EXPECT_NE(line.find("h5"), std::string::npos);
@@ -150,7 +155,7 @@ TEST(EventLog, GapFillEventsRecordOfferAcceptRelay) {
   EXPECT_EQ(accepted.host, HostId{1});
   EXPECT_EQ(accepted.peer, HostId{0});
 
-  EXPECT_NE(log.events()[2].describe().find("gapfill-relayed"),
+  EXPECT_NE(log.describe(log.events()[2]).find("gapfill-relayed"),
             std::string::npos);
 }
 
@@ -191,6 +196,35 @@ TEST(EventLog, GapFillEventsAppearInLossyScenario) {
   EXPECT_GE(log.count(EventType::kGapFillOffered) +
                 log.count(EventType::kGapFillRelayed),
             log.count(EventType::kGapFillAccepted));
+}
+
+TEST(EventLog, RecordsSpanChunksInOrder) {
+  sim::Simulator simulator;
+  EventLog log(simulator);
+  const std::size_t n = 2 * EventLog::kChunkEvents + 5;
+  for (std::size_t i = 0; i < n; ++i) log.on_delivered(HostId{0}, i + 1);
+  log.on_attach_requested(HostId{1}, HostId{0}, "I.1");
+  log.on_attach_requested(HostId{2}, HostId{0}, "I.1");
+
+  ASSERT_EQ(log.events().size(), n + 2);
+  util::Seq expected = 1;
+  for (const Event& e : log.events()) {
+    if (e.type != EventType::kDelivered) break;
+    EXPECT_EQ(e.seq, expected++);
+  }
+  EXPECT_EQ(expected, n + 1);
+  EXPECT_EQ(log.events()[EventLog::kChunkEvents].seq,
+            EventLog::kChunkEvents + 1);
+  // Both requests share one interned detail.
+  EXPECT_EQ(log.events()[n].detail, log.events()[n + 1].detail);
+  EXPECT_EQ(log.detail(log.events()[n + 1]), "I.1");
+
+  // A cleared log records afresh into the chunks it kept.
+  log.clear();
+  log.on_delivered(HostId{3}, 9);
+  ASSERT_EQ(log.events().size(), 1u);
+  EXPECT_EQ(log.events()[0].host, HostId{3});
+  EXPECT_EQ(log.detail(log.events()[0]), "");
 }
 
 TEST(EventLog, ClearEmpties) {

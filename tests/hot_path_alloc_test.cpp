@@ -1,9 +1,9 @@
 // Measured allocation gate for the hot path: the event queue, the
 // simulator's step and a network hop, the protocol upcalls, HostState's
 // per-peer queries, CLUSTER/CHILDREN churn and body store, the transport
-// coalescer, the attachment and gap-fill rounds, SeqSet and the
-// first-delivery record of trace::Metrics, plus a check that the counter
-// sees every form of operator new. Every case warms
+// coalescer, the attachment and gap-fill rounds, SeqSet, the first-delivery
+// record of trace::Metrics and trace::EventLog's pushes, plus a check that
+// the counter sees every form of operator new. Every case warms
 // its structures to steady state first, then counts operator new calls
 // with a counting global allocator (support/alloc_counter), so the bound
 // covers whatever the code calls, not a list of function names. The INFO
@@ -17,6 +17,7 @@
 #include <new>
 #include <optional>
 #include <span>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "support/alloc_counter.h"
 #include "support/counting_transport.h"
 #include "topo/generators.h"
+#include "trace/event_log.h"
 #include "trace/metrics.h"
 #include "transport/coalescer.h"
 #include "util/rng.h"
@@ -734,21 +736,61 @@ TEST(SeqSetAllocations, PruneOfAnUnsharedBlockAllocatesNothing) {
 TEST(MetricsAllocations, LaterDeliveriesOfASeqAllocateNothing) {
   NetworkHop hop;
   trace::Metrics metrics(hop.simulator, hop.network);
-  metrics.record_broadcast(1);
-  // The seq's one entry: its map node and its host-indexed time vector.
-  EXPECT_EQ(allocations_during([&] { metrics.record_delivery(HostId{0}, 1); }),
-            2u);
+  // The first seq opens the first row chunk (and its chunk-table slot and
+  // the seq index); every seq whose row fits in it allocates nothing.
+  EXPECT_EQ(allocations_during([&] { metrics.record_broadcast(1); }), 3u);
   EXPECT_EQ(allocations_during([&] {
-              for (int h = 1; h < 16; ++h) metrics.record_delivery(HostId{h}, 1);
               for (int h = 0; h < 16; ++h) metrics.record_delivery(HostId{h}, 1);
+              for (int h = 0; h < 16; ++h) metrics.record_delivery(HostId{h}, 1);
+              metrics.record_broadcast(2);
+              metrics.record_delivery(HostId{5}, 2);
+              metrics.record_delivery(HostId{6}, 3);  // never broadcast
             }),
             0u);
   EXPECT_EQ(metrics.delivered_count(1), 16u);
-  // A far-off seq costs the same one entry.
+  // A far-off seq costs one row like any other.
   const util::Seq far = (util::Seq{1} << 40) + 1;
-  EXPECT_EQ(allocations_during([&] { metrics.record_delivery(HostId{3}, far); }),
-            2u);
+  EXPECT_LE(allocations_during([&] { metrics.record_delivery(HostId{3}, far); }),
+            1u);
   EXPECT_EQ(metrics.delivered_count(far), 1u);
+}
+
+// --- protocol event log ------------------------------------------------------
+
+TEST(EventLogAllocations, PushAllocatesOnlyAtChunkBoundaries) {
+  sim::Simulator simulator;
+  trace::EventLog log(simulator);
+  constexpr std::size_t kChunk = trace::EventLog::kChunkEvents;
+  const std::size_t n = 3 * kChunk + 1;
+  // Longer than any small-string buffer, so each new text costs one block.
+  const std::string rule_a = "attachment rule with a long name, A";
+  const std::string rule_b = "attachment rule with a long name, B";
+  const std::uint64_t allocs = allocations_during([&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      switch (i % 4) {
+        case 0:
+          log.on_delivered(HostId{1}, i);
+          break;
+        case 1:
+          log.on_attach_requested(HostId{1}, HostId{2}, rule_a);
+          break;
+        case 2:
+          log.on_attach_requested(HostId{2}, HostId{1}, rule_b);
+          break;
+        default:
+          log.on_attached(HostId{2}, HostId{1});
+          break;
+      }
+    }
+  });
+  EXPECT_EQ(allocs, (n + kChunk - 1) / kChunk + 2);
+  ASSERT_EQ(log.events().size(), n);
+  // A cleared log refills the chunks it kept.
+  log.clear();
+  EXPECT_EQ(allocations_during([&] {
+              for (std::size_t i = 0; i < n; ++i) log.on_delivered(HostId{1}, i);
+            }),
+            0u);
 }
 
 // --- the counter itself ------------------------------------------------------

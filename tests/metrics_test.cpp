@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "topo/generators.h"
 
@@ -262,6 +266,164 @@ TEST(Metrics, ResetClearsEverything) {
   f.metrics->reset();
   EXPECT_EQ(f.metrics->counter_prefix_sum(""), 0u);
   EXPECT_EQ(f.metrics->all_latencies().count(), 0u);
+}
+
+// The first-delivery bookkeeping as two ordered maps, the straightforward
+// shape the row store must match query for query.
+struct ReferenceMetrics {
+  std::map<Seq, sim::TimePoint> broadcast_at;
+  std::map<Seq, std::map<int, sim::TimePoint>> first;  // seq -> host -> time
+
+  void record_delivery(int host, Seq seq, sim::TimePoint now) {
+    first[seq].emplace(host, now);  // keeps the first one
+  }
+  double delivery_latency(int host, Seq seq) const {
+    const auto b = broadcast_at.find(seq);
+    const auto f = first.find(seq);
+    if (b == broadcast_at.end() || f == first.end()) return -1.0;
+    const auto at = f->second.find(host);
+    return at == f->second.end() ? -1.0
+                                 : sim::to_seconds(at->second - b->second);
+  }
+  std::size_t delivered_count(Seq seq) const {
+    const auto f = first.find(seq);
+    return f == first.end() ? 0 : f->second.size();
+  }
+  std::vector<double> latencies_between(Seq lo, Seq hi) const {
+    std::vector<double> out;
+    for (const auto& [seq, hosts] : first) {
+      const auto b = broadcast_at.find(seq);
+      if (seq < lo || seq > hi || b == broadcast_at.end()) continue;
+      for (const auto& [host, at] : hosts) {
+        out.push_back(sim::to_seconds(at - b->second));
+      }
+    }
+    return out;
+  }
+  std::vector<std::pair<double, double>> completion_curve(
+      double bucket, std::size_t host_count) const {
+    std::vector<double> times;
+    for (const auto& [seq, hosts] : first) {
+      if (!broadcast_at.contains(seq)) continue;
+      for (const auto& [host, at] : hosts) {
+        times.push_back(sim::to_seconds(at));
+      }
+    }
+    const double expected = static_cast<double>(broadcast_at.size()) *
+                            static_cast<double>(host_count);
+    std::vector<std::pair<double, double>> curve;
+    if (times.empty() || expected == 0) return curve;
+    std::sort(times.begin(), times.end());
+    std::size_t done = 0;
+    for (double t = 0.0; t <= times.back() + bucket; t += bucket) {
+      while (done < times.size() && times[done] <= t) ++done;
+      curve.emplace_back(t, static_cast<double>(done) / expected);
+    }
+    return curve;
+  }
+  std::string latencies_csv() const {
+    std::ostringstream os;
+    os << "seq,host,latency_seconds\n";
+    for (const auto& [seq, hosts] : first) {
+      const auto b = broadcast_at.find(seq);
+      if (b == broadcast_at.end()) continue;
+      for (const auto& [host, at] : hosts) {
+        os << seq << ',' << host << ',' << sim::to_seconds(at - b->second)
+           << '\n';
+      }
+    }
+    return os.str();
+  }
+};
+
+// Random in-order, out-of-order, duplicate, never-broadcast and far-off
+// seqs, with reset() mid-stream, across several row chunks: every query
+// and the CSV must equal the reference model's, in the same order.
+TEST(Metrics, FirstDeliveryRowsMatchAnOrderedMapModel) {
+  Fixture f;
+  ReferenceMetrics ref;
+  std::mt19937_64 rng(7);
+  const auto pick = [&rng](std::uint64_t n) {
+    return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(rng);
+  };
+  const int hosts = static_cast<int>(f.wan.topology.host_count());
+  const Seq far = (Seq{1} << 40) + 1;
+  Seq next = 1;
+  std::vector<Seq> seen;
+
+  const auto check = [&] {
+    for (Seq seq : seen) {
+      ASSERT_EQ(f.metrics->delivered_count(seq), ref.delivered_count(seq))
+          << "seq " << seq;
+      for (int h = 0; h < hosts; ++h) {
+        ASSERT_EQ(f.metrics->delivery_latency(HostId{h}, seq),
+                  ref.delivery_latency(h, seq))
+            << "seq " << seq << " host " << h;
+      }
+    }
+    EXPECT_EQ(f.metrics->delivered_count(next + 1000), 0u);
+    EXPECT_EQ(f.metrics->all_latencies().values(),
+              ref.latencies_between(1, ~Seq{0}));
+    for (const auto& [lo, hi] : std::vector<std::pair<Seq, Seq>>{
+             {0, 0}, {1, 40}, {25, 90}, {100, far}, {far, ~Seq{0}}}) {
+      EXPECT_EQ(f.metrics->latencies_between(lo, hi).values(),
+                ref.latencies_between(lo, hi))
+          << lo << ".." << hi;
+    }
+    EXPECT_EQ(f.metrics->completion_curve(0.5, 4),
+              ref.completion_curve(0.5, 4));
+    std::ostringstream csv;
+    f.metrics->write_latencies_csv(csv);
+    EXPECT_EQ(csv.str(), ref.latencies_csv());
+  };
+
+  for (int step = 1; step <= 3000; ++step) {
+    f.sim.run_until(f.sim.now() + sim::milliseconds(1 + pick(20)));
+    const sim::TimePoint now = f.sim.now();
+    Seq seq = 0;
+    bool broadcast = false;
+    switch (pick(8)) {
+      case 0:
+      case 1:
+      case 2:  // the in-order stream
+        seq = next++;
+        broadcast = true;
+        break;
+      case 3:  // out of order: often a duplicate, sometimes ahead
+        seq = 1 + pick(next + 5);
+        broadcast = pick(6) == 0;
+        break;
+      case 4:  // never broadcast: deliveries only
+        seq = (Seq{1} << 20) + pick(50);
+        break;
+      case 5:  // far off
+        seq = far + pick(3) * (Seq{1} << 30);
+        broadcast = pick(3) == 0;
+        break;
+      default:  // a recent seq
+        seq = next > 4 ? next - 1 - pick(4) : 1;
+        break;
+    }
+    seen.push_back(seq);
+    if (broadcast) {
+      f.metrics->record_broadcast(seq);
+      ref.broadcast_at[seq] = now;
+    } else {
+      const int host =
+          static_cast<int>(pick(static_cast<std::uint64_t>(hosts)));
+      f.metrics->record_delivery(HostId{host}, seq);
+      ref.record_delivery(host, seq, now);
+    }
+    if (step % 500 == 0) check();
+    if (step == 1800) {
+      f.metrics->reset();
+      ref = ReferenceMetrics{};
+      check();
+      seen.clear();
+    }
+  }
+  EXPECT_GT(ref.broadcast_at.size(), 64u);  // spans more than one row chunk
+  check();
 }
 
 }  // namespace
