@@ -84,9 +84,9 @@ void ablate_piggyback() {
                      "data bytes/msg", "p95 delay s"});
   for (bool piggyback : {false, true}) {
     for (double scale : {1.0, 4.0, 16.0}) {
-      util::Accumulator control_rate;
-      util::Accumulator data_size;
-      util::Accumulator p95;
+      util::Samples control_rate;
+      util::Samples data_size;
+      util::Samples p95;
       for (std::uint64_t seed : {22u, 122u, 222u, 322u, 422u}) {
         topo::ClusteredWanOptions wan;
         wan.clusters = 3;

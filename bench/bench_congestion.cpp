@@ -121,17 +121,12 @@ OverloadRow run_overload(sim::Duration interval, bool batched) {
       lat.quantile(0.99), amortization};
 }
 
-void run(bool json) {
-  std::ostringstream rows;
-  bool first = true;
-
-  if (!json) {
-    print_header(
-        "E5 bench_congestion",
-        "Worst outbound queue backlog (s) during a 20-message burst, 4-cluster "
-        "star WAN\n(paper: basic congests the source's server; the tree "
-        "distributes dissemination)");
-  }
+void run() {
+  print_header(
+      "E5 bench_congestion",
+      "Worst outbound queue backlog (s) during a 20-message burst, 4-cluster "
+      "star WAN\n(paper: basic congests the source's server; the tree "
+      "distributes dissemination)");
   util::Table table({"hosts/cluster", "total hosts", "protocol",
                      "source srv backlog", "worst other srv", "mean delay"});
   for (int m : {2, 4, 8, 16}) {
@@ -146,24 +141,14 @@ void run(bool json) {
           .cell(row.source_backlog_s, 3)
           .cell(row.other_backlog_s, 3)
           .cell(row.mean_delay_s, 3);
-      std::ostringstream name;
-      name << "congestion/hosts=" << 4 * m << "/" << (tree ? "tree" : "basic");
-      // Offset by one so a zero-backlog cell cannot zero a baseline entry
-      // (ratio gates cannot divide by zero).
-      emit_json_row(rows, first, name.str() + "/source_backlog",
-                    1.0 + row.source_backlog_s, "s");
-      emit_json_row(rows, first, name.str() + "/mean_delay",
-                    row.mean_delay_s, "s");
     }
   }
-  if (!json) {
-    table.print(std::cout);
-    print_header(
-        "E5b bench_congestion overload",
-        "Sustained overload (60 s of arrivals + 10 s drain, 3-cluster star "
-        "WAN,\n16-byte updates, 28-byte per-datagram framing in both modes):\n"
-        "batching amortizes the framing, so the same trunks deliver more");
-  }
+  table.print(std::cout);
+  print_header(
+      "E5b bench_congestion overload",
+      "Sustained overload (60 s of arrivals + 10 s drain, 3-cluster star "
+      "WAN,\n16-byte updates, 28-byte per-datagram framing in both modes):\n"
+      "batching amortizes the framing, so the same trunks deliver more");
   util::Table overload_table({"arrival interval ms", "data plane",
                               "delivered msg/s", "p99 delay", "frames/dgram"});
   for (sim::Duration interval :
@@ -176,28 +161,15 @@ void run(bool json) {
           .cell(r.throughput, 1)
           .cell(r.p99_s, 3)
           .cell(r.frames_per_dgram, 2);
-      std::ostringstream name;
-      name << "overload/interval_ms=" << sim::to_seconds(interval) * 1e3
-           << "/" << (batched ? "batched" : "unbatched");
-      // Unit is nominal ("s" like every row): bench_compare.py only
-      // understands time units and compares ratios, not dimensions.
-      emit_json_row(rows, first, name.str() + "/throughput", r.throughput,
-                    "s");
-      emit_json_row(rows, first, name.str() + "/p99", r.p99_s, "s");
     }
   }
-  if (json) {
-    print_json(rows.str());
-  } else {
-    overload_table.print(std::cout);
-  }
+  overload_table.print(std::cout);
 }
 
 }  // namespace
 }  // namespace rbcast::bench
 
-int main(int argc, char** argv) {
-  const bool json = argc > 1 && std::string(argv[1]) == "--json";
-  rbcast::bench::run(json);
+int main() {
+  rbcast::bench::run();
   return 0;
 }

@@ -59,19 +59,15 @@ Row run_one(double trunk_loss, harness::ProtocolKind kind) {
              completion};
 }
 
-void run(bool json) {
-  if (!json) {
-    print_header(
-        "E3 bench_recovery",
-        "Redelivery traffic under loss (3 clusters x 3 hosts, 40 messages)\n"
-        "(paper: tree redeliveries come from cluster neighbors / the parent\n"
-        " cluster; basic redeliveries always come from the source)");
-  }
+void run() {
+  print_header(
+      "E3 bench_recovery",
+      "Redelivery traffic under loss (3 clusters x 3 hosts, 40 messages)\n"
+      "(paper: tree redeliveries come from cluster neighbors / the parent\n"
+      " cluster; basic redeliveries always come from the source)");
 
   util::Table table({"trunk loss", "protocol", "redeliveries/msg",
                      "inter-cluster share", "completion s"});
-  std::ostringstream rows;
-  bool first = true;
   for (double loss : {0.01, 0.05, 0.10, 0.20}) {
     for (auto kind :
          {harness::ProtocolKind::kPaper, harness::ProtocolKind::kBasic}) {
@@ -83,28 +79,15 @@ void run(bool json) {
           .cell(r.redeliveries, 2)
           .cell(r.intercluster_fraction, 2)
           .cell(r.completion_seconds, 1);
-      std::ostringstream name;
-      name << "recovery/loss=" << loss << "/" << (tree ? "tree" : "basic");
-      emit_json_row(rows, first, name.str() + "/completion",
-                    r.completion_seconds, "s");
-      // Offset by one so a zero-redelivery cell cannot zero a baseline
-      // entry (ratio gates cannot divide by zero).
-      emit_json_row(rows, first, name.str() + "/redeliveries_per_msg",
-                    1.0 + r.redeliveries, "s");
     }
   }
-  if (json) {
-    print_json(rows.str());
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout);
 }
 
 }  // namespace
 }  // namespace rbcast::bench
 
-int main(int argc, char** argv) {
-  const bool json = argc > 1 && std::string(argv[1]) == "--json";
-  rbcast::bench::run(json);
+int main() {
+  rbcast::bench::run();
   return 0;
 }

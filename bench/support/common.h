@@ -9,7 +9,6 @@
 #pragma once
 
 #include <iostream>
-#include <ostream>
 #include <string>
 
 #include "rbcast.h"
@@ -57,26 +56,6 @@ inline double control_sends(const trace::Metrics& m) {
   return static_cast<double>(m.host_sends() - m.counter("send.data") -
                              m.counter("send.gapfill") -
                              m.counter("send.data_retx"));
-}
-
-// --json output of the gated benches: google-benchmark-shaped rows, so
-// tools/bench_compare.py can hold them to a committed baseline
-// (BENCH_congestion.json, BENCH_recovery.json). The "times" are
-// deterministic virtual metrics of seeded simulations, identical on every
-// machine, so the gate threshold can be tight.
-inline void emit_json_row(std::ostream& os, bool& first,
-                          const std::string& name, double value,
-                          const char* unit) {
-  if (!first) os << ",\n";
-  first = false;
-  os << "    {\"name\": \"" << name << "\", \"run_type\": \"iteration\", "
-     << "\"iterations\": 1, \"real_time\": " << value << ", \"cpu_time\": "
-     << value << ", \"time_unit\": \"" << unit << "\"}";
-}
-
-inline void print_json(const std::string& rows) {
-  std::cout << "{\n  \"context\": {\"virtual_time\": true},\n"
-            << "  \"benchmarks\": [\n" << rows << "\n  ]\n}\n";
 }
 
 }  // namespace rbcast::bench

@@ -257,7 +257,8 @@ class HostState {
   void ancestors_of_self(AncestorWalk& walk) const;
 
  private:
-  // Full-structure consistency sweep; no-op unless RBCAST_PARANOID.
+  // Full-structure consistency sweep, the stored bodies amortized to one
+  // pass per bodies_.size() calls; a no-op unless RBCAST_PARANOID.
   void check_invariants() const;
   // slot()'s binary search, for ids that are not their own rank.
   [[nodiscard]] std::size_t search_slot(HostId h) const;
@@ -306,6 +307,7 @@ class HostState {
   // the prefix but keeps the capacity, so a steady stream allocates
   // nothing here once the buffer has grown to the unpruned window.
   std::vector<StoredMessage> bodies_;
+  mutable std::size_t calls_since_sweep_{0};  // check_invariants' pacing
   // Indexed by slot, so an INFO receipt touches no tree and allocates
   // nothing beyond the merge's interval growth. Ascending slot order is
   // ascending id order — the order the std::map tables this replaces

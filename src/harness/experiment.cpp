@@ -156,14 +156,13 @@ trace::TraceRecord Experiment::manifest() const {
 }
 
 void Experiment::install_observers() {
-  if (sink_ == nullptr && sampler_ == nullptr && monitor_ == nullptr) {
+  if (sink_ == nullptr && monitor_ == nullptr) {
     network_->set_observer(metrics_.get());
     return;
   }
   observer_fanout_ = net::NetObserverFanout{};
   observer_fanout_.add(metrics_.get());
   observer_fanout_.add(net_tap_.get());
-  observer_fanout_.add(sampler_.get());
   observer_fanout_.add(monitor_.get());
   network_->set_observer(&observer_fanout_);
 }
@@ -188,7 +187,6 @@ void Experiment::enable_metric_sampling(sim::Duration period) {
   sampler_ = std::make_unique<trace::MetricSampler>(
       simulator_, *metrics_, *sink_, period, std::move(shape_fn));
   sampler_->set_registry(&registry_);
-  install_observers();
   sampler_->start();
 }
 

@@ -195,7 +195,8 @@ class Experiment {
   std::unique_ptr<net::FaultPlan> faults_;
 
   // Tracing (optional). The fanout lets metrics, the net tap and the
-  // sampler observe one network; rebuilt whenever the sink changes.
+  // invariant monitor observe one network; rebuilt whenever the sink
+  // changes. The sampler reads trace::Metrics, so it observes nothing.
   trace::TraceSink* sink_{nullptr};
   net::NetObserverFanout observer_fanout_;
   std::unique_ptr<trace::NetTap> net_tap_;

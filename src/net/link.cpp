@@ -6,8 +6,9 @@
 
 namespace rbcast::net {
 
-LinkState::LinkState(const topo::LinkSpec& spec, util::Rng rng)
-    : spec_(&spec), rng_(rng) {}
+LinkState::LinkState(const topo::LinkSpec& spec, util::Rng rng,
+                     std::size_t overhead_bytes)
+    : spec_(&spec), overhead_bytes_(overhead_bytes), rng_(rng) {}
 
 LinkState::TxResult LinkState::transmit(std::size_t bytes, int dir,
                                         sim::TimePoint now) {
@@ -15,11 +16,12 @@ LinkState::TxResult LinkState::transmit(std::size_t bytes, int dir,
   RBCAST_ASSERT(dir == 0 || dir == 1);
 
   TxResult r;
-  r.tx_time = spec_->transmission_time(bytes);
+  r.tx_time = spec_->transmission_time(bytes + overhead_bytes_);
 
   const sim::TimePoint start = std::max(now, next_free_[dir]);
   r.queue_wait = start - now;
   next_free_[dir] = start + r.tx_time;
+  booked_[dir] += r.tx_time;
 
   if (rng_.chance(spec_->params.loss_probability)) {
     r.copies = 0;  // the wire was busy, but nothing arrives
@@ -33,6 +35,7 @@ LinkState::TxResult LinkState::transmit(std::size_t bytes, int dir,
   if (r.copies == 2) {
     // The duplicate trails the original by one extra transmission slot.
     next_free_[dir] += r.tx_time;
+    booked_[dir] += r.tx_time;
     r.arrival_offset[1] = base + r.tx_time;
   }
   return r;

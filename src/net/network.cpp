@@ -40,8 +40,11 @@ Network::Network(sim::Simulator& simulator, const topo::Topology& topology,
                    "max_queue_delay must be positive");
   links_.reserve(topology.link_count());
   for (const topo::LinkSpec& spec : topology.links()) {
-    links_.emplace_back(spec, rngs.stream("net.link", spec.id.value));
+    links_.emplace_back(spec, rngs.stream("net.link", spec.id.value),
+                        config.per_packet_overhead_bytes);
   }
+  cluster_index_ = topology_.host_cluster_index(
+      [this](LinkId id) { return link_up(id); });
   routing_.recompute_now();
   servers_.reserve(topology.server_count());
   for (const topo::ServerSpec& s : topology.servers()) {
@@ -166,10 +169,8 @@ void Network::send(HostId from, HostId to, std::any payload,
     drop(p.d, DropReason::kQueueOverflow);
     return;
   }
-  // Direction 0 of an access link is host -> server. Every hop charges
-  // the payload plus the fixed per-datagram framing overhead.
-  const auto tx = access.transmit(bytes + config_.per_packet_overhead_bytes,
-                                  0, simulator_.now());
+  // Direction 0 of an access link is host -> server.
+  const auto tx = access.transmit(bytes, 0, simulator_.now());
   if (observer_ != nullptr) {
     observer_->on_queue_backlog(hs.server, hs.access_link, tx.queue_wait);
   }
@@ -239,8 +240,7 @@ void Network::land(std::uint32_t slot) {
     discard(slot, DropReason::kQueueOverflow);
     return;
   }
-  const auto tx = ls.transmit(p.d.bytes + config_.per_packet_overhead_bytes,
-                              dir, simulator_.now());
+  const auto tx = ls.transmit(p.d.bytes, dir, simulator_.now());
   if (observer_ != nullptr) {
     observer_->on_queue_backlog(p.at, choice.link, tx.queue_wait);
     observer_->on_link_transmit(choice.link, p.d);
@@ -267,6 +267,8 @@ void Network::set_link_up(LinkId link, bool up) {
   if (ls.up() == up) return;
   ls.set_up(up);
   ++epoch_;
+  cluster_index_ = topology_.host_cluster_index(
+      [this](LinkId id) { return link_up(id); });
   if (!up) {
     // A failing link loses everything in flight on it, silently — the
     // paper's failure model ("messages can ... be lost at any point").
@@ -285,20 +287,14 @@ void Network::set_link_up(LinkId link, bool up) {
 
 bool Network::link_up(LinkId link) const { return link_state(link).up(); }
 
+sim::Duration Network::wire_time(LinkId link, int dir) const {
+  return link_state(link).wire_time(dir, simulator_.now());
+}
+
 std::vector<std::vector<HostId>> Network::clusters() const {
   return topology_.clusters([this](LinkId id) { return link_up(id); });
 }
 
-std::vector<int> Network::host_cluster_index() const {
-  return topology_.host_cluster_index(
-      [this](LinkId id) { return link_up(id); });
-}
-
-bool Network::same_cluster(HostId x, HostId y) const {
-  const auto idx = host_cluster_index();
-  return idx[static_cast<std::size_t>(x.value)] ==
-         idx[static_cast<std::size_t>(y.value)];
-}
 
 bool Network::connected(HostId x, HostId y) const {
   return topology_.connected(x, y, [this](LinkId id) { return link_up(id); });

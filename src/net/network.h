@@ -46,8 +46,8 @@ struct NetConfig {
   // queue unboundedly). Generous default so only genuine congestion
   // collapse triggers it.
   sim::Duration max_queue_delay{sim::seconds(60)};
-  // Fixed per-datagram framing cost (UDP/IP-style headers) added to every
-  // transmission's byte charge. 0 — the default, and what the determinism
+  // Fixed per-datagram framing cost (UDP/IP-style headers) that every
+  // LinkState adds to each transmission's byte charge, on every hop. 0 — the default, and what the determinism
   // digests are pinned under — models the pre-batching world where only
   // payload bytes count; the overload benchmarks set ~28 so that
   // coalescing many small frames into one datagram actually amortizes
@@ -86,16 +86,28 @@ class Network {
   void set_link_up(LinkId link, bool up);
   [[nodiscard]] bool link_up(LinkId link) const;
 
-  // Bumped on every effective link state change; lets observers cache
-  // cluster/connectivity computations between changes.
+  // Bumped on every effective link state change, when the cluster index
+  // below is recomputed; lets observers cache connectivity computations
+  // between changes.
   [[nodiscard]] std::uint64_t topology_epoch() const { return epoch_; }
+
+  // Wire time direction `dir` of `link` has spent transmitting so far,
+  // framing and duplicate copies included (0 = a -> b, 1 = b -> a; an
+  // access link's 0 is host -> server).
+  [[nodiscard]] sim::Duration wire_time(LinkId link, int dir) const;
 
   // --- ground truth queries (metrics, tests, benches — NOT the protocol) ---
 
   [[nodiscard]] const topo::Topology& topology() const { return topology_; }
   [[nodiscard]] std::vector<std::vector<HostId>> clusters() const;
-  [[nodiscard]] std::vector<int> host_cluster_index() const;
-  [[nodiscard]] bool same_cluster(HostId x, HostId y) const;
+  // Cluster index per host, recomputed on every link state change.
+  [[nodiscard]] const std::vector<int>& host_cluster_index() const {
+    return cluster_index_;
+  }
+  [[nodiscard]] bool same_cluster(HostId x, HostId y) const {
+    return cluster_index_[static_cast<std::size_t>(x.value)] ==
+           cluster_index_[static_cast<std::size_t>(y.value)];
+  }
   [[nodiscard]] bool connected(HostId x, HostId y) const;
 
   [[nodiscard]] Routing& routing() { return routing_; }
@@ -167,6 +179,7 @@ class Network {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   util::Rng jitter_rng_;
   std::uint64_t epoch_{0};
+  std::vector<int> cluster_index_;  // ground truth as of epoch_
   // The in-flight slab and the head of its free list (kNoSlot when empty).
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   std::vector<InFlight> inflight_;

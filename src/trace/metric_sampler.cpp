@@ -17,6 +17,18 @@ std::string bucket_key(double bound) {
   return os.str();
 }
 
+// Adds to `r` the change of every counter in `totals` that moved since
+// `last` (the previous totals), then makes `totals` the previous totals.
+void add_deltas(TraceRecord& r,
+                const std::map<std::string, std::uint64_t>& totals,
+                std::map<std::string, std::uint64_t>& last) {
+  for (const auto& [name, value] : totals) {
+    std::uint64_t& before = last[name];
+    if (value != before) r.field(name, value - before);
+    before = value;
+  }
+}
+
 }  // namespace
 
 std::vector<double> MetricSampler::latency_bounds() {
@@ -43,11 +55,6 @@ void MetricSampler::start() { task_->start(period_); }
 
 void MetricSampler::stop() { task_->stop(); }
 
-void MetricSampler::on_queue_backlog(ServerId server, LinkId /*link*/,
-                                     sim::Duration backlog) {
-  latest_backlog_[server] = backlog;
-}
-
 void MetricSampler::set_registry(const util::MetricsRegistry* registry) {
   registry_ = registry;
   last_registry_counters_.clear();
@@ -67,25 +74,24 @@ void MetricSampler::emit_counters() {
   r.at = scheduler_.now();
   r.category = "metric";
   r.name = "counters";
-  for (const auto& [name, value] : metrics_.counters().all()) {
-    const std::uint64_t before = last_counters_[name];
-    if (value != before) r.field(name, value - before);
-    last_counters_[name] = value;
-  }
+  add_deltas(r, metrics_.counters().all(), last_counters_);
   // An all-quiet interval still emits a (fieldless) sample: gaps in the
   // series would otherwise be indistinguishable from sampling stopping.
   sink_.record(r);
 }
 
 void MetricSampler::emit_backlog() {
-  if (latest_backlog_.empty()) return;
   TraceRecord r;
   r.at = scheduler_.now();
   r.category = "metric";
   r.name = "backlog";
-  for (const auto& [server, backlog] : latest_backlog_) {
-    r.field("s" + std::to_string(server.value), sim::to_seconds(backlog));
+  const auto& backlogs = metrics_.queue_backlogs();
+  for (std::size_t server = 0; server < backlogs.size(); ++server) {
+    const sim::Duration latest = backlogs[server].latest;
+    if (latest == Metrics::kNever) continue;  // never queued on
+    r.field("s" + std::to_string(server), sim::to_seconds(latest));
   }
+  if (r.fields.empty()) return;
   sink_.record(r);
 }
 
@@ -137,11 +143,7 @@ void MetricSampler::emit_registry() {
   r.name = "registry";
   // Counters as per-interval deltas (same convention as "counters"),
   // summed across label sets; only counters that moved become fields.
-  for (const auto& [name, value] : registry_->counter_totals()) {
-    const std::uint64_t before = last_registry_counters_[name];
-    if (value != before) r.field(name, value - before);
-    last_registry_counters_[name] = value;
-  }
+  add_deltas(r, registry_->counter_totals(), last_registry_counters_);
   if (r.fields.empty()) return;  // "counters" already marks quiet intervals
   sink_.record(r);
 }

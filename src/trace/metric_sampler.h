@@ -7,8 +7,7 @@
 //  * "counters"  — per-counter deltas since the previous sample (only
 //    counters that moved), so rates are directly visible;
 //  * "backlog"   — the most recent serialization backlog observed per
-//    server (seconds), via its own NetObserver hook (install through a
-//    net::NetObserverFanout next to trace::Metrics);
+//    server (seconds), as trace::Metrics recorded it;
 //  * "latency"   — delivery-latency distribution so far: count, mean,
 //    p50/p95/p99 (exact, from trace::Metrics samples) plus cumulative
 //    util::Histogram bucket counts (le_<bound> fields);
@@ -33,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "net/message.h"
 #include "trace/metrics.h"
 #include "trace/trace_sink.h"
 #include "util/metrics_registry.h"
@@ -44,7 +42,7 @@ namespace rbcast::trace {
 
 struct ConvergenceReport;
 
-class MetricSampler final : public net::NetObserver {
+class MetricSampler final {
  public:
   // The "tree" record reads depth, leader_count and orphans from it.
   using TreeShapeFn = std::function<ConvergenceReport()>;
@@ -81,10 +79,6 @@ class MetricSampler final : public net::NetObserver {
   [[nodiscard]] sim::Duration period() const { return period_; }
   [[nodiscard]] std::uint64_t samples_taken() const { return samples_; }
 
-  // --- NetObserver (latest-backlog tracking) -----------------------------
-  void on_queue_backlog(ServerId server, LinkId link,
-                        sim::Duration backlog) override;
-
  private:
   void emit_counters();
   void emit_backlog();
@@ -103,7 +97,6 @@ class MetricSampler final : public net::NetObserver {
   // stable across runs (byte-identical trace replay).
   std::map<std::string, std::uint64_t> last_counters_;
   std::map<std::string, std::uint64_t> last_registry_counters_;
-  std::map<ServerId, sim::Duration> latest_backlog_;
   util::Histogram latency_histogram_;
   std::uint64_t samples_{0};
 

@@ -7,10 +7,6 @@
 
 namespace rbcast::trace {
 
-namespace {
-const util::Accumulator kEmptyAccumulator{};
-}
-
 std::vector<Metrics::IndexEntry>::const_iterator Metrics::seek(Seq seq) const {
   return std::lower_bound(
       index_.begin(), index_.end(), seq,
@@ -38,7 +34,7 @@ Metrics::Metrics(sim::Simulator& simulator, net::Network& network)
     : simulator_(simulator),
       network_(network),
       backlog_(network.topology().server_count()),
-      link_busy_(network.topology().link_count(), 0),
+      wire_at_reset_(network.topology().link_count()),
       hosts_(network.topology().host_count()),
       row_stride_(kRowHeader + hosts_) {}
 
@@ -64,20 +60,11 @@ std::uint64_t* Metrics::resolve(std::initializer_list<std::string_view> name) {
   return &counters_.slot(key);
 }
 
-bool Metrics::crosses_clusters(HostId a, HostId b) {
-  if (cluster_epoch_ != network_.topology_epoch()) {
-    cluster_index_ = network_.host_cluster_index();
-    cluster_epoch_ = network_.topology_epoch();
-  }
-  return cluster_index_[static_cast<std::size_t>(a.value)] !=
-         cluster_index_[static_cast<std::size_t>(b.value)];
-}
-
 void Metrics::on_host_send(const net::Delivery& d) {
   KindSlots& k = kind_slots(d.kind);
   add(k.send, 1, "send.", d.kind);
   add(k.send_bytes, d.bytes, "send_bytes.", d.kind);
-  if (crosses_clusters(d.from, d.to)) {
+  if (!network_.same_cluster(d.from, d.to)) {
     add(k.send_intercluster, 1, "send.intercluster.", d.kind);
     add(k.send_bytes_intercluster, d.bytes, "send_bytes.intercluster.",
         d.kind);
@@ -100,14 +87,13 @@ void Metrics::on_link_transmit(LinkId link, const net::Delivery& d) {
   add(link_[cls], 1, "link.", cls_name);
   add(kind_slots(d.kind).link[cls], 1, "link.", cls_name, ".", d.kind);
   add(link_bytes_[cls], d.bytes, "link_bytes.", cls_name);
-  link_busy_[static_cast<std::size_t>(link.value)] +=
-      spec.transmission_time(d.bytes);
 }
 
 void Metrics::on_queue_backlog(ServerId server, LinkId /*link*/,
                                sim::Duration backlog) {
-  backlog_[static_cast<std::size_t>(server.value)].add(
-      sim::to_seconds(backlog));
+  QueueBacklog& b = backlog_[static_cast<std::size_t>(server.value)];
+  b.max = std::max(b.max, backlog);
+  b.latest = backlog;
 }
 
 const sim::TimePoint* Metrics::find_row(Seq seq) const {
@@ -210,8 +196,11 @@ std::size_t Metrics::delivered_count(Seq seq) const {
 }
 
 sim::Duration Metrics::link_busy_time(LinkId link) const {
-  const auto idx = static_cast<std::size_t>(link.value);
-  return link.valid() && idx < link_busy_.size() ? link_busy_[idx] : 0;
+  const auto idx = static_cast<std::size_t>(link.value);  // kNoLink wraps
+  if (idx >= wire_at_reset_.size()) return 0;
+  const auto& base = wire_at_reset_[idx];
+  return std::max(network_.wire_time(link, 0) - base[0],
+                  network_.wire_time(link, 1) - base[1]);
 }
 
 double Metrics::link_utilization(LinkId link) const {
@@ -222,14 +211,15 @@ double Metrics::link_utilization(LinkId link) const {
 }
 
 LinkId Metrics::busiest_trunk() const {
+  // Ties go to the lowest link id.
   LinkId best = kNoLink;
   sim::Duration best_busy = 0;
-  for (std::size_t idx = 0; idx < link_busy_.size(); ++idx) {
-    const LinkId link{static_cast<LinkId::value_type>(idx)};
-    if (network_.topology().link(link).is_access) continue;
-    if (link_busy_[idx] > best_busy) {
-      best_busy = link_busy_[idx];
-      best = link;
+  for (const topo::LinkSpec& spec : network_.topology().links()) {
+    if (spec.is_access) continue;
+    const sim::Duration busy = link_busy_time(spec.id);
+    if (busy > best_busy) {
+      best_busy = busy;
+      best = spec.id;
     }
   }
   return best;
@@ -258,13 +248,9 @@ std::vector<std::pair<double, double>> Metrics::completion_curve(
   return curve;
 }
 
-const util::Accumulator& Metrics::queue_backlog(ServerId server) const {
-  const auto index = static_cast<std::size_t>(server.value);  // kNoServer wraps past the end
-  return index < backlog_.size() ? backlog_[index] : kEmptyAccumulator;
-}
-
 double Metrics::max_queue_backlog_seconds(ServerId server) const {
-  return queue_backlog(server).max();
+  const auto index = static_cast<std::size_t>(server.value);  // kNoServer wraps
+  return index < backlog_.size() ? sim::to_seconds(backlog_[index].max) : 0.0;
 }
 
 void Metrics::write_counters_csv(std::ostream& os) const {
@@ -290,8 +276,12 @@ void Metrics::reset() {
   link_.fill(nullptr);
   link_bytes_.fill(nullptr);
   drop_.fill(nullptr);
-  std::fill(backlog_.begin(), backlog_.end(), util::Accumulator{});
-  std::fill(link_busy_.begin(), link_busy_.end(), 0);
+  for (QueueBacklog& b : backlog_) b.max = 0;
+  for (std::size_t idx = 0; idx < wire_at_reset_.size(); ++idx) {
+    const LinkId link{static_cast<LinkId::value_type>(idx)};
+    wire_at_reset_[idx] = {network_.wire_time(link, 0),
+                           network_.wire_time(link, 1)};
+  }
   window_start_ = simulator_.now();
   index_.clear();
   rows_ = 0;

@@ -4,6 +4,8 @@
 //  * the network (via NetObserver) — transmission counts and bytes, split
 //    by message kind, link class and intra/inter-cluster crossing; drops;
 //    per-server queue backlogs (the congestion experiment);
+//  * the network's own books, read on demand — ground-truth clusters and
+//    each link direction's wire time (utilization);
 //  * the application callbacks (wired by the harness) — broadcast times
 //    and first-delivery times per (host, seq), giving delivery latency and
 //    completeness.
@@ -35,6 +37,9 @@ using util::Seq;
 
 class Metrics : public net::NetObserver {
  public:
+  // A time that has not happened (no receipt, no backlog observed).
+  static constexpr sim::TimePoint kNever = -1;
+
   Metrics(sim::Simulator& simulator, net::Network& network);
 
   // Not copyable: the resolved counter slots point into this counters_.
@@ -95,14 +100,28 @@ class Metrics : public net::NetObserver {
   // How many hosts have received `seq` so far (including the source).
   [[nodiscard]] std::size_t delivered_count(Seq seq) const;
 
-  // Queue congestion (serialization backlog, seconds) at one server.
-  [[nodiscard]] const util::Accumulator& queue_backlog(ServerId server) const;
+  // Serialization backlog observed at one server's outgoing queues: the
+  // largest since the last reset(), and the latest ever (kNever before the
+  // first). reset() keeps `latest`: it is the queue's state, not a
+  // statistic of the window.
+  struct QueueBacklog {
+    sim::Duration max{0};
+    sim::Duration latest{kNever};
+  };
+  // Indexed by ServerId.
+  [[nodiscard]] const std::vector<QueueBacklog>& queue_backlogs() const {
+    return backlog_;
+  }
+  // The largest backlog at `server` since the last reset, in seconds (0
+  // for a server outside the topology).
   [[nodiscard]] double max_queue_backlog_seconds(ServerId server) const;
 
-  // Total wire time consumed on a link (both directions) since the last
-  // reset — the numerator of its utilization.
+  // Wire time the busier direction of `link` has spent transmitting since
+  // the last reset, framing included — the numerator of its utilization.
+  // Read from the network, which books it as it transmits.
   [[nodiscard]] sim::Duration link_busy_time(LinkId link) const;
-  // Busy fraction of a link since the last reset (0 when no time passed).
+  // Busy fraction of a link's busier direction since the last reset (0
+  // when no time passed); never above 1.
   [[nodiscard]] double link_utilization(LinkId link) const;
   // The busiest trunk by utilization (kNoLink when nothing was sent).
   [[nodiscard]] LinkId busiest_trunk() const;
@@ -146,7 +165,6 @@ class Metrics : public net::NetObserver {
     std::array<std::uint64_t*, kLinkClasses> link{};  // link.<class>.<kind>
   };
 
-  [[nodiscard]] bool crosses_clusters(HostId a, HostId b);
   [[nodiscard]] KindSlots& kind_slots(const std::string& kind);
   // Adds `by` to the counter behind `slot`. Only its first use names the
   // counter: the name parts are concatenated and looked up out of line,
@@ -173,10 +191,10 @@ class Metrics : public net::NetObserver {
   std::array<std::uint64_t*, kDropReasons> drop_{};        // drop.<reason>
   // Queue backlog per server, indexed by ServerId; sized to the topology
   // at construction, so a hop's on_queue_backlog() is one vector index.
-  std::vector<util::Accumulator> backlog_;
-  // Wire time per link, indexed by LinkId; busiest_trunk() breaks
-  // utilization ties by link id.
-  std::vector<sim::Duration> link_busy_;
+  std::vector<QueueBacklog> backlog_;
+  // Each link direction's wire time at the last reset (zero before the
+  // first), indexed by LinkId: where the utilization window starts.
+  std::vector<std::array<sim::Duration, 2>> wire_at_reset_;
   sim::TimePoint window_start_{0};
 
   // Broadcast time and first receipts per seq, one row per distinct seq.
@@ -187,7 +205,6 @@ class Metrics : public net::NetObserver {
   // heap block of its own, and index_ maps seqs, in ascending order, to
   // their rows: memory grows with the number of distinct seqs, never with
   // their values, and a forged or far-off seq costs one row like any other.
-  static constexpr sim::TimePoint kNever = -1;
   static constexpr std::size_t kBroadcastAt = 0;
   static constexpr std::size_t kCount = 1;
   static constexpr std::size_t kRowHeader = 2;
@@ -219,10 +236,6 @@ class Metrics : public net::NetObserver {
   std::vector<std::unique_ptr<sim::TimePoint[]>> row_chunks_;
   std::uint32_t rows_{0};      // rows in use; reset() keeps the chunks
   std::size_t broadcasts_{0};  // rows with a broadcast time
-
-  // Cached ground-truth cluster index, refreshed when links change.
-  std::vector<int> cluster_index_;
-  std::uint64_t cluster_epoch_{~0ULL};
 };
 
 }  // namespace rbcast::trace

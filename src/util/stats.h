@@ -2,36 +2,11 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace rbcast::util {
-
-// Streaming mean/variance/min/max (Welford's algorithm); O(1) memory.
-class Accumulator {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;  // sample variance (n-1)
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
-  void merge(const Accumulator& other);
-
- private:
-  std::uint64_t n_{0};
-  double mean_{0.0};
-  double m2_{0.0};
-  double sum_{0.0};
-  double min_{std::numeric_limits<double>::infinity()};
-  double max_{-std::numeric_limits<double>::infinity()};
-};
 
 // Keeps all samples; supports exact quantiles. Use for delivery-latency
 // distributions where p95/p99 matter and sample counts are modest.

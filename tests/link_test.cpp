@@ -98,6 +98,34 @@ TEST(LinkState, UpDownFlagIsHonoredByCaller) {
   EXPECT_TRUE(link.up());
 }
 
+TEST(LinkState, ChargesFramingOnEveryTransmit) {
+  const auto spec = make_spec();
+  LinkState link(spec, util::Rng(1), /*overhead_bytes=*/28);
+  const auto r = link.transmit(100, 0, 0);
+  EXPECT_EQ(r.tx_time, sim::milliseconds(128));
+  EXPECT_EQ(r.arrival_offset[0], sim::milliseconds(130));
+}
+
+TEST(LinkState, WireTimeCountsOnlyTheElapsedPart) {
+  const auto spec = make_spec();
+  LinkState link(spec, util::Rng(1));
+  link.transmit(100, 0, 0);
+  link.transmit(100, 0, 0);  // booked: [0, 200 ms) without a break
+  EXPECT_EQ(link.wire_time(0, 0), 0);
+  EXPECT_EQ(link.wire_time(0, sim::milliseconds(150)), sim::milliseconds(150));
+  EXPECT_EQ(link.wire_time(0, sim::seconds(5)), sim::milliseconds(200));
+  EXPECT_EQ(link.wire_time(1, sim::seconds(5)), 0);  // per direction
+}
+
+TEST(LinkState, DuplicatedCopyBooksTwoWireSlots) {
+  const auto spec = make_spec(/*loss=*/0.0, /*dup=*/1.0);
+  LinkState link(spec, util::Rng(1));
+  const auto r = link.transmit(100, 0, 0);
+  ASSERT_EQ(r.copies, 2);
+  EXPECT_EQ(link.queue_backlog(0, 0), 2 * r.tx_time);
+  EXPECT_EQ(link.wire_time(0, sim::seconds(5)), 2 * r.tx_time);
+}
+
 TEST(LinkState, DirectionFromMapsEndpoints) {
   const auto spec = make_spec();
   LinkState link(spec, util::Rng(1));

@@ -180,7 +180,38 @@ TEST(Metrics, QueueBacklogPerServer) {
   f.sim.run_until(sim::seconds(30));
   const ServerId head = f.wan.cluster_head_server[0];
   EXPECT_GT(f.metrics->max_queue_backlog_seconds(head), 0.0);
-  EXPECT_GT(f.metrics->queue_backlog(head).count(), 0u);
+  const auto& backlog =
+      f.metrics->queue_backlogs()[static_cast<std::size_t>(head.value)];
+  EXPECT_GE(backlog.latest, 0);
+  EXPECT_LE(backlog.latest, backlog.max);
+  EXPECT_EQ(sim::to_seconds(backlog.max),
+            f.metrics->max_queue_backlog_seconds(head));
+  // A server nothing was queued on has seen no backlog at all.
+  const ServerId other = f.wan.cluster_head_server[1];
+  EXPECT_EQ(f.metrics->queue_backlogs()[static_cast<std::size_t>(
+                                            other.value)]
+                .latest,
+            Metrics::kNever);
+  EXPECT_EQ(f.metrics->max_queue_backlog_seconds(kNoServer), 0.0);
+
+  // reset() restarts the max but keeps the latest observation.
+  f.metrics->reset();
+  EXPECT_EQ(f.metrics->max_queue_backlog_seconds(head), 0.0);
+  EXPECT_GE(f.metrics->queue_backlogs()[static_cast<std::size_t>(head.value)]
+                .latest,
+            0);
+}
+
+TEST(Metrics, SaturatedTrunkIsAtMostFullyBusy) {
+  Fixture f;
+  // 10 x 5000 B queue about 7 s of wire time on the 56 kbit/s trunk at
+  // t = 0; after 1 s only the part already clocked out counts.
+  for (int i = 0; i < 10; ++i) f.send(HostId{0}, HostId{2}, "data", 5000);
+  f.sim.run_until(sim::seconds(1));
+  const LinkId trunk = f.wan.trunks[0];
+  EXPECT_LE(f.metrics->link_utilization(trunk), 1.0);
+  EXPECT_GT(f.metrics->link_utilization(trunk), 0.9);
+  EXPECT_EQ(f.metrics->busiest_trunk(), trunk);
 }
 
 TEST(Metrics, LinkUtilizationAccumulatesWireTime) {

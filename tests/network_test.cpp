@@ -223,6 +223,57 @@ TEST(Network, ClusterQueriesTrackLinkState) {
   EXPECT_FALSE(h.network->connected(HostId{0}, HostId{1}));
 }
 
+TEST(Network, ClusterIndexFollowsALinkFlap) {
+  Harness h;
+  topo::ClusteredWanOptions options;
+  options.clusters = 2;
+  options.hosts_per_cluster = 2;
+  h.init(make_clustered_wan(options).topology);
+  const std::vector<int> before = h.network->host_cluster_index();
+  ASSERT_EQ(before.size(), 4u);
+  EXPECT_EQ(before[0], before[1]);
+  EXPECT_NE(before[0], before[2]);
+
+  // Down every cheap trunk: each host of cluster 0 is on its own.
+  std::vector<LinkId> cheap;
+  for (const auto& l : h.topology.links()) {
+    if (!l.is_access && l.link_class == topo::LinkClass::kCheap) {
+      cheap.push_back(l.id);
+    }
+  }
+  ASSERT_FALSE(cheap.empty());
+  for (LinkId id : cheap) h.network->set_link_up(id, false);
+  EXPECT_FALSE(h.network->same_cluster(HostId{0}, HostId{1}));
+  EXPECT_NE(h.network->host_cluster_index(), before);
+
+  for (LinkId id : cheap) h.network->set_link_up(id, true);
+  EXPECT_TRUE(h.network->same_cluster(HostId{0}, HostId{1}));
+  EXPECT_EQ(h.network->host_cluster_index(), before);
+}
+
+TEST(Network, FinalAccessHopChargesFraming) {
+  Harness h;
+  topo::ClusteredWanOptions options;
+  options.clusters = 2;
+  options.hosts_per_cluster = 1;
+  NetConfig config;
+  config.per_packet_overhead_bytes = 28;
+  h.init(make_clustered_wan(options).topology, config);
+
+  h.send(HostId{0}, HostId{1}, "x", 500);
+  h.sim.run_until(sim::seconds(5));
+  ASSERT_EQ(h.inbox[1].size(), 1u);
+  // Every hop, the last one included, books 500 + 28 bytes of wire time.
+  const topo::HostSpec& src = h.topology.host(HostId{0});
+  const topo::HostSpec& dst = h.topology.host(HostId{1});
+  const sim::Duration charged =
+      h.topology.link(dst.access_link).transmission_time(528);
+  EXPECT_EQ(h.network->wire_time(dst.access_link, 1), charged);
+  EXPECT_EQ(h.network->wire_time(dst.access_link, 0), 0);
+  EXPECT_EQ(h.network->wire_time(src.access_link, 0),
+            h.topology.link(src.access_link).transmission_time(528));
+}
+
 TEST(Network, TopologyEpochBumpsOnChange) {
   Harness h;
   topo::ClusteredWanOptions options;

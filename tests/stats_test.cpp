@@ -7,61 +7,6 @@
 namespace rbcast::util {
 namespace {
 
-TEST(Accumulator, EmptyIsZero) {
-  Accumulator a;
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.mean(), 0.0);
-  EXPECT_EQ(a.variance(), 0.0);
-  EXPECT_EQ(a.min(), 0.0);
-  EXPECT_EQ(a.max(), 0.0);
-}
-
-TEST(Accumulator, BasicMoments) {
-  Accumulator a;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) a.add(x);
-  EXPECT_EQ(a.count(), 8u);
-  EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-  EXPECT_NEAR(a.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_EQ(a.min(), 2.0);
-  EXPECT_EQ(a.max(), 9.0);
-  EXPECT_DOUBLE_EQ(a.sum(), 40.0);
-}
-
-TEST(Accumulator, SingleValueHasZeroVariance) {
-  Accumulator a;
-  a.add(3.0);
-  EXPECT_EQ(a.variance(), 0.0);
-  EXPECT_EQ(a.stddev(), 0.0);
-}
-
-TEST(Accumulator, MergeMatchesSequentialFeed) {
-  Accumulator all;
-  Accumulator left;
-  Accumulator right;
-  for (int i = 0; i < 100; ++i) {
-    const double x = 0.37 * i - 20;
-    all.add(x);
-    (i < 40 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(left.min(), all.min());
-  EXPECT_EQ(left.max(), all.max());
-}
-
-TEST(Accumulator, MergeWithEmptySides) {
-  Accumulator a;
-  Accumulator empty;
-  a.add(1.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_EQ(empty.mean(), 1.0);
-}
-
 TEST(Samples, QuantilesExact) {
   Samples s;
   for (int i = 1; i <= 100; ++i) s.add(i);
