@@ -52,8 +52,7 @@ void HostState::check_invariants() const {
   RBCAST_ASSERT(child_bits == children_size_);
   RBCAST_ASSERT(peers_.empty() || peers_.size() == all_hosts_.size());
   // The stored-body sweep costs O(bodies), so it runs once per
-  // bodies_.size() calls: O(1) amortized, where sweeping on every
-  // record_message made storing n messages O(n^2).
+  // bodies_.size() calls: O(1) amortized, as in EventQueue.
   if (++calls_since_sweep_ < bodies_.size()) return;
   calls_since_sweep_ = 0;
   for (std::size_t k = 0; k < bodies_.size(); ++k) {

@@ -46,12 +46,12 @@ struct NetConfig {
   // queue unboundedly). Generous default so only genuine congestion
   // collapse triggers it.
   sim::Duration max_queue_delay{sim::seconds(60)};
-  // Fixed per-datagram framing cost (UDP/IP-style headers) that every
-  // LinkState adds to each transmission's byte charge, on every hop. 0 — the default, and what the determinism
-  // digests are pinned under — models the pre-batching world where only
-  // payload bytes count; the overload benchmarks set ~28 so that
-  // coalescing many small frames into one datagram actually amortizes
-  // something, as it does on real networks.
+  // Fixed per-datagram framing cost (UDP/IP-style headers) that LinkState
+  // adds to the byte charge of every transmission, on every hop. 0 — the
+  // default, and what the determinism digests are pinned under — models
+  // the pre-batching world where only payload bytes count; the overload
+  // benchmarks set ~28 so that coalescing many small frames into one
+  // datagram actually amortizes something, as it does on real networks.
   std::size_t per_packet_overhead_bytes{0};
 };
 

@@ -55,7 +55,7 @@ ConvergenceReport analyze_convergence(
 
   // --- induced cluster tree -------------------------------------------
   const auto clusters = network.clusters();
-  const auto cluster_of = network.host_cluster_index();
+  const auto& cluster_of = network.host_cluster_index();
   report.leaders_per_cluster.assign(clusters.size(), 0);
   bool members_under_leader = true;
 

@@ -12,7 +12,7 @@ void write_parent_graph_dot(
     const net::Network& network, HostId source) {
   RBCAST_CHECK_ARG(!hosts.empty(), "no hosts to export");
   const auto clusters = network.clusters();
-  const auto cluster_of = network.host_cluster_index();
+  const auto& cluster_of = network.host_cluster_index();
 
   os << "digraph parent_graph {\n"
      << "  rankdir=BT;\n"
