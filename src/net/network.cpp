@@ -43,8 +43,6 @@ Network::Network(sim::Simulator& simulator, const topo::Topology& topology,
     links_.emplace_back(spec, rngs.stream("net.link", spec.id.value),
                         config.per_packet_overhead_bytes);
   }
-  cluster_index_ = topology_.host_cluster_index(
-      [this](LinkId id) { return link_up(id); });
   routing_.recompute_now();
   servers_.reserve(topology.server_count());
   for (const topo::ServerSpec& s : topology.servers()) {
@@ -267,8 +265,6 @@ void Network::set_link_up(LinkId link, bool up) {
   if (ls.up() == up) return;
   ls.set_up(up);
   ++epoch_;
-  cluster_index_ = topology_.host_cluster_index(
-      [this](LinkId id) { return link_up(id); });
   if (!up) {
     // A failing link loses everything in flight on it, silently — the
     // paper's failure model ("messages can ... be lost at any point").
@@ -289,6 +285,12 @@ bool Network::link_up(LinkId link) const { return link_state(link).up(); }
 
 sim::Duration Network::wire_time(LinkId link, int dir) const {
   return link_state(link).wire_time(dir, simulator_.now());
+}
+
+void Network::refresh_cluster_index() const {
+  cluster_index_ = topology_.host_cluster_index(
+      [this](LinkId id) { return link_up(id); });
+  cluster_epoch_ = epoch_;
 }
 
 std::vector<std::vector<HostId>> Network::clusters() const {

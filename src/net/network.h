@@ -86,9 +86,8 @@ class Network {
   void set_link_up(LinkId link, bool up);
   [[nodiscard]] bool link_up(LinkId link) const;
 
-  // Bumped on every effective link state change, when the cluster index
-  // below is recomputed; lets observers cache connectivity computations
-  // between changes.
+  // Bumped on every effective link state change; the cluster index below
+  // and observers cache connectivity computations between changes.
   [[nodiscard]] std::uint64_t topology_epoch() const { return epoch_; }
 
   // Wire time direction `dir` of `link` has spent transmitting so far,
@@ -100,13 +99,16 @@ class Network {
 
   [[nodiscard]] const topo::Topology& topology() const { return topology_; }
   [[nodiscard]] std::vector<std::vector<HostId>> clusters() const;
-  // Cluster index per host, recomputed on every link state change.
+  // Cluster index per host, recomputed on the first query after a link
+  // state change, so a query between changes is a load.
   [[nodiscard]] const std::vector<int>& host_cluster_index() const {
+    if (cluster_epoch_ != epoch_) [[unlikely]] refresh_cluster_index();
     return cluster_index_;
   }
   [[nodiscard]] bool same_cluster(HostId x, HostId y) const {
-    return cluster_index_[static_cast<std::size_t>(x.value)] ==
-           cluster_index_[static_cast<std::size_t>(y.value)];
+    const std::vector<int>& index = host_cluster_index();
+    return index[static_cast<std::size_t>(x.value)] ==
+           index[static_cast<std::size_t>(y.value)];
   }
   [[nodiscard]] bool connected(HostId x, HostId y) const;
 
@@ -142,6 +144,7 @@ class Network {
 
   class Endpoint;
 
+  void refresh_cluster_index() const;
   LinkState& link_state(LinkId id);
   [[nodiscard]] const LinkState& link_state(LinkId id) const;
   void drop(const Delivery& d, DropReason reason);
@@ -179,7 +182,9 @@ class Network {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   util::Rng jitter_rng_;
   std::uint64_t epoch_{0};
-  std::vector<int> cluster_index_;  // ground truth as of epoch_
+  // Ground-truth cluster index as of topology epoch cluster_epoch_.
+  mutable std::vector<int> cluster_index_;
+  mutable std::uint64_t cluster_epoch_{~std::uint64_t{0}};
   // The in-flight slab and the head of its free list (kNoSlot when empty).
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   std::vector<InFlight> inflight_;
