@@ -297,7 +297,6 @@ std::vector<std::vector<HostId>> Network::clusters() const {
   return topology_.clusters([this](LinkId id) { return link_up(id); });
 }
 
-
 bool Network::connected(HostId x, HostId y) const {
   return topology_.connected(x, y, [this](LinkId id) { return link_up(id); });
 }
