@@ -13,6 +13,7 @@
 // meaningful.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <variant>
@@ -76,8 +77,32 @@ struct AttachAccept {
 // "The old parent, if any, is also notified of the change" (Section 4.2).
 struct DetachNotice {};
 
-using ProtocolMessage =
-    std::variant<DataMsg, InfoMsg, AttachRequest, AttachAccept, DetachNotice>;
+// One protocol message: a variant of the five kinds above. It is a struct
+// (not an alias) only so that it can carry class-scoped allocation
+// functions. Transports box each message in a std::any, whose libstdc++
+// implementation stores a type this large on the heap with a plain
+// `new ProtocolMessage(...)` / `delete`; those calls find the operators
+// below, which recycle blocks through a per-thread free list
+// (messages.cpp), so a steady-state send, hop copy or duplicate allocates
+// nothing. std::visit, std::get_if, std::holds_alternative and
+// std::any_cast<ProtocolMessage> work on it unchanged.
+struct ProtocolMessage final
+    : std::variant<DataMsg, InfoMsg, AttachRequest, AttachAccept,
+                   DetachNotice> {
+  using variant::variant;
+
+  // Blocks of sizeof(ProtocolMessage) come from the calling thread's free
+  // list, which grows through ::operator new and keeps at most
+  // kPooledBoxes blocks (the main thread's starts full); any other size
+  // goes straight to ::operator new.
+  static void* operator new(std::size_t size);
+  static void operator delete(void* block, std::size_t size) noexcept;
+};
+
+// Most freed boxes one thread keeps for reuse (96 B each on x86-64): about
+// five times the most boxes perfbench's wan64 and stream16 workloads keep
+// in flight at once (212 and 94).
+inline constexpr std::size_t kPooledBoxes = 1024;
 
 // Modelled wire size (header + payload) in bytes.
 [[nodiscard]] std::size_t wire_size(const ProtocolMessage& m);

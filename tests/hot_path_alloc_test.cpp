@@ -6,8 +6,10 @@
 // the counter sees every form of operator new. Every case warms
 // its structures to steady state first, then counts operator new calls
 // with a counting global allocator (support/alloc_counter), so the bound
-// covers whatever the code calls, not a list of function names. The INFO
-// rounds have their own gate, info_alloc_test.
+// covers whatever the code calls, not a list of function names. Cases that
+// send fill the message-box free list first (support/message_pool), so a
+// send costs nothing whichever case ran before. The INFO rounds have their
+// own gate, info_alloc_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +32,7 @@
 #include "sim/simulator.h"
 #include "support/alloc_counter.h"
 #include "support/counting_transport.h"
+#include "support/message_pool.h"
 #include "topo/generators.h"
 #include "trace/event_log.h"
 #include "trace/metrics.h"
@@ -47,6 +50,7 @@ using core::Payload;
 using core::ProtocolMessage;
 using testing::allocations_during;
 using testing::CountingTransport;
+using testing::fill_message_pool;
 using util::SeqSet;
 
 // --- event queue --------------------------------------------------------
@@ -326,25 +330,28 @@ TEST(RelayAllocations, NewDataForwardsOneSharedBodyToEveryChild) {
                DataMsg{4, body, false, std::nullopt, std::nullopt});
   r.received = &body;
   r.forwards = 0;
+  fill_message_pool();
   const std::uint64_t allocs =
       allocations_during([&] { r.host->on_delivery(d); });
   ASSERT_EQ(r.forwards, 3u);
   // Zero-copy fan-out: every child's DataMsg reads the received buffer.
   EXPECT_EQ(r.shared_forwards, 3u);
-  // One std::any box per forwarded message and nothing else: the body is
-  // stored for gap fills in spare capacity, and its bytes are never copied.
-  EXPECT_EQ(allocs, 3u);
+  // Nothing at all: each forward's std::any box is a recycled block, and
+  // the body is stored for gap fills in spare capacity, its bytes never
+  // copied.
+  EXPECT_EQ(allocs, 0u);
 }
 
-TEST(RelayAllocations, RepeatedAttachRequestAllocatesOnlyTheAccept) {
+TEST(RelayAllocations, RepeatedAttachRequestAllocatesNothing) {
   Relay r;
   ASSERT_TRUE(r.host->state().is_child(HostId{2}));
   const std::size_t sends = r.transport.sends;
   const net::Delivery d =
       delivery(HostId{2}, Relay::kSelf, core::AttachRequest{SeqSet{}});
+  fill_message_pool();
   // The child lacks nothing the host holds and has no offers outstanding,
-  // so the only allocation is the std::any box of the AttachAccept reply.
-  EXPECT_EQ(allocations_during([&] { r.host->on_delivery(d); }), 1u);
+  // so the host only sends the AttachAccept reply, in a recycled box.
+  EXPECT_EQ(allocations_during([&] { r.host->on_delivery(d); }), 0u);
   EXPECT_EQ(r.transport.sends, sends + 1);
 }
 
@@ -372,10 +379,10 @@ TEST(RelayAllocations, GapFillRoundWithLiveOffersAllocatesNothing) {
 }
 
 // A gap fill relayed while offers of other seqs are pending toward every
-// child: checking them builds no set and the body store inserts the fill
-// into spare capacity, so the only allocations are one box per relayed
-// message.
-TEST(RelayAllocations, RelayedGapFillWithOffersPendingAllocatesOnlyTheBoxes) {
+// child: checking them builds no set, the body store inserts the fill into
+// spare capacity and each relayed message rides in a recycled box, so
+// nothing is allocated.
+TEST(RelayAllocations, RelayedGapFillWithOffersPendingAllocatesNothing) {
   Relay r;
   // New maxima k and k + 2 are forwarded to the three children (offers
   // now pending toward each); then the parent fills k + 1, which every
@@ -391,6 +398,7 @@ TEST(RelayAllocations, RelayedGapFillWithOffersPendingAllocatesOnlyTheBoxes) {
                  DataMsg{k + 1, Payload("fill"), true, std::nullopt,
                          std::nullopt});
     r.forwards = 0;
+    fill_message_pool();
     const std::uint64_t allocs =
         allocations_during([&] { r.host->on_delivery(fill); });
     EXPECT_EQ(r.forwards, 3u);
@@ -401,7 +409,7 @@ TEST(RelayAllocations, RelayedGapFillWithOffersPendingAllocatesOnlyTheBoxes) {
   // (the second new maximum of the measured round) to eight, so the fill
   // of seq 5 lands in spare capacity.
   (void)relay_round(1);
-  EXPECT_EQ(relay_round(4), 3u);
+  EXPECT_EQ(relay_round(4), 0u);
   EXPECT_EQ(r.host->counters().gapfills_sent, 6u);
 }
 
@@ -828,25 +836,27 @@ TEST(AllocationCounter, CountsNothrowAlignedAndTemporaryBufferAllocations) {
 
 // A converged 4x4 run left idle for 20 s: only the periodic timers (INFO,
 // gap fill, attachment, maintenance) and the network run. Each host send
-// boxes its message in a std::any; nothing else allocates — the rounds
-// walk the parent graph in place, reuse their buffers and plan without
-// building sets — so the count is exact (3,090 on g++ 12, libstdc++).
-TEST(IdleWindowAllocations, ConvergedRunAllocatesOnlyTheMessageBoxes) {
+// (3,090 of them on g++ 12, libstdc++) boxes its message in a std::any
+// whose block comes from the warm free list; nothing else allocates — the
+// rounds walk the parent graph in place, reuse their buffers and plan
+// without building sets — so the count is exactly 0.
+TEST(IdleWindowAllocations, ConvergedRunAllocatesNothingOnceThePoolIsWarm) {
   auto e = converged_run();
   ASSERT_TRUE(e->all_delivered());
   const std::uint64_t sends_before = e->metrics().host_sends();
+  fill_message_pool();
   const std::uint64_t allocs =
       allocations_during([&] { e->run_for(sim::seconds(20)); });
   const std::uint64_t sends = e->metrics().host_sends() - sends_before;
   ASSERT_GT(sends, 0u);
-  EXPECT_EQ(allocs, sends);
+  EXPECT_EQ(allocs, 0u);
 }
 
 // The same window with stream16's transport: a star of trunks losing 1 %
 // of messages, and every send coalesced for 5 ms. The coalescer lends each
-// flushed batch out of a buffer its queue keeps, so batching adds nothing
-// to the message boxes.
-TEST(IdleWindowAllocations, BatchedLossyRunAllocatesOnlyTheMessageBoxes) {
+// flushed batch out of a buffer its queue keeps, so batching allocates
+// nothing either.
+TEST(IdleWindowAllocations, BatchedLossyRunAllocatesNothingOnceThePoolIsWarm) {
   topo::ClusteredWanOptions wan{.clusters = 4, .hosts_per_cluster = 4};
   wan.shape = topo::TrunkShape::kStar;
   wan.expensive.loss_probability = 0.01;
@@ -858,11 +868,12 @@ TEST(IdleWindowAllocations, BatchedLossyRunAllocatesOnlyTheMessageBoxes) {
   e.run_until(sim::seconds(60));
   ASSERT_TRUE(e.all_delivered());
   const std::uint64_t sends_before = e.metrics().host_sends();
+  fill_message_pool();
   const std::uint64_t allocs =
       allocations_during([&] { e.run_for(sim::seconds(20)); });
   const std::uint64_t sends = e.metrics().host_sends() - sends_before;
   ASSERT_GT(sends, 0u);
-  EXPECT_EQ(allocs, sends);
+  EXPECT_EQ(allocs, 0u);
 }
 
 }  // namespace
