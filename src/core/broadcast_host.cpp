@@ -22,11 +22,11 @@ BroadcastHost::BroadcastHost(transport::Transport& transport, HostId self,
                              HostId source, std::vector<HostId> all_hosts,
                              Config config, util::Rng rng,
                              AppDeliverFn app_deliver)
-    : transport_(transport),
+    : ProtocolRules(self, std::move(all_hosts), checked_source(source)),
+      transport_(transport),
       scheduler_(transport.scheduler()),
-      source_(checked_source(source)),
+      source_(source),
       config_(std::move(config)),
-      state_(self, std::move(all_hosts), source),
       endpoint_(transport.attach(
           self, [this](const net::Delivery& d) { on_delivery(d); })),
       rng_(rng),
@@ -153,20 +153,7 @@ Seq BroadcastHost::broadcast(std::string body) {
   }
   // "INFO_s ... gets updated every time a new broadcast message is
   // generated at the source."
-  const bool fresh = state_.record_message(seq, message.body, message.auth);
-  RBCAST_ASSERT(fresh);
-  ++counters_.deliveries;
-  if (observer_ != nullptr) observer_->on_delivered(self(), seq);
-  if (app_deliver_) app_deliver_(seq, message.body.view());
-  // "Broadcast is initiated when the source sends a message to its cluster
-  // neighbors" — in parent-graph terms, to its children.
-  for (HostId child : state_.children()) {
-    if (!state_.map(child).contains(seq)) {
-      send_message(child, make_data(message, /*gap_fill=*/false));
-      note_offered(child, seq);
-      ++counters_.data_forwarded;
-    }
-  }
+  originate(message);
   return seq;
 }
 
@@ -212,172 +199,28 @@ void BroadcastHost::on_delivery(const net::Delivery& delivery) {
   peer_book(from).last_heard = scheduler_.now();
   if (from == state_.parent()) last_parent_heard_ = scheduler_.now();
 
-  std::visit(
-      [&](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, DataMsg>) {
-          handle_data(from, m);
-        } else if constexpr (std::is_same_v<T, InfoMsg>) {
-          handle_info(from, m);
-        } else if constexpr (std::is_same_v<T, AttachRequest>) {
-          handle_attach_request(from, m);
-        } else if constexpr (std::is_same_v<T, AttachAccept>) {
-          handle_attach_accept(from, m);
-        } else {
-          static_assert(std::is_same_v<T, DetachNotice>);
-          handle_detach(from);
-        }
-      },
-      *message);
+  receive(from, *message);
 }
 
-// --- data path --------------------------------------------------------
+// --- ProtocolRules hooks ------------------------------------------------
 
-void BroadcastHost::handle_data(HostId from, const DataMsg& m) {
-  // Piggybacked control state (Section 6) is processed like a standalone
-  // INFO message, before any accept/discard decision.
-  if (m.piggyback.has_value()) {
-    handle_info(from, InfoMsg{m.piggyback->first, m.piggyback->second});
-  }
-  // Receiving a data message from j proves j has it.
-  state_.learn_has(from, m.seq);
-
-  if (state_.has_message(m.seq)) {
-    // "A message is also discarded if the recipient host has previously
-    // accepted it."
-    ++counters_.duplicates_discarded;
-    return;
-  }
-  if (is_source()) return;  // the source originates the stream; no gaps
-
-  const bool new_max = m.seq > state_.info().max_seq();
-  if (new_max && from != state_.parent()) {
-    // "a host can accept a message sequence-numbered higher than any it
-    // has received so far, only from its parent. If such a message arrives
-    // from any other host, it is discarded."
-    ++counters_.new_max_rejected;
-    if (observer_ != nullptr) observer_->on_new_max_rejected(self(), from, m.seq);
-    return;
-  }
-  // The tag verified in on_delivery() is stored with the body: forwards
-  // and gap fills re-attach the source's original signature.
-  accept_message({m.seq, m.body, config_.auth_enabled ? m.auth : std::nullopt},
-                 new_max, from);
-}
-
-void BroadcastHost::accept_message(const HostState::StoredMessage& message,
-                                   bool was_new_max, HostId from) {
-  const Seq seq = message.seq;
-  const bool fresh = state_.record_message(seq, message.body, message.auth);
-  RBCAST_ASSERT(fresh);
+void BroadcastHost::deliver(const HostState::StoredMessage& message,
+                            HostId from, bool gap_fill) {
   ++counters_.deliveries;
   if (observer_ != nullptr) {
-    observer_->on_delivered(self(), seq);
-    if (!was_new_max) observer_->on_gapfill_accepted(self(), from, seq);
+    observer_->on_delivered(self(), message.seq);
+    if (gap_fill) observer_->on_gapfill_accepted(self(), from, message.seq);
   }
-  if (app_deliver_) app_deliver_(seq, message.body.view());
-
-  if (was_new_max) {
-    // "upon receipt of a broadcast message, a host sends it on to all its
-    // children" (skipping children known to have it already).
-    for (HostId child : state_.children()) {
-      if (child == from) continue;
-      if (state_.map(child).contains(seq)) continue;
-      send_message(child, make_data(message, /*gap_fill=*/false));
-      note_offered(child, seq);
-      ++counters_.data_forwarded;
-    }
-  } else {
-    // "When a host receives a gap filling message ..., it forwards it to
-    // all those of its parent graph neighbors (its children and its
-    // parent) that according to its MAP do not have it."
-    state_.for_each_neighbor([&](HostId n) {
-      if (n == from) return;
-      if (state_.map(n).contains(seq)) return;
-      const std::span<const Seq> offered = recent_offers(n);
-      if (std::binary_search(offered.begin(), offered.end(), seq)) {
-        return;  // just offered it
-      }
-      send_message(n, make_data(message, /*gap_fill=*/true));
-      note_offered(n, seq);
-      ++counters_.gapfills_sent;
-      if (observer_ != nullptr) observer_->on_gapfill_relayed(self(), n, seq);
-    });
-  }
+  if (app_deliver_) app_deliver_(message.seq, message.body.view());
 }
 
-// --- control path ---------------------------------------------------------
-
-void BroadcastHost::handle_info(HostId from, const InfoMsg& m) {
-  clear_refuted_offers(from, m.info);
-  state_.learn_info(from, m.info);
-  state_.learn_parent(from, m.parent);
-  // Reconcile CHILDREN with the sender's own claim. This is what makes the
-  // parent-pointer exchange load-bearing: a lost AttachAccept or a lost
-  // DetachNotice would otherwise leave the two ends disagreeing about the
-  // edge — and a host whose parent does not list it as a child can never
-  // receive new maxima.
-  if (m.parent == self()) {
-    state_.add_child(from);
-  } else {
-    state_.remove_child(from);
-  }
+bool BroadcastHost::rejects_new_max(HostId from, Seq seq) {
+  ++counters_.new_max_rejected;
+  if (observer_ != nullptr) observer_->on_new_max_rejected(self(), from, seq);
+  return true;
 }
 
-void BroadcastHost::handle_attach_request(HostId from,
-                                          const AttachRequest& m) {
-  clear_refuted_offers(from, m.info);
-  state_.learn_info(from, m.info);
-  state_.add_child(from);
-  // The requester will set its parent pointer to us upon our accept.
-  state_.learn_parent(from, self());
-  send_message(from, AttachAccept{state_.info(), state_.parent()});
-
-  // "the parent examines its new child's INFO set and forwards to the
-  // child all those messages that the child is missing and that the
-  // parent has."
-  for (Seq seq : plan_attach_backfill(state_, m.info,
-                                      config_.attach_backfill_burst,
-                                      recent_offers(from))) {
-    send_gapfill(from, seq);
-  }
-}
-
-void BroadcastHost::handle_attach_accept(HostId from, const AttachAccept& m) {
-  clear_refuted_offers(from, m.info);
-  state_.learn_info(from, m.info);
-  state_.learn_parent(from, m.parent);
-
-  if (pending_attach_ == from) {
-    scheduler_.cancel(attach_timer_);
-    attach_timer_ = util::EventId{};
-    pending_attach_ = kNoHost;
-
-    const HostId old_parent = state_.parent();
-    state_.set_parent(from);
-    state_.remove_child(from);  // a host cannot be both parent and child
-    last_parent_heard_ = scheduler_.now();
-    consecutive_attach_timeouts_ = 0;  // contact: immediate retries re-armed
-    ++counters_.attaches_completed;
-    if (observer_ != nullptr) observer_->on_attached(self(), from);
-    RBCAST_DEBUG(self() << " attached to " << from);
-
-    // "The old parent, if any, is also notified of the change."
-    if (old_parent.valid() && old_parent != from) {
-      send_message(old_parent, DetachNotice{});
-    }
-  } else if (from != state_.parent()) {
-    // A stale accept from an abandoned attempt: `from` now believes we are
-    // its child. Correct its CHILDREN set.
-    send_message(from, DetachNotice{});
-  }
-}
-
-void BroadcastHost::handle_detach(HostId from) { state_.remove_child(from); }
-
-// --- periodic activities -----------------------------------------------
-
-std::set<HostId> BroadcastHost::current_exclusions() {
+std::set<HostId> BroadcastHost::attach_exclusions() {
   std::set<HostId> excluded;
   const util::TimePoint now = scheduler_.now();
   std::erase_if(failed_candidates_,
@@ -386,46 +229,48 @@ std::set<HostId> BroadcastHost::current_exclusions() {
   return excluded;
 }
 
-void BroadcastHost::attachment_round() {
-  // "The procedure is run at all hosts but the source."
-  if (is_source()) return;
-  // A handshake is in flight iff its timeout is armed.
-  RBCAST_PARANOID_ASSERT(pending_attach_.valid() == attach_timer_.valid());
-  if (pending_attach_.valid()) return;  // handshake already in flight
-
-  const auto excluded = current_exclusions();
-  auto decision = run_attachment(state_, excluded,
-                                 config_.parent_switch_margin, ancestor_walk_);
-
-  if (decision.action == AttachmentDecision::Action::kBreakCycle) {
-    ++counters_.cycles_broken;
-    if (observer_ != nullptr) observer_->on_cycle_broken(self());
-    RBCAST_INFO(self() << " breaking single-cluster cycle");
-    detach_from_parent(/*notify=*/true, /*timeout=*/false);
-    // "... shall detach from its parent and go through the appropriate
-    // options for finding a new one" — i.e. case I, immediately.
-    decision = run_attachment(state_, excluded, config_.parent_switch_margin,
-                              ancestor_walk_);
-  }
-  if (decision.action == AttachmentDecision::Action::kAttach) {
-    RBCAST_DEBUG(self() << " attachment rule " << decision.rule << " -> "
-                        << decision.candidate);
-    ++counters_.attempts_by_rule[decision.rule];
-    begin_attach(decision.candidate, decision.rule);
-  }
+void BroadcastHost::on_cycle_broken() {
+  ++counters_.cycles_broken;
+  if (observer_ != nullptr) observer_->on_cycle_broken(self());
+  RBCAST_INFO(self() << " breaking single-cluster cycle");
 }
 
-void BroadcastHost::begin_attach(HostId candidate, const std::string& rule) {
-  RBCAST_ASSERT(!pending_attach_.valid());
-  pending_attach_ = candidate;
+void BroadcastHost::on_detached(HostId old_parent, bool timeout) {
+  if (observer_ != nullptr) observer_->on_detached(self(), old_parent, timeout);
+}
+
+void BroadcastHost::on_attach_requested(HostId candidate,
+                                        const std::string& rule) {
+  RBCAST_DEBUG(self() << " attachment rule " << rule << " -> " << candidate);
+  ++counters_.attempts_by_rule[rule];
   ++counters_.attach_attempts;
   if (observer_ != nullptr) {
     observer_->on_attach_requested(self(), candidate, rule);
   }
-  send_message(candidate, AttachRequest{state_.info()});
+}
+
+void BroadcastHost::arm_attach_timer(HostId candidate) {
   attach_timer_ = scheduler_.after(
       config_.attach_ack_timeout,
       [this, candidate] { on_attach_timeout(candidate); });
+}
+
+void BroadcastHost::on_attached(HostId parent) {
+  scheduler_.cancel(attach_timer_);
+  attach_timer_ = util::EventId{};
+  last_parent_heard_ = scheduler_.now();
+  consecutive_attach_timeouts_ = 0;  // contact: immediate retries re-armed
+  ++counters_.attaches_completed;
+  if (observer_ != nullptr) observer_->on_attached(self(), parent);
+  RBCAST_DEBUG(self() << " attached to " << parent);
+}
+
+// --- periodic activities -----------------------------------------------
+
+void BroadcastHost::attachment_round() {
+  // A handshake is in flight iff its timeout is armed.
+  RBCAST_PARANOID_ASSERT(pending_attach_.valid() == attach_timer_.valid());
+  attachment_step(config_.parent_switch_margin, ancestor_walk_);
 }
 
 void BroadcastHost::on_attach_timeout(HostId candidate) {
@@ -448,17 +293,6 @@ void BroadcastHost::on_attach_timeout(HostId candidate) {
   ++consecutive_attach_timeouts_;
   if (consecutive_attach_timeouts_ <= config_.attach_retry_burst) {
     attachment_round();
-  }
-}
-
-void BroadcastHost::detach_from_parent(bool notify, bool timeout) {
-  const HostId old_parent = state_.parent();
-  state_.set_parent(kNoHost);
-  if (observer_ != nullptr && old_parent.valid()) {
-    observer_->on_detached(self(), old_parent, timeout);
-  }
-  if (notify && old_parent.valid()) {
-    send_message(old_parent, DetachNotice{});
   }
 }
 
@@ -619,13 +453,22 @@ DataMsg BroadcastHost::make_data(const HostState::StoredMessage& message,
   return m;
 }
 
-void BroadcastHost::send_gapfill(HostId to, Seq seq) {
-  const HostState::StoredMessage* message = state_.stored(seq);
-  RBCAST_ASSERT(message != nullptr);
-  send_message(to, make_data(*message, /*gap_fill=*/true));
-  note_offered(to, seq);
+void BroadcastHost::send_data(HostId to,
+                              const HostState::StoredMessage& message,
+                              DataSend why) {
+  send_message(to, make_data(message, /*gap_fill=*/why != DataSend::kForward));
+  note_offered(to, message.seq);
+  if (why == DataSend::kForward) {
+    ++counters_.data_forwarded;
+    return;
+  }
   ++counters_.gapfills_sent;
-  if (observer_ != nullptr) observer_->on_gapfill_offered(self(), to, seq);
+  if (observer_ == nullptr) return;
+  if (why == DataSend::kRelay) {
+    observer_->on_gapfill_relayed(self(), to, message.seq);
+  } else {
+    observer_->on_gapfill_offered(self(), to, message.seq);
+  }
 }
 
 BroadcastHost::PeerBook& BroadcastHost::peer_book(HostId j) {

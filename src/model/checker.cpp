@@ -79,8 +79,7 @@ std::vector<std::pair<std::string, SystemState>> Checker::successors(
                           static_cast<std::ptrdiff_t>(i));
       const bool expensive = !config_.same_cluster(moving.from, moving.to);
       auto sends = node_of(next, moving.to)
-                       .on_message(moving.from, moving.payload, expensive,
-                                   config_);
+                       .on_message(moving.from, moving.payload, expensive);
       enqueue_sends(next, std::move(sends));
       out.emplace_back("deliver " + m.describe(), std::move(next));
     }
@@ -102,7 +101,7 @@ std::vector<std::pair<std::string, SystemState>> Checker::successors(
     const HostId h = node.self();
     if (h != config_.source && !node.pending_attach().valid()) {
       SystemState next = state;
-      auto sends = node_of(next, h).attachment_step(config_);
+      auto sends = node_of(next, h).attachment_step();
       if (!sends.empty()) {
         enqueue_sends(next, std::move(sends));
         std::ostringstream os;
@@ -122,7 +121,7 @@ std::vector<std::pair<std::string, SystemState>> Checker::successors(
       }
       {
         SystemState next = state;
-        auto sends = node_of(next, h).gapfill_step(j, config_);
+        auto sends = node_of(next, h).gapfill_step(j);
         if (!sends.empty()) {
           enqueue_sends(next, std::move(sends));
           std::ostringstream os;

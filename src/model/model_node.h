@@ -3,22 +3,27 @@
 // The paper's companion technical report [Garc87] gives a formal
 // specification of the algorithm; this module provides the executable
 // counterpart: a timer-free, side-effect-free model of one protocol host
-// whose *pure* pieces are the production ones (HostState, run_attachment,
-// the gap-fill planners) and whose message handlers mirror
-// core::BroadcastHost line for line. The checker (src/model/checker.h)
-// explores interleavings of these handlers under an adversarial network —
-// any delivery order, loss and duplication at any point — and verifies
-// safety invariants in every reachable state.
+// that runs the production rules — core::ProtocolRules, the very code
+// core::BroadcastHost runs for message receipt, the source's first send
+// and the attachment step — over the production HostState, attachment
+// procedure and gap-fill planners. The checker (src/model/checker.h)
+// explores interleavings of these transitions under an adversarial
+// network — any delivery order, loss and duplication at any point — and
+// verifies safety invariants in every reachable state.
 //
 // Differences from the simulator host, by design:
 //  * periodic activities are explicit transitions the explorer fires at
-//    arbitrary times (a superset of any timer schedule);
+//    arbitrary times (a superset of any timer schedule); there are no
+//    timers, so a parent or attach timeout is a transition too;
 //  * INFO exchange and gap filling target one peer per transition (the
 //    explorer composes broadcasts out of them);
-//  * no pruning (the checker compares full INFO contents);
+//  * no pruning (the checker compares full INFO contents), no offer
+//    suppression, no exclusion of silent candidates, no piggybacking and
+//    no authentication tags;
 //  * cluster ground truth is a static map, and the cost bit of a delivery
 //    derives from it — equivalent to the paper's assumption that the
-//    network marks inter-cluster deliveries.
+//    network marks inter-cluster deliveries;
+//  * the mutants (ModelConfig) live only in this node's hooks.
 #pragma once
 
 #include <map>
@@ -28,6 +33,7 @@
 
 #include "core/host_state.h"
 #include "core/messages.h"
+#include "core/protocol_rules.h"
 
 namespace rbcast::model {
 
@@ -70,7 +76,7 @@ struct ModelMessage {
 };
 
 // One protocol host, timer-free.
-class ModelNode {
+class ModelNode : private core::ProtocolRules<ModelNode> {
  public:
   ModelNode(HostId self, const ModelConfig& config);
 
@@ -100,35 +106,68 @@ class ModelNode {
   // bit, derived from the static cluster map by the caller.
   std::vector<ModelMessage> on_message(HostId from,
                                        const ProtocolMessage& message,
-                                       bool expensive,
-                                       const ModelConfig& config);
+                                       bool expensive);
 
   // The periodic activities as explicit steps.
-  std::vector<ModelMessage> attachment_step(const ModelConfig& config);
+  std::vector<ModelMessage> attachment_step();
   std::vector<ModelMessage> info_step(HostId to);
-  std::vector<ModelMessage> gapfill_step(HostId to, const ModelConfig& config);
-  std::vector<ModelMessage> parent_timeout_step();
-  void give_up_attach_step();
+  std::vector<ModelMessage> gapfill_step(HostId to);
+  void parent_timeout_step();
+  void give_up_attach_step() { pending_attach_ = kNoHost; }
 
   // Canonical serialization for state deduplication.
   [[nodiscard]] std::string fingerprint() const;
 
  private:
-  std::vector<ModelMessage> handle_data(HostId from, const core::DataMsg& m,
-                                        const ModelConfig& config);
-  void handle_info(HostId from, const core::InfoMsg& m);
-  std::vector<ModelMessage> handle_attach_request(
-      HostId from, const core::AttachRequest& m);
-  std::vector<ModelMessage> handle_attach_accept(HostId from,
-                                                 const core::AttachAccept& m);
-  void deliver_to_app(Seq seq, std::string_view body);
-  [[nodiscard]] ModelMessage make(HostId to, ProtocolMessage m) const;
+  friend class core::ProtocolRules<ModelNode>;
 
-  core::HostState state_;
+  // --- ProtocolRules hooks (see core/protocol_rules.h) -------------------
+  [[nodiscard]] bool is_source() const { return self() == source_; }
+  void send_message(HostId to, ProtocolMessage m) {
+    sends_.push_back(ModelMessage{self(), to, std::move(m)});
+  }
+  void send_data(HostId to, const core::HostState::StoredMessage& m,
+                 core::DataSend why) {
+    send_message(to, core::DataMsg{m.seq, m.body,
+                                   why != core::DataSend::kForward,
+                                   std::nullopt, m.auth});
+  }
+  [[nodiscard]] std::span<const Seq> recent_offers(HostId) const {
+    return {};
+  }
+  void clear_refuted_offers(HostId, const core::SeqSet&) {}
+  [[nodiscard]] bool keeps_auth() const { return false; }
+  // Config::attach_backfill_burst's default.
+  [[nodiscard]] std::size_t attach_backfill_burst() const { return 64; }
+  void deliver(const core::HostState::StoredMessage& m, HostId, bool) {
+    ++deliveries_[m.seq];
+    delivered_bodies_[m.seq] = std::string(m.body.view());
+  }
+  // The double-delivery mutant "forgets" the discard rule.
+  void on_duplicate(HostId from, const core::DataMsg& m) {
+    if (mutant_double_delivery_) deliver({m.seq, m.body, m.auth}, from, false);
+  }
+  // The accept-from-anyone mutant drops the acceptance rule.
+  bool rejects_new_max(HostId, Seq) { return !mutant_accept_from_anyone_; }
+  [[nodiscard]] std::set<HostId> attach_exclusions() const { return {}; }
+  void on_cycle_broken() {}
+  void on_detached(HostId, bool) {}
+  void on_attach_requested(HostId, const std::string&) {}
+  void arm_attach_timer(HostId) {}
+  void on_attached(HostId) {}
+
+  // The messages the current transition sent, handed out by its return.
+  [[nodiscard]] std::vector<ModelMessage> take_sends() {
+    return std::exchange(sends_, {});
+  }
+
   HostId source_;
-  HostId pending_attach_{kNoHost};
+  Seq parent_switch_margin_;
+  bool mutant_double_delivery_;
+  bool mutant_accept_from_anyone_;
   std::map<Seq, int> deliveries_;
   std::map<Seq, std::string> delivered_bodies_;
+  std::vector<ModelMessage> sends_;
 };
 
 }  // namespace rbcast::model

@@ -156,18 +156,33 @@ const char* build_version() {
 }
 
 std::string describe_config(const core::Config& config) {
+  using Knowledge = core::Config::ClusterKnowledge;
+  const char* knowledge =
+      config.cluster_knowledge == Knowledge::kDynamic  ? "dynamic"
+      : config.cluster_knowledge == Knowledge::kStatic ? "static"
+                                                       : "none";
   std::ostringstream os;
   os << "attach_period=" << sim::to_seconds(config.attach_period)
-     << "s info_intra=" << sim::to_seconds(config.info_period_intra)
+     << "s attach_ack_timeout=" << sim::to_seconds(config.attach_ack_timeout)
+     << "s attach_retry_burst=" << config.attach_retry_burst
+     << " info_intra=" << sim::to_seconds(config.info_period_intra)
      << "s info_inter=" << sim::to_seconds(config.info_period_inter)
      << "s gapfill_neighbor=" << sim::to_seconds(config.gapfill_period_neighbor)
      << "s gapfill_far=" << sim::to_seconds(config.gapfill_period_far)
      << "s parent_timeout=" << sim::to_seconds(config.parent_timeout)
+     << "s child_timeout=" << sim::to_seconds(config.child_timeout)
      << "s suppress=" << sim::to_seconds(config.gapfill_suppress_period)
      << "s burst=" << config.gapfill_burst
+     << " backfill_burst=" << config.attach_backfill_burst
+     << " switch_margin=" << config.parent_switch_margin
      << " nonneighbor=" << (config.nonneighbor_gapfill ? 1 : 0)
+     << " far_fill_targets=" << config.far_fill_targets
      << " pruning=" << (config.enable_pruning ? 1 : 0)
      << " piggyback=" << (config.piggyback_info ? 1 : 0)
+     << " auth=" << (config.auth_enabled ? 1 : 0)
+     << " cluster_knowledge=" << knowledge
+     << " batch_flush=" << sim::to_seconds(config.batch_flush_delay)
+     << "s batch_max_bytes=" << config.batch_max_bytes
      << " data_bytes=" << config.data_bytes;
   return os.str();
 }

@@ -125,7 +125,9 @@ class MultiSink final : public TraceSink {
 [[nodiscard]] const char* build_version();
 
 // Compact single-line summary of the protocol tunables (periods in
-// seconds, toggles), for the manifest and rbcast_sim stdout.
+// seconds, toggles), for the manifest and rbcast_sim stdout: every Config
+// field but auth_secret, so two runs that differ only in, say, batching or
+// authentication describe differently.
 [[nodiscard]] std::string describe_config(const core::Config& config);
 
 // The record every trace starts with: everything needed to reproduce the

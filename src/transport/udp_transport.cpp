@@ -355,7 +355,7 @@ void UdpTransport::on_readable(Binding& binding) {
       // Contained frame: charge what it would have cost standalone
       // (header + kind + payload; see wire.h).
       const std::size_t wire_bytes =
-          26 + frame.kind.size() + frame.payload.size();
+          kFrameHeaderBytes + frame.kind.size() + frame.payload.size();
       deliver_frame(binding, std::move(frame), wire_bytes);
     }
   }

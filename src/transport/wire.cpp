@@ -24,7 +24,7 @@ std::string encode_frame(const Frame& frame) {
   RBCAST_ASSERT_MSG(frame.payload.size() <= kMaxPayload,
                     "frame payload too large");
   std::string out;
-  out.reserve(26 + frame.kind.size() + frame.payload.size());
+  out.reserve(kFrameHeaderBytes + frame.kind.size() + frame.payload.size());
   out.append(kMagic, sizeof(kMagic));
   put_u8(out, kSingleFrameVersion);
   put_u32(out, static_cast<std::uint32_t>(frame.from.value));
@@ -143,8 +143,9 @@ std::optional<std::vector<Frame>> decode_datagram(const char* data,
     std::uint32_t len = 0;
     if (!r.take_u32(len)) return std::nullopt;
     // A contained frame is at least an empty-kind, empty-payload frame
-    // (26 bytes); the cap mirrors decode_frame's own limits.
-    if (len > kBatchPerFrameBytes + 26 + kMaxKind + kMaxPayload) {
+    // (kFrameHeaderBytes); the cap mirrors decode_frame's own limits.
+    if (len > kBatchPerFrameBytes + kFrameHeaderBytes + kMaxKind +
+                  kMaxPayload) {
       return std::nullopt;
     }
     if (!r.take_view(bytes, len)) return std::nullopt;

@@ -56,6 +56,9 @@ inline constexpr std::size_t kMaxKind = 32;
 // the socket buffer, this bound just stops a hostile length prefix from
 // forcing a huge allocation.
 inline constexpr std::size_t kMaxPayload = 1 << 20;
+// A version-1 frame's fixed fields (everything but the kind and payload
+// bytes): what encode_frame adds to K + P.
+inline constexpr std::size_t kFrameHeaderBytes = 26;
 // Container fixed header (magic + version + count) and per-frame length
 // prefix — what a batch costs on the wire beyond its frames.
 inline constexpr std::size_t kBatchHeaderBytes = 6;

@@ -118,6 +118,20 @@ TEST(RunManifest, CarriesReproductionParameters) {
   EXPECT_NE(line.find("protocol=paper"), std::string::npos);
 }
 
+TEST(RunManifest, ConfigTextNamesTheDataPlaneAndAuthentication) {
+  const core::Config plain;
+  core::Config batched;
+  batched.batch_flush_delay = sim::milliseconds(5);
+  core::Config authenticated;
+  authenticated.auth_enabled = true;
+  EXPECT_NE(describe_config(plain), describe_config(batched));
+  EXPECT_NE(describe_config(plain), describe_config(authenticated));
+  EXPECT_NE(describe_config(plain).find("batch_flush=0s"), std::string::npos);
+  EXPECT_NE(describe_config(batched).find("batch_flush=0.005s"),
+            std::string::npos);
+  EXPECT_NE(describe_config(authenticated).find("auth=1"), std::string::npos);
+}
+
 TEST(TraceDeterminism, SameSeedYieldsByteIdenticalJsonl) {
   std::ostringstream first;
   std::ostringstream second;

@@ -231,6 +231,22 @@ TEST(FrameCodec, RoundTrip) {
   EXPECT_EQ(out->payload, f.payload);
 }
 
+// UdpTransport charges a frame unpacked from a container exactly
+// kFrameHeaderBytes + K + P, what it would have cost as a bare datagram.
+TEST(FrameCodec, EncodedSizeIsHeaderPlusKindPlusPayload) {
+  transport::Frame empty;
+  empty.from = HostId{1};
+  empty.to = HostId{2};
+  EXPECT_EQ(transport::encode_frame(empty).size(),
+            transport::kFrameHeaderBytes);
+
+  transport::Frame f = empty;
+  f.kind = "gapfill";
+  f.payload = std::string(300, 'x');
+  EXPECT_EQ(transport::encode_frame(f).size(),
+            transport::kFrameHeaderBytes + f.kind.size() + f.payload.size());
+}
+
 TEST(FrameCodec, MalformedFramesRejected) {
   transport::Frame f;
   f.from = HostId{0};
