@@ -90,12 +90,11 @@ bool BasicSource::fully_acked(Seq seq) const {
 }
 
 void BasicSource::retransmit_round() {
-  std::size_t budget = config_.retransmit_burst;
+  // Like the naive algorithm: every unacknowledged (host, seq) pair, every
+  // round.
   for (const auto& [seq, hosts] : unacked_) {
     const std::string& body = bodies_.at(seq);
     for (HostId h : hosts) {
-      if (budget == 0) return;
-      --budget;
       BasicMessage m{BasicData{seq, body}};
       endpoint_.send(h, std::any(m), wire_size(m), "data_retx",
                      net::make_trace_id(endpoint_.self(), seq));

@@ -46,9 +46,6 @@ using BasicMessage = std::variant<BasicData, BasicAck>;
 struct BasicConfig {
   // How often unacknowledged (host, seq) pairs are retransmitted.
   util::Duration retransmit_period{util::seconds(2)};
-  // Retransmissions per round are unbounded by default, like the naive
-  // algorithm; a cap can model a politer sender.
-  std::size_t retransmit_burst{SIZE_MAX};
 };
 
 // The source role of the basic algorithm.

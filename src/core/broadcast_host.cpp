@@ -286,12 +286,12 @@ void BroadcastHost::on_attach_timeout(HostId candidate) {
   // silent (total partition), back-to-back immediate retries would keep
   // cycling through the candidate list at rate 1/attach_ack_timeout
   // (exclusions expire faster than a large list is exhausted), so after
-  // `attach_retry_burst` consecutive timeouts the retries fall back to the
+  // kAttachRetryBurst consecutive timeouts the retries fall back to the
   // periodic attachment timer.
   failed_candidates_[candidate] =
       scheduler_.now() + 4 * config_.attach_period;
   ++consecutive_attach_timeouts_;
-  if (consecutive_attach_timeouts_ <= config_.attach_retry_burst) {
+  if (consecutive_attach_timeouts_ <= kAttachRetryBurst) {
     attachment_round();
   }
 }
@@ -339,8 +339,7 @@ void BroadcastHost::gapfill_round_neighbor() {
   state_.for_each_neighbor([&](HostId n) {
     if (!state_.in_cluster(n)) return;  // out-of-cluster peers: far round
     const auto plan = plan_neighbor_gapfill(state_, n, state_.is_child(n),
-                                            config_.gapfill_burst,
-                                            recent_offers(n));
+                                            kGapfillBurst, recent_offers(n));
     for (Seq seq : plan) send_gapfill(n, seq);
   });
 }
@@ -353,8 +352,7 @@ void BroadcastHost::gapfill_round_far() {
   state_.for_each_neighbor([&](HostId n) {
     if (state_.in_cluster(n)) return;
     const auto plan = plan_neighbor_gapfill(state_, n, state_.is_child(n),
-                                            config_.gapfill_burst,
-                                            recent_offers(n));
+                                            kGapfillBurst, recent_offers(n));
     for (Seq seq : plan) send_gapfill(n, seq);
   });
   if (!config_.nonneighbor_gapfill) return;
@@ -379,7 +377,7 @@ void BroadcastHost::gapfill_round_far() {
     const HostId j = far_behind_[pick];
     far_behind_.erase(far_behind_.begin() +
                       static_cast<std::ptrdiff_t>(pick));
-    const auto plan = plan_far_gapfill(state_, j, config_.gapfill_burst,
+    const auto plan = plan_far_gapfill(state_, j, kGapfillBurst,
                                        recent_offers(j));
     for (Seq seq : plan) send_gapfill(j, seq);
   }

@@ -36,6 +36,18 @@
 
 namespace rbcast::core {
 
+// Max gap-fill data messages sent to one peer per periodic round.
+inline constexpr std::size_t kGapfillBurst = 16;
+
+// How many consecutive attach timeouts may trigger an *immediate* retry
+// against the next candidate. The paper's "the procedure is repeated" must
+// not degenerate into a request stream at rate 1/attach_ack_timeout when
+// every candidate is silent (total partition): once this many retries in a
+// row have timed out, further attempts are left to the periodic attachment
+// timer (rate 1/attach_period), which keeps attach traffic bounded however
+// long the partition lasts. Reset on any completed handshake.
+inline constexpr std::size_t kAttachRetryBurst = 3;
+
 class BroadcastHost : private ProtocolRules<BroadcastHost> {
  public:
   // Called on first receipt of each data message (unordered delivery).
@@ -142,9 +154,6 @@ class BroadcastHost : private ProtocolRules<BroadcastHost> {
   void send_data(HostId to, const HostState::StoredMessage& message,
                  DataSend why);
   [[nodiscard]] bool keeps_auth() const { return config_.auth_enabled; }
-  [[nodiscard]] std::size_t attach_backfill_burst() const {
-    return config_.attach_backfill_burst;
-  }
   void deliver(const HostState::StoredMessage& message, HostId from,
                bool gap_fill);
   void on_duplicate(HostId, const DataMsg&) {
@@ -204,7 +213,7 @@ class BroadcastHost : private ProtocolRules<BroadcastHost> {
   // Timeout of the attach handshake in flight (pending_attach_).
   util::EventId attach_timer_{};
   // Timeouts since the last completed handshake; once past
-  // Config::attach_retry_burst, retries wait for the periodic timer.
+  // kAttachRetryBurst, retries wait for the periodic timer.
   std::size_t consecutive_attach_timeouts_{0};
 
   // Candidates whose handshake recently timed out, with expiry times.

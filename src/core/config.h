@@ -6,6 +6,14 @@
 // requirements." Every such frequency is a field here; the trade-off bench
 // (E7) sweeps them. Config{} holds the paper-faithful defaults;
 // Config::for_size(n) is the one tuned profile the experiment benches use.
+//
+// A field is an option only while something sets it to a second value: a
+// tool, bench, example or perfbench, or a test that needs the other value
+// for more than checking the field's own cap. A value nothing varies is a
+// named constant next to the code that uses it, with its reason
+// (kGapfillBurst, kAttachRetryBurst in broadcast_host.h;
+// kAttachBackfillBurst in protocol_rules.h). A new tunable joins this
+// struct together with its second value, e.g. set by for_size.
 #pragma once
 
 #include <cstddef>
@@ -50,25 +58,12 @@ struct Config {
   // procedure is repeated to find another candidate" (Section 4.2).
   util::Duration attach_ack_timeout{util::seconds(1)};
 
-  // How many consecutive attach timeouts may trigger an *immediate* retry
-  // against the next candidate. The paper's "the procedure is repeated"
-  // must not degenerate into a request stream at rate 1/attach_ack_timeout
-  // when every candidate is silent (total partition): once this many
-  // retries in a row have timed out, further attempts are left to the
-  // periodic attachment timer (rate 1/attach_period), which keeps attach
-  // traffic bounded however long the partition lasts. Reset on any
-  // completed handshake.
-  std::size_t attach_retry_burst{3};
-
   // Engineering necessity the paper leaves implicit: a parent must
   // eventually forget a child it never hears from, or it would forward
   // data to departed/unreachable children forever.
   util::Duration child_timeout{util::seconds(30)};
 
   // --- volume limits ------------------------------------------------------
-
-  // Max gap-fill data messages sent to one peer per periodic round.
-  std::size_t gapfill_burst{16};
 
   // After offering a message to a peer (gap fill, back-fill or forward),
   // the sender refrains from re-offering the same sequence number to that
@@ -82,10 +77,6 @@ struct Config {
   // period. Should span a couple of neighbor gap-fill rounds and stay
   // below gapfill_period_far.
   util::Duration gapfill_suppress_period{util::seconds(3)};
-  // Max messages back-filled immediately when a new child attaches
-  // ("the parent ... forwards to the child all those messages that the
-  // child is missing"); the periodic filler finishes longer tails.
-  std::size_t attach_backfill_burst{64};
 
   // Hysteresis for case II option (3): a cluster leader switches to an
   // out-of-cluster host j only when max(MAP[j]) exceeds max(MAP[parent])
@@ -182,6 +173,8 @@ struct Config {
     }
     return c;
   }
+
+  bool operator==(const Config&) const = default;
 };
 
 }  // namespace rbcast::core

@@ -10,6 +10,9 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 24;
 
+// Max data messages pushed to one peer per exchange.
+constexpr std::size_t kPushBurst = 16;
+
 GossipConfig checked(const GossipConfig& config) {
   RBCAST_CHECK_ARG(config.fanout >= 1, "gossip fanout must be >= 1");
   return config;
@@ -109,7 +112,7 @@ void GossipNode::handle_digest(HostId from, const GossipDigest& digest) {
 }
 
 void GossipNode::push_missing(HostId to, const SeqSet& peer_info) {
-  for (Seq seq : info_.missing_from(peer_info, config_.push_burst)) {
+  for (Seq seq : info_.missing_from(peer_info, kPushBurst)) {
     auto it = bodies_.find(seq);
     if (it == bodies_.end()) continue;
     send(to, GossipData{seq, it->second});

@@ -58,9 +58,6 @@ struct GossipConfig {
   util::Duration gossip_period{util::seconds(1)};
   // Peers contacted per round.
   int fanout{2};
-  // Max data messages pushed to one peer per exchange.
-  std::size_t push_burst{16};
-  std::size_t data_bytes{256};
 };
 
 class GossipNode {

@@ -24,7 +24,6 @@
 //   void clear_refuted_offers(HostId from, const SeqSet& reported);
 //   // Whether a received tag is stored and relayed with its body.
 //   bool keeps_auth() const;
-//   std::size_t attach_backfill_burst() const;
 //   // A first receipt (or the source's own message) reaches the host:
 //   // `gap_fill` is false for a new maximum.
 //   void deliver(const HostState::StoredMessage& m, HostId from,
@@ -45,6 +44,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <set>
 #include <span>
 #include <type_traits>
@@ -59,6 +59,11 @@
 #include "util/assert.h"
 
 namespace rbcast::core {
+
+// Max messages back-filled immediately when a new child attaches ("the
+// parent ... forwards to the child all those messages that the child is
+// missing"); the periodic filler finishes longer tails.
+inline constexpr std::size_t kAttachBackfillBurst = 64;
 
 // Why a data message goes out.
 enum class DataSend {
@@ -234,8 +239,7 @@ void ProtocolRules<Host>::handle_attach_request(HostId from,
   // "the parent examines its new child's INFO set and forwards to the
   // child all those messages that the child is missing and that the
   // parent has."
-  for (Seq seq : plan_attach_backfill(state_, m.info,
-                                      host().attach_backfill_burst(),
+  for (Seq seq : plan_attach_backfill(state_, m.info, kAttachBackfillBurst,
                                       host().recent_offers(from))) {
     send_gapfill(from, seq);
   }

@@ -24,16 +24,15 @@ InvariantMonitor::InvariantMonitor(
       delivered_bodies_(hosts_.size()),
       proto_delivered_(hosts_.size()),
       orphan_since_(hosts_.size()),
-      sweep_task_(simulator, options.sweep_period, [this] { sweep_now(); }) {
+      sweep_task_(simulator, kSweepPeriod, [this] { sweep_now(); }) {
   RBCAST_CHECK_ARG(!hosts_.empty(), "monitor needs at least one host");
-  RBCAST_CHECK_ARG(options_.sweep_period > 0, "sweep period must be positive");
   // Every non-source host starts orphaned (parent = NIL) at t=0.
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     if (hosts_[i]->self() != source_) orphan_since_[i] = sim::TimePoint{0};
   }
 }
 
-void InvariantMonitor::start() { sweep_task_.start(options_.sweep_period); }
+void InvariantMonitor::start() { sweep_task_.start(kSweepPeriod); }
 
 void InvariantMonitor::set_faults_quiet_at(sim::TimePoint t) {
   quiet_at_ = t;
@@ -208,7 +207,7 @@ void InvariantMonitor::record(const char* invariant,
                               const std::string& dedup_key,
                               const std::string& description) {
   if (!seen_.insert(dedup_key).second) return;
-  if (violations_.size() >= options_.max_violations) {
+  if (violations_.size() >= kMaxViolations) {
     ++dropped_;
     return;
   }

@@ -51,9 +51,13 @@ inline constexpr const char* kCycleAfterQuiet = "C1";
 inline constexpr const char* kOrphanBound = "C2";
 inline constexpr const char* kConvergeDeadline = "C3";
 
+// Cadence of the safety/liveness sweep.
+inline constexpr sim::Duration kSweepPeriod = sim::milliseconds(500);
+// Distinct violations a monitor reports (deduplicated per invariant and
+// subject); later ones are only counted (dropped_violations()).
+inline constexpr std::size_t kMaxViolations = 64;
+
 struct MonitorOptions {
-  // Cadence of the safety/liveness sweep.
-  sim::Duration sweep_period{sim::milliseconds(500)};
   // C1/C2 bound: how long a parent cycle may persist (after quiescence),
   // or a host may stay orphaned (after the post-quiescence liveness
   // anchor), before it counts as a violation.
@@ -61,8 +65,6 @@ struct MonitorOptions {
   // C3 deadline: time after the liveness anchor by which the parent graph
   // must be a source-rooted cluster tree with every message delivered.
   sim::Duration converge_deadline{sim::seconds(120)};
-  // Reports are deduplicated per (invariant, subject) and capped.
-  std::size_t max_violations{64};
 };
 
 struct InvariantViolation {
@@ -138,7 +140,7 @@ class InvariantMonitor final : public core::ProtocolObserver,
     return violations_;
   }
   [[nodiscard]] bool ok() const { return violations_.empty(); }
-  // Distinct violations suppressed once max_violations was reached.
+  // Distinct violations suppressed once kMaxViolations was reached.
   [[nodiscard]] std::size_t dropped_violations() const { return dropped_; }
   [[nodiscard]] std::uint64_t sweeps_run() const { return sweeps_; }
 

@@ -27,7 +27,6 @@ Checker::Checker(ModelConfig config) : config_(std::move(config)) {
   RBCAST_CHECK_ARG(
       config_.cluster_of.size() == static_cast<std::size_t>(config_.hosts),
       "cluster_of must cover every host");
-  RBCAST_CHECK_ARG(config_.source.value < config_.hosts, "bad source");
 }
 
 SystemState Checker::initial_state() const {
@@ -65,7 +64,7 @@ std::vector<std::pair<std::string, SystemState>> Checker::successors(
     const std::string body = "m" + std::to_string(seq);
     next.bodies.push_back(body);
     ++next.broadcasts_done;
-    enqueue_sends(next, node_of(next, config_.source).broadcast(seq, body));
+    enqueue_sends(next, node_of(next, kSource).broadcast(seq, body));
     out.emplace_back("broadcast#" + std::to_string(seq), std::move(next));
   }
 
@@ -99,7 +98,7 @@ std::vector<std::pair<std::string, SystemState>> Checker::successors(
   // 5-9. Host steps.
   for (const ModelNode& node : state.nodes) {
     const HostId h = node.self();
-    if (h != config_.source && !node.pending_attach().valid()) {
+    if (h != kSource && !node.pending_attach().valid()) {
       SystemState next = state;
       auto sends = node_of(next, h).attachment_step();
       if (!sends.empty()) {

@@ -9,6 +9,10 @@ namespace rbcast::model {
 
 namespace {
 
+// Case II option (3) exactly as the paper states it: any strictly greater
+// INFO set triggers a switch (Config::parent_switch_margin's default).
+constexpr Seq kParentSwitchMargin = 0;
+
 std::vector<HostId> make_hosts(int n) {
   std::vector<HostId> out;
   for (int i = 0; i < n; ++i) out.push_back(HostId{i});
@@ -33,9 +37,7 @@ std::string ModelMessage::describe() const {
 }
 
 ModelNode::ModelNode(HostId self, const ModelConfig& config)
-    : ProtocolRules(self, make_hosts(config.hosts), config.source),
-      source_(config.source),
-      parent_switch_margin_(config.parent_switch_margin),
+    : ProtocolRules(self, make_hosts(config.hosts), kSource),
       mutant_double_delivery_(config.mutant_double_delivery),
       mutant_accept_from_anyone_(config.mutant_accept_from_anyone) {}
 
@@ -57,7 +59,7 @@ std::vector<ModelMessage> ModelNode::on_message(HostId from,
 
 std::vector<ModelMessage> ModelNode::attachment_step() {
   core::HostState::AncestorWalk walk;
-  ProtocolRules::attachment_step(parent_switch_margin_, walk);
+  ProtocolRules::attachment_step(kParentSwitchMargin, walk);
   return take_sends();
 }
 

@@ -40,18 +40,19 @@ namespace rbcast::model {
 using core::ProtocolMessage;
 using core::Seq;
 
+// The model's source: every configuration has a host h0.
+inline constexpr HostId kSource{0};
+
 struct ModelConfig {
   int hosts{3};
   // cluster_of[h] = ground-truth cluster index of host h.
   std::vector<int> cluster_of{0, 0, 0};
-  HostId source{0};
-  // The source may generate up to this many messages.
+  // The source (kSource) may generate up to this many messages.
   int max_broadcasts{2};
   // In-flight message capacity; sends beyond it are lost (loss is legal
   // in the model, so capacity pruning never hides behaviours, it only
   // bounds the state space).
   std::size_t max_inflight{4};
-  Seq parent_switch_margin{0};
 
   // --- mutations (checker self-tests) ------------------------------------
   // Deliver duplicates to the application (breaks exactly-once).
@@ -122,7 +123,7 @@ class ModelNode : private core::ProtocolRules<ModelNode> {
   friend class core::ProtocolRules<ModelNode>;
 
   // --- ProtocolRules hooks (see core/protocol_rules.h) -------------------
-  [[nodiscard]] bool is_source() const { return self() == source_; }
+  [[nodiscard]] bool is_source() const { return self() == kSource; }
   void send_message(HostId to, ProtocolMessage m) {
     sends_.push_back(ModelMessage{self(), to, std::move(m)});
   }
@@ -137,8 +138,6 @@ class ModelNode : private core::ProtocolRules<ModelNode> {
   }
   void clear_refuted_offers(HostId, const core::SeqSet&) {}
   [[nodiscard]] bool keeps_auth() const { return false; }
-  // Config::attach_backfill_burst's default.
-  [[nodiscard]] std::size_t attach_backfill_burst() const { return 64; }
   void deliver(const core::HostState::StoredMessage& m, HostId, bool) {
     ++deliveries_[m.seq];
     delivered_bodies_[m.seq] = std::string(m.body.view());
@@ -161,8 +160,6 @@ class ModelNode : private core::ProtocolRules<ModelNode> {
     return std::exchange(sends_, {});
   }
 
-  HostId source_;
-  Seq parent_switch_margin_;
   bool mutant_double_delivery_;
   bool mutant_accept_from_anyone_;
   std::map<Seq, int> deliveries_;

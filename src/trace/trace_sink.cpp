@@ -164,17 +164,14 @@ std::string describe_config(const core::Config& config) {
   std::ostringstream os;
   os << "attach_period=" << sim::to_seconds(config.attach_period)
      << "s attach_ack_timeout=" << sim::to_seconds(config.attach_ack_timeout)
-     << "s attach_retry_burst=" << config.attach_retry_burst
-     << " info_intra=" << sim::to_seconds(config.info_period_intra)
+     << "s info_intra=" << sim::to_seconds(config.info_period_intra)
      << "s info_inter=" << sim::to_seconds(config.info_period_inter)
      << "s gapfill_neighbor=" << sim::to_seconds(config.gapfill_period_neighbor)
      << "s gapfill_far=" << sim::to_seconds(config.gapfill_period_far)
      << "s parent_timeout=" << sim::to_seconds(config.parent_timeout)
      << "s child_timeout=" << sim::to_seconds(config.child_timeout)
      << "s suppress=" << sim::to_seconds(config.gapfill_suppress_period)
-     << "s burst=" << config.gapfill_burst
-     << " backfill_burst=" << config.attach_backfill_burst
-     << " switch_margin=" << config.parent_switch_margin
+     << "s switch_margin=" << config.parent_switch_margin
      << " nonneighbor=" << (config.nonneighbor_gapfill ? 1 : 0)
      << " far_fill_targets=" << config.far_fill_targets
      << " pruning=" << (config.enable_pruning ? 1 : 0)

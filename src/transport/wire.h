@@ -56,6 +56,10 @@ inline constexpr std::size_t kMaxKind = 32;
 // the socket buffer, this bound just stops a hostile length prefix from
 // forcing a huge allocation.
 inline constexpr std::size_t kMaxPayload = 1 << 20;
+// The most one UDP datagram over IPv4 can carry: 65,535 bytes less the
+// 20-byte IP and 8-byte UDP headers. A frame or batch container larger
+// than this cannot be sent.
+inline constexpr std::size_t kMaxDatagramBytes = 65507;
 // A version-1 frame's fixed fields (everything but the kind and payload
 // bytes): what encode_frame adds to K + P.
 inline constexpr std::size_t kFrameHeaderBytes = 26;

@@ -29,11 +29,6 @@ void PeriodicTask::stop() {
   }
 }
 
-void PeriodicTask::set_period(Duration period) {
-  RBCAST_CHECK_ARG(period > 0, "periodic task needs a positive period");
-  period_ = period;
-}
-
 void PeriodicTask::fire() {
   // Reschedule before running the action so the action may stop() us.
   pending_ = scheduler_.after(period_, [this] { fire(); });

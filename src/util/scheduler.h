@@ -68,14 +68,11 @@ class PeriodicTask {
   [[nodiscard]] bool running() const { return pending_.valid(); }
   [[nodiscard]] Duration period() const { return period_; }
 
-  // Changes the period; takes effect at the next (re)scheduling.
-  void set_period(Duration period);
-
  private:
   void fire();
 
   Scheduler& scheduler_;
-  Duration period_;
+  const Duration period_;
   std::function<void()> action_;
   EventId pending_{};
 };

@@ -128,22 +128,6 @@ TEST(BasicProtocol, MultipleMessagesTrackIndependently) {
   EXPECT_EQ(seen, (std::vector<Seq>{1, 2}));
 }
 
-TEST(BasicProtocol, RetransmitBurstCapsTraffic) {
-  BasicConfig config;
-  config.retransmit_period = sim::milliseconds(100);
-  config.retransmit_burst = 1;
-  Fixture f(4, config);
-  f.hub.set_drop(HostId{0}, HostId{1}, true);
-  f.hub.set_drop(HostId{0}, HostId{2}, true);
-  f.hub.set_drop(HostId{0}, HostId{3}, true);
-  f.source->start();
-  f.source->broadcast("m1");
-  const auto before = f.source->counters().retransmissions;
-  f.run_for(sim::milliseconds(450));
-  // At most one retransmission per round despite three pending hosts.
-  EXPECT_LE(f.source->counters().retransmissions - before, 5u);
-}
-
 TEST(BasicProtocol, SourceCountsNoSelfDestination) {
   Fixture f(1);  // source alone
   f.source->start();

@@ -327,6 +327,46 @@ TEST(BroadcastHost, DropsFramesFromNonMembers) {
   EXPECT_EQ(h.info().count(), 1u);
 }
 
+// The bursts the host hands the gap-fill planners: an attach is followed
+// by exactly kAttachBackfillBurst back-filled messages, and one neighbor
+// round sends the next kGapfillBurst that the child still lacks.
+TEST(BroadcastHost, AttachBackfillAndNeighborRoundEachSendOneBurst) {
+  Cluster c(2);  // never started: only the calls below send anything
+  for (int k = 1; k <= 100; ++k) c.node(0).broadcast("m" + std::to_string(k));
+  ASSERT_TRUE(c.hub.log.empty());
+
+  // The seqs of the data frames logged from entry `first` on, all to h1.
+  auto data_seqs = [&c](std::size_t first) {
+    std::vector<Seq> seqs;
+    for (std::size_t i = first; i < c.hub.log.size(); ++i) {
+      const auto& sent = c.hub.log[i];
+      const auto& m = std::any_cast<const ProtocolMessage&>(sent.payload);
+      if (const auto* data = std::get_if<DataMsg>(&m)) {
+        EXPECT_EQ(sent.to, HostId{1});
+        seqs.push_back(data->seq);
+      }
+    }
+    return seqs;
+  };
+  auto seq_range = [](Seq first, Seq last) {
+    std::vector<Seq> seqs;
+    for (Seq seq = first; seq <= last; ++seq) seqs.push_back(seq);
+    return seqs;
+  };
+
+  // An in-cluster child (cost bit 0) with an empty INFO set attaches.
+  c.node(0).on_delivery(
+      hand_delivery(HostId{1}, HostId{0}, AttachRequest{SeqSet{}}));
+  EXPECT_EQ(c.hub.sent_count("attach_ack"), 1u);
+  EXPECT_EQ(data_seqs(0), seq_range(1, kAttachBackfillBurst));
+
+  const std::size_t after_attach = c.hub.log.size();
+  c.node(0).run_gapfill_neighbor_now();
+  EXPECT_EQ(data_seqs(after_attach),
+            seq_range(kAttachBackfillBurst + 1,
+                      kAttachBackfillBurst + kGapfillBurst));
+}
+
 // One intra-cluster round reaches exactly cluster ∪ neighbors, and one
 // inter-cluster round everyone else, each in ascending id order.
 TEST(BroadcastHost, InfoRoundsCoverClusterNeighborsAndEveryoneElse) {
@@ -733,7 +773,6 @@ TEST(BroadcastHost, AttachRetriesAreBoundedUnderTotalPartition) {
   Config cfg = hub_config();
   cfg.attach_period = sim::milliseconds(500);
   cfg.attach_ack_timeout = sim::milliseconds(50);
-  cfg.attach_retry_burst = 3;
   Cluster c(kHosts, cfg);
   for (int j = 0; j + 1 < kHosts; ++j) {
     c.hub.set_expensive(cut_host, HostId{j}, true);
@@ -764,7 +803,7 @@ TEST(BroadcastHost, AttachRetriesAreBoundedUnderTotalPartition) {
   const std::size_t periodic_ceiling =
       static_cast<std::size_t>(window / cfg.attach_period);
   EXPECT_GE(requests, 5u);  // it IS still trying
-  EXPECT_LE(requests, periodic_ceiling + cfg.attach_retry_burst + 4);
+  EXPECT_LE(requests, periodic_ceiling + kAttachRetryBurst + 4);
 }
 
 TEST(BroadcastHost, BroadcastOnNonSourceAborts) {

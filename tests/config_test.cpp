@@ -1,44 +1,26 @@
 // The one tuning source: Config::for_size(n) and util::scaled. Pins the
-// profile the experiment benches run, field by field, so a change to it
-// shows up here as well as in bench_outputs_gate.
+// profile the experiment benches run, compared as a whole Config, so a
+// change to any field shows up here as well as in bench_outputs_gate.
 #include "core/config.h"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <ostream>
+
+#include "trace/trace_sink.h"
 
 namespace rbcast::core {
+
+// A failing EXPECT_EQ prints both Configs by field name.
+void PrintTo(const Config& config, std::ostream* os) {
+  *os << trace::describe_config(config);
+}
+
 namespace {
 
 using util::milliseconds;
 using util::seconds;
-
-// Every Config field, so a profile cannot change one unnoticed.
-void expect_same(const Config& got, const Config& want) {
-  EXPECT_EQ(got.attach_period, want.attach_period);
-  EXPECT_EQ(got.info_period_intra, want.info_period_intra);
-  EXPECT_EQ(got.info_period_inter, want.info_period_inter);
-  EXPECT_EQ(got.gapfill_period_neighbor, want.gapfill_period_neighbor);
-  EXPECT_EQ(got.gapfill_period_far, want.gapfill_period_far);
-  EXPECT_EQ(got.parent_timeout, want.parent_timeout);
-  EXPECT_EQ(got.attach_ack_timeout, want.attach_ack_timeout);
-  EXPECT_EQ(got.attach_retry_burst, want.attach_retry_burst);
-  EXPECT_EQ(got.child_timeout, want.child_timeout);
-  EXPECT_EQ(got.gapfill_burst, want.gapfill_burst);
-  EXPECT_EQ(got.gapfill_suppress_period, want.gapfill_suppress_period);
-  EXPECT_EQ(got.attach_backfill_burst, want.attach_backfill_burst);
-  EXPECT_EQ(got.parent_switch_margin, want.parent_switch_margin);
-  EXPECT_EQ(got.nonneighbor_gapfill, want.nonneighbor_gapfill);
-  EXPECT_EQ(got.far_fill_targets, want.far_fill_targets);
-  EXPECT_EQ(got.enable_pruning, want.enable_pruning);
-  EXPECT_EQ(got.piggyback_info, want.piggyback_info);
-  EXPECT_EQ(got.auth_enabled, want.auth_enabled);
-  EXPECT_EQ(got.auth_secret, want.auth_secret);
-  EXPECT_EQ(got.cluster_knowledge, want.cluster_knowledge);
-  EXPECT_EQ(got.batch_flush_delay, want.batch_flush_delay);
-  EXPECT_EQ(got.batch_max_bytes, want.batch_max_bytes);
-  EXPECT_EQ(got.data_bytes, want.data_bytes);
-}
 
 // The mid-range bench timing, written out: the paper's defaults with
 // these eight fields set.
@@ -58,7 +40,7 @@ Config bench_profile() {
 TEST(ConfigForSize, UpToSixteenHostsIsTheUnscaledBenchProfile) {
   for (std::size_t n : {0u, 1u, 16u}) {
     SCOPED_TRACE(n);
-    expect_same(Config::for_size(n), bench_profile());
+    EXPECT_EQ(Config::for_size(n), bench_profile());
   }
 }
 
@@ -74,7 +56,7 @@ TEST(ConfigForSize, BeyondSixteenHostsStretchesOnlyTheInterClusterPeriods) {
     Config want = bench_profile();
     want.info_period_inter = c.info_inter;
     want.gapfill_period_far = c.far_fill;
-    expect_same(Config::for_size(c.hosts), want);
+    EXPECT_EQ(Config::for_size(c.hosts), want);
   }
 }
 

@@ -182,12 +182,6 @@ TEST(Model, RejectsBadConfiguration) {
   config.hosts = 3;
   config.cluster_of = {0, 0};  // wrong size
   EXPECT_THROW(Checker{config}, std::invalid_argument);
-
-  ModelConfig bad_source;
-  bad_source.hosts = 2;
-  bad_source.cluster_of = {0, 1};
-  bad_source.source = HostId{7};
-  EXPECT_THROW(Checker{bad_source}, std::invalid_argument);
 }
 
 }  // namespace

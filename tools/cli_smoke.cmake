@@ -47,6 +47,22 @@ expect_refused(${RBCAST_NODE} --run-s --config missing.json --all-hosts
 expect_refused(${RBCAST_NODE} --admin-port --config missing.json
                --all-hosts --admin-port 70000)
 
+# A node config whose DATA frames or batches cannot fit one UDP datagram
+# (65,507 bytes) is refused at load, naming the key, before any socket.
+function(expect_node_config_refused what protocol)
+  file(WRITE ${WORK_DIR}/bad_node.json
+       "{\"hosts\": [{\"id\": 0, \"port\": 0}, {\"id\": 1, \"port\": 0}],"
+       " \"messages\": 3, \"protocol\": {${protocol}}}\n")
+  expect_refused(${RBCAST_NODE} ${what} --config ${WORK_DIR}/bad_node.json
+                 --all-hosts --run-s 5)
+endfunction()
+expect_node_config_refused(data_bytes "\"data_bytes\": 2000000")
+expect_node_config_refused(data_bytes "\"data_bytes\": 70000")
+expect_node_config_refused(data_bytes "\"data_bytes\": -1")
+expect_node_config_refused(batch_max_bytes
+  "\"batch_flush_ms\": 50, \"batch_max_bytes\": 200000, \"data_bytes\": 20000")
+expect_node_config_refused(batch_max_bytes "\"batch_max_bytes\": 0")
+
 expect_refused(${RBCAST_TOP} --timeout-ms --once --timeout-ms abc 1)
 expect_refused(${RBCAST_TOP} --interval-s --interval-s 0 1)
 message(STATUS "cli value smoke passed")

@@ -26,6 +26,7 @@
 //                  "batch_flush_ms": 2, "batch_max_bytes": 1200, ...}
 //   }
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -38,6 +39,7 @@
 
 #include "core/broadcast_host.h"
 #include "core/config.h"
+#include "core/messages.h"
 #include "core/wire_codec.h"
 #include "parse_number.h"
 #include "trace/admin_server.h"
@@ -47,6 +49,7 @@
 #include "trace/net_tap.h"
 #include "trace/trace_sink.h"
 #include "transport/udp_transport.h"
+#include "transport/wire.h"
 #include "util/json.h"
 #include "util/metrics_registry.h"
 #include "util/real_time_scheduler.h"
@@ -89,6 +92,14 @@ util::Duration ms_or(const util::Json& obj, const char* key,
   const double ms = util::json_num_or(obj, key, util::to_seconds(fallback) *
                                                     1e3, kContext);
   return util::from_seconds(ms / 1e3);
+}
+
+// The largest body whose DATA frame still fits one datagram: a gap fill
+// (the longer kind label) without a piggybacked INFO set or a tag.
+std::size_t max_data_bytes() {
+  const core::ProtocolMessage fill{core::DataMsg{1, "", true, {}, {}}};
+  return transport::kMaxDatagramBytes - transport::kFrameHeaderBytes -
+         std::strlen(core::kind_of(fill)) - core::encode_message(fill).size();
 }
 
 NodeConfig load_config(const std::string& path) {
@@ -175,16 +186,33 @@ NodeConfig load_config(const std::string& path) {
     p.child_timeout = ms_or(*proto, "child_timeout_ms", p.child_timeout);
     p.gapfill_suppress_period =
         ms_or(*proto, "gapfill_suppress_ms", p.gapfill_suppress_period);
-    p.data_bytes = static_cast<std::size_t>(
-        util::json_int_or(*proto, "data_bytes",
-                          static_cast<int>(p.data_bytes), kContext));
+    // Every DATA frame must fit one datagram: the transport does not
+    // fragment, and a larger body would only ever fail to send.
+    const int data_bytes = util::json_int_or(
+        *proto, "data_bytes", static_cast<int>(p.data_bytes), kContext);
+    if (data_bytes < 0 ||
+        static_cast<std::size_t>(data_bytes) > max_data_bytes()) {
+      throw std::invalid_argument(
+          std::string(kContext) + ": 'data_bytes' must be 0.." +
+          std::to_string(max_data_bytes()) + " to fit one UDP datagram");
+    }
+    p.data_bytes = static_cast<std::size_t>(data_bytes);
     // Transport coalescing: batch_flush_ms > 0 buffers outbound frames
     // per destination and flushes multi-frame (wire v2) datagrams.
     p.batch_flush_delay = ms_or(*proto, "batch_flush_ms",
                                 p.batch_flush_delay);
-    p.batch_max_bytes = static_cast<std::size_t>(
+    const int batch_max_bytes =
         util::json_int_or(*proto, "batch_max_bytes",
-                          static_cast<int>(p.batch_max_bytes), kContext));
+                          static_cast<int>(p.batch_max_bytes), kContext);
+    if (batch_max_bytes < 1 ||
+        static_cast<std::size_t>(batch_max_bytes) >
+            transport::kMaxDatagramBytes) {
+      throw std::invalid_argument(
+          std::string(kContext) + ": 'batch_max_bytes' must be 1.." +
+          std::to_string(transport::kMaxDatagramBytes) +
+          " to fit one UDP datagram");
+    }
+    p.batch_max_bytes = static_cast<std::size_t>(batch_max_bytes);
   }
   return cfg;
 }
@@ -531,7 +559,8 @@ int main(int argc, char** argv) {
               << stats.datagrams_received << " received, "
               << stats.frame_decode_errors << " frame errors, "
               << stats.payload_decode_errors << " payload errors, "
-              << stats.impair_drops << " impaired away\n";
+              << stats.impair_drops << " impaired away, "
+              << stats.send_errors << " send errors\n";
     if (converged_at >= 0) {
       std::cout << "converged: yes at " << util::to_seconds(converged_at)
                 << "s\n";
