@@ -50,18 +50,21 @@ void ablate_margin() {
     e.broadcast_stream(240, sim::milliseconds(500), t0 + sim::seconds(1));
     e.run_until_delivered(t0 + sim::seconds(600));
 
+    // Attach attempts by the rule that proposed them: the event log
+    // records each with its rule as detail.
     std::uint64_t ii3 = 0;
     std::uint64_t case_i = 0;
     std::uint64_t iii1 = 0;
-    for (HostId h : e.topology().host_ids()) {
-      for (const auto& [rule, n] : e.host(h).counters().attempts_by_rule) {
-        if (rule == "II.3") {
-          ii3 += n;
-        } else if (rule == "III.1") {
-          iii1 += n;
-        } else {
-          case_i += n;
-        }
+    const trace::EventLog& log = e.events();
+    for (const trace::Event& event : log.events()) {
+      if (event.type != trace::EventType::kAttachRequested) continue;
+      const std::string& rule = log.detail(event);
+      if (rule == "II.3") {
+        ++ii3;
+      } else if (rule == "III.1") {
+        ++iii1;
+      } else {
+        ++case_i;
       }
     }
     // Latency of messages broadcast after the heal (seq > 120 + warmup).

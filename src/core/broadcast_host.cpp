@@ -242,7 +242,6 @@ void BroadcastHost::on_detached(HostId old_parent, bool timeout) {
 void BroadcastHost::on_attach_requested(HostId candidate,
                                         const std::string& rule) {
   RBCAST_DEBUG(self() << " attachment rule " << rule << " -> " << candidate);
-  ++counters_.attempts_by_rule[rule];
   ++counters_.attach_attempts;
   if (observer_ != nullptr) {
     observer_->on_attach_requested(self(), candidate, rule);
@@ -297,27 +296,18 @@ void BroadcastHost::on_attach_timeout(HostId candidate) {
 }
 
 void BroadcastHost::info_round_intra() {
-  // Frequent exchange with cluster members and parent-graph neighbors
-  // (cluster ∪ children ∪ {parent} \ {self}), in ascending id order. The
-  // parent is a member: it accepted our request, and on_delivery() drops
-  // non-members.
-  const HostId parent = state_.parent();
-  info_targets_.clear();
+  // Frequent exchange with cluster members and parent-graph neighbors, in
+  // ascending id order. The parent is a member: it accepted our request,
+  // and on_delivery() drops non-members.
   for (HostId j : state_.all_hosts()) {
-    if (j != self() &&
-        (j == parent || state_.in_cluster(j) || state_.is_child(j))) {
-      info_targets_.push_back(j);
-    }
-  }
-  const InfoMsg msg{state_.info(), parent};
-  for (HostId j : info_targets_) {
+    if (!is_intra_rate_peer(j)) continue;
     // A data message that piggybacked our INFO to j within the last round
     // already did this round's job (Section 6) — skip the standalone report.
     if (config_.piggyback_info &&
         scheduler_.now() < peer_book(j).piggyback_until) {
       continue;
     }
-    send_message(j, msg);
+    send_info(j);
   }
 }
 
@@ -325,22 +315,14 @@ void BroadcastHost::info_round_inter() {
   // Rare exchange with everyone else; this is what lets remote hosts
   // discover who is ahead (attachment options I.3/II.3) and what feeds
   // non-neighbor gap filling.
-  const InfoMsg msg{state_.info(), state_.parent()};
   for (HostId j : state_.all_hosts()) {
-    if (j == self() || state_.in_cluster(j) || state_.is_child(j) ||
-        j == state_.parent()) {
-      continue;
-    }
-    send_message(j, msg);
+    if (j != self() && !is_intra_rate_peer(j)) send_info(j);
   }
 }
 
 void BroadcastHost::gapfill_round_neighbor() {
   state_.for_each_neighbor([&](HostId n) {
-    if (!state_.in_cluster(n)) return;  // out-of-cluster peers: far round
-    const auto plan = plan_neighbor_gapfill(state_, n, state_.is_child(n),
-                                            kGapfillBurst, recent_offers(n));
-    for (Seq seq : plan) send_gapfill(n, seq);
+    if (state_.in_cluster(n)) fill_gaps(n);  // the rest: far round
   });
 }
 
@@ -350,10 +332,7 @@ void BroadcastHost::gapfill_round_far() {
   // every round: a child depends on *us* for new maxima, so nobody else
   // can do this job.
   state_.for_each_neighbor([&](HostId n) {
-    if (state_.in_cluster(n)) return;
-    const auto plan = plan_neighbor_gapfill(state_, n, state_.is_child(n),
-                                            kGapfillBurst, recent_offers(n));
-    for (Seq seq : plan) send_gapfill(n, seq);
+    if (!state_.in_cluster(n)) fill_gaps(n);
   });
   if (!config_.nonneighbor_gapfill) return;
 
@@ -377,9 +356,7 @@ void BroadcastHost::gapfill_round_far() {
     const HostId j = far_behind_[pick];
     far_behind_.erase(far_behind_.begin() +
                       static_cast<std::ptrdiff_t>(pick));
-    const auto plan = plan_far_gapfill(state_, j, kGapfillBurst,
-                                       recent_offers(j));
-    for (Seq seq : plan) send_gapfill(j, seq);
+    fill_gaps(j);
   }
 }
 
@@ -446,7 +423,7 @@ DataMsg BroadcastHost::make_data(const HostState::StoredMessage& message,
                                  bool gap_fill) const {
   DataMsg m{message.seq, message.body, gap_fill, std::nullopt, message.auth};
   if (config_.piggyback_info) {
-    m.piggyback = std::make_pair(state_.info(), state_.parent());
+    m.piggyback = InfoMsg{state_.info(), state_.parent()};
   }
   return m;
 }

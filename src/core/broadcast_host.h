@@ -36,9 +36,6 @@
 
 namespace rbcast::core {
 
-// Max gap-fill data messages sent to one peer per periodic round.
-inline constexpr std::size_t kGapfillBurst = 16;
-
 // How many consecutive attach timeouts may trigger an *immediate* retry
 // against the next candidate. The paper's "the procedure is repeated" must
 // not degenerate into a request stream at rate 1/attach_ack_timeout when
@@ -91,10 +88,9 @@ class BroadcastHost : private ProtocolRules<BroadcastHost> {
   [[nodiscard]] Seq last_broadcast_seq() const { return next_seq_ - 1; }
 
   struct Counters {
+    // Attach attempts; the event log (trace::EventLog) records each with
+    // the rule that proposed it ("I.1".."III.1").
     std::uint64_t attach_attempts{0};
-    // Attach attempts keyed by the rule that proposed them ("I.1".."III.1")
-    // — which options actually fire is itself an experimental observable.
-    std::map<std::string, std::uint64_t> attempts_by_rule;
     std::uint64_t attach_timeouts{0};
     std::uint64_t attaches_completed{0};
     std::uint64_t cycles_broken{0};
@@ -246,10 +242,9 @@ class BroadcastHost : private ProtocolRules<BroadcastHost> {
   std::vector<PeerBook> peers_;
 
   // Buffers reused across rounds, so that a steady-state round allocates
-  // only the boxes of the messages it sends: info_round_intra()'s
-  // recipients, recent_offers()'s view, attachment_round()'s ancestor
-  // chain and gapfill_round_far()'s behind non-neighbors.
-  std::vector<HostId> info_targets_;
+  // only the boxes of the messages it sends: recent_offers()'s view,
+  // attachment_round()'s ancestor chain and gapfill_round_far()'s behind
+  // non-neighbors.
   std::vector<Seq> offer_seqs_;
   HostState::AncestorWalk ancestor_walk_;
   std::vector<HostId> far_behind_;

@@ -11,7 +11,7 @@
 // tool, bench, example or perfbench, or a test that needs the other value
 // for more than checking the field's own cap. A value nothing varies is a
 // named constant next to the code that uses it, with its reason
-// (kGapfillBurst, kAttachRetryBurst in broadcast_host.h;
+// (kAttachRetryBurst in broadcast_host.h; kGapfillBurst and
 // kAttachBackfillBurst in protocol_rules.h). A new tunable joins this
 // struct together with its second value, e.g. set by for_size.
 #pragma once

@@ -109,7 +109,7 @@ struct SizeVisitor {
       size += 16;  // digest + tag, both u64
     }
     if (m.piggyback.has_value()) {
-      size += 4 + m.piggyback->first.wire_size();
+      size += 4 + m.piggyback->info.wire_size();
     }
     return size;
   }
@@ -229,8 +229,8 @@ struct EncodeVisitor {
       put_u64(out, m.auth->tag);
     }
     if (m.piggyback.has_value()) {
-      put_seq_set(out, m.piggyback->first);
-      put_host(out, m.piggyback->second);
+      put_seq_set(out, m.piggyback->info);
+      put_host(out, m.piggyback->parent);
     }
   }
   void operator()(const InfoMsg& m) const {
@@ -294,7 +294,7 @@ std::optional<ProtocolMessage> decode_message(const char* data,
         if (!r.take_seq_set(info) || !r.take_host(parent)) {
           return std::nullopt;
         }
-        d.piggyback.emplace(std::move(info), parent);
+        d.piggyback = InfoMsg{std::move(info), parent};
       }
       m = std::move(d);
       break;

@@ -28,6 +28,15 @@ namespace rbcast::core {
 using util::Seq;
 using util::SeqSet;
 
+// Periodic state exchange: "Hosts periodically update one another on the
+// current values of their INFO sets" and "cluster neighbors periodically
+// inform i of the identities of their new parents" (Section 4.2). Both
+// ride in one control message (the paper's Section 6 piggybacking remark).
+struct InfoMsg {
+  SeqSet info;
+  HostId parent;  // sender's current parent; kNoHost when none
+};
+
 // One broadcast data message (possibly redelivered as a gap filler).
 struct DataMsg {
   Seq seq{0};
@@ -41,23 +50,14 @@ struct DataMsg {
   // Section 6 piggybacking: "some control messages that are dispatched by
   // the same host at about the same time can be piggybacked in one
   // packet." When Config::piggyback_info is on, every data message also
-  // carries the sender's INFO set and parent pointer, keeping neighbors'
-  // MAPs fresh without separate control packets.
-  std::optional<std::pair<SeqSet, HostId>> piggyback;
+  // carries the sender's INFO report, keeping neighbors' MAPs fresh
+  // without separate control packets.
+  std::optional<InfoMsg> piggyback;
   // Per-source authentication (Config::auth_enabled, see auth.h): digest
   // of the body plus a tag binding (source, seq, digest). Relays forward
   // the source's tag verbatim — they cannot re-sign — so any mutation en
   // route is detected at the next honest hop. Absent in faithful mode.
   std::optional<AuthTag> auth;
-};
-
-// Periodic state exchange: "Hosts periodically update one another on the
-// current values of their INFO sets" and "cluster neighbors periodically
-// inform i of the identities of their new parents" (Section 4.2). Both
-// ride in one control message (the paper's Section 6 piggybacking remark).
-struct InfoMsg {
-  SeqSet info;
-  HostId parent;  // sender's current parent; kNoHost when none
 };
 
 // "a message is sent to it requesting inclusion in its CHILDREN set"

@@ -3,10 +3,12 @@
 // What a host does when a message arrives (the acceptance rule, forwarding
 // and gap-fill relaying of Sections 4.1 and 4.4, the INFO/parent exchange
 // and the attach handshake of Sections 4.2-4.3), how the source starts a
-// broadcast, and the attachment procedure's step (decide, break a cycle,
-// decide again, request). core::BroadcastHost runs these rules over a
-// transport; model::ModelNode runs the very same code inside the model
-// checker, so what rbcast_check proves is about the shipped rules.
+// broadcast, the attachment procedure's step (decide, break a cycle,
+// decide again, request), and what a periodic round sends one peer (its
+// INFO report, or the gap fills it lacks). core::BroadcastHost runs these
+// rules over a transport; model::ModelNode runs the very same code inside
+// the model checker, so what rbcast_check proves is about the shipped
+// rules.
 //
 // ProtocolRules<Host> is a CRTP base. It holds the state the rules act on
 // (HostState and the attach handshake in flight) and calls back into Host,
@@ -65,6 +67,9 @@ namespace rbcast::core {
 // missing"); the periodic filler finishes longer tails.
 inline constexpr std::size_t kAttachBackfillBurst = 64;
 
+// Max gap-fill data messages sent to one peer per periodic round.
+inline constexpr std::size_t kGapfillBurst = 16;
+
 // Why a data message goes out.
 enum class DataSend {
   kForward,  // a new maximum down the tree (the source's first send too)
@@ -102,6 +107,36 @@ class ProtocolRules {
     const HostState::StoredMessage* message = state_.stored(seq);
     RBCAST_ASSERT(message != nullptr);
     host().send_data(to, *message, DataSend::kGapFill);
+  }
+
+  // --- what a periodic round sends one peer (Section 4.4) ---------------
+
+  // Sends `to` this host's INFO report: INFO_i and its parent pointer.
+  void send_info(HostId to) {
+    host().send_message(to, InfoMsg{state_.info(), state_.parent()});
+  }
+
+  // Whether `j` hears this host's INFO at the frequent rate: the parent,
+  // CLUSTER_i and CHILDREN_i (self excluded). Everyone else hears it at
+  // the rare, inter-cluster rate.
+  [[nodiscard]] bool is_intra_rate_peer(HostId j) const {
+    return j != state_.self() &&
+           (j == state_.parent() || state_.in_cluster(j) ||
+            state_.is_child(j));
+  }
+
+  // Sends `to` up to kGapfillBurst stored messages it lacks, skipping
+  // recent offers: a parent-graph neighbor (child or parent) gets the
+  // neighbor plan, anyone else the non-neighbor plan.
+  void fill_gaps(HostId to) {
+    const bool is_child = state_.is_child(to);
+    const std::span<const Seq> offered = host().recent_offers(to);
+    const auto plan =
+        is_child || to == state_.parent()
+            ? plan_neighbor_gapfill(state_, to, is_child, kGapfillBurst,
+                                    offered)
+            : plan_far_gapfill(state_, to, kGapfillBurst, offered);
+    for (Seq seq : plan) send_gapfill(to, seq);
   }
 
   HostState state_;
@@ -148,7 +183,7 @@ void ProtocolRules<Host>::handle_data(HostId from, const DataMsg& m) {
   // Piggybacked control state (Section 6) is processed like a standalone
   // INFO message, before any accept/discard decision.
   if (m.piggyback.has_value()) {
-    handle_info(from, InfoMsg{m.piggyback->first, m.piggyback->second});
+    handle_info(from, *m.piggyback);
   }
   // Receiving a data message from j proves j has it.
   state_.learn_has(from, m.seq);

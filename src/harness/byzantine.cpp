@@ -139,9 +139,9 @@ class ByzantineTransport::Endpoint final : public net::HostEndpoint {
     }
     if (auto* data = std::get_if<DataMsg>(&m);
         data != nullptr && data->piggyback.has_value()) {
-      const util::Seq top = data->piggyback->first.max_seq();
-      data->piggyback->first.insert_range(top + 1, top + 8);
-      data->piggyback->second = to;
+      const util::Seq top = data->piggyback->info.max_seq();
+      data->piggyback->info.insert_range(top + 1, top + 8);
+      data->piggyback->parent = to;
       return true;
     }
     return false;

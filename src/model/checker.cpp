@@ -9,6 +9,34 @@
 
 namespace rbcast::model {
 
+namespace {
+
+// A host step's description, e.g. "h1 info-> h2".
+template <class... Parts>
+std::string step_name(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
+// The fair scheduler's weight for a move. Adversarial moves (drop,
+// duplicate) are excluded: liveness is claimed only for intervals where
+// communication works (the paper promises nothing under unbounded loss).
+// Deliveries are weighted up so queued messages actually move.
+int fair_weight(TransitionKind kind) {
+  switch (kind) {
+    case TransitionKind::kDrop:
+    case TransitionKind::kDuplicate:
+      return 0;
+    case TransitionKind::kDeliver:
+      return 16;
+    default:
+      return 4;
+  }
+}
+
+}  // namespace
+
 std::string SystemState::fingerprint() const {
   std::ostringstream os;
   os << 'b' << broadcasts_done << ';';
@@ -49,9 +77,9 @@ void Checker::enqueue_sends(SystemState& state,
   }
 }
 
-std::vector<std::pair<std::string, SystemState>> Checker::successors(
-    const SystemState& state) const {
-  std::vector<std::pair<std::string, SystemState>> out;
+std::vector<Transition> Checker::successors(const SystemState& state) const {
+  using enum TransitionKind;
+  std::vector<Transition> out;
 
   auto node_of = [](SystemState& s, HostId h) -> ModelNode& {
     return s.nodes[static_cast<std::size_t>(h.value)];
@@ -65,7 +93,8 @@ std::vector<std::pair<std::string, SystemState>> Checker::successors(
     next.bodies.push_back(body);
     ++next.broadcasts_done;
     enqueue_sends(next, node_of(next, kSource).broadcast(seq, body));
-    out.emplace_back("broadcast#" + std::to_string(seq), std::move(next));
+    out.push_back({kBroadcast, "broadcast#" + std::to_string(seq),
+                   std::move(next)});
   }
 
   // 2-4. Network adversary: deliver / drop / duplicate each message.
@@ -80,18 +109,18 @@ std::vector<std::pair<std::string, SystemState>> Checker::successors(
       auto sends = node_of(next, moving.to)
                        .on_message(moving.from, moving.payload, expensive);
       enqueue_sends(next, std::move(sends));
-      out.emplace_back("deliver " + m.describe(), std::move(next));
+      out.push_back({kDeliver, "deliver " + m.describe(), std::move(next)});
     }
     {
       SystemState next = state;
       next.inflight.erase(next.inflight.begin() +
                           static_cast<std::ptrdiff_t>(i));
-      out.emplace_back("drop " + m.describe(), std::move(next));
+      out.push_back({kDrop, "drop " + m.describe(), std::move(next)});
     }
     if (state.inflight.size() < config_.max_inflight) {
       SystemState next = state;
       next.inflight.push_back(next.inflight[i]);
-      out.emplace_back("duplicate " + m.describe(), std::move(next));
+      out.push_back({kDuplicate, "duplicate " + m.describe(), std::move(next)});
     }
   }
 
@@ -103,9 +132,7 @@ std::vector<std::pair<std::string, SystemState>> Checker::successors(
       auto sends = node_of(next, h).attachment_step();
       if (!sends.empty()) {
         enqueue_sends(next, std::move(sends));
-        std::ostringstream os;
-        os << h << " attach-step";
-        out.emplace_back(os.str(), std::move(next));
+        out.push_back({kAttach, step_name(h, " attach-step"), std::move(next)});
       }
     }
     for (const ModelNode& peer : state.nodes) {
@@ -114,34 +141,29 @@ std::vector<std::pair<std::string, SystemState>> Checker::successors(
       {
         SystemState next = state;
         enqueue_sends(next, node_of(next, h).info_step(j));
-        std::ostringstream os;
-        os << h << " info-> " << j;
-        out.emplace_back(os.str(), std::move(next));
+        out.push_back({kInfo, step_name(h, " info-> ", j), std::move(next)});
       }
       {
         SystemState next = state;
         auto sends = node_of(next, h).gapfill_step(j);
         if (!sends.empty()) {
           enqueue_sends(next, std::move(sends));
-          std::ostringstream os;
-          os << h << " gapfill-> " << j;
-          out.emplace_back(os.str(), std::move(next));
+          out.push_back({kGapfill, step_name(h, " gapfill-> ", j),
+                         std::move(next)});
         }
       }
     }
     if (node.state().parent().valid()) {
       SystemState next = state;
       node_of(next, h).parent_timeout_step();
-      std::ostringstream os;
-      os << h << " parent-timeout";
-      out.emplace_back(os.str(), std::move(next));
+      out.push_back({kParentTimeout, step_name(h, " parent-timeout"),
+                     std::move(next)});
     }
     if (node.pending_attach().valid()) {
       SystemState next = state;
       node_of(next, h).give_up_attach_step();
-      std::ostringstream os;
-      os << h << " attach-timeout";
-      out.emplace_back(os.str(), std::move(next));
+      out.push_back({kAttachTimeout, step_name(h, " attach-timeout"),
+                     std::move(next)});
     }
   }
   return out;
@@ -202,7 +224,7 @@ ExplorationReport Checker::explore_bfs(int max_depth,
       report.truncated = true;
       continue;
     }
-    for (auto& [description, next] : successors(item.state)) {
+    for (auto& [kind, description, next] : successors(item.state)) {
       ++report.transitions_fired;
       const std::string key = next.fingerprint();
       if (!visited.insert(key).second) continue;
@@ -222,13 +244,8 @@ ExplorationReport Checker::explore_bfs(int max_depth,
   return report;
 }
 
-Checker::LivenessReport Checker::explore_liveness(int walks, int max_steps,
-                                                  std::uint64_t seed) {
-  LivenessReport report;
-  report.walks = walks;
-  util::RngFactory rngs(seed);
-  double total_steps = 0.0;
-
+Checker::WalkEnd Checker::walk(util::Rng& rng, int max_moves, bool fair,
+                               std::vector<Violation>& violations) const {
   auto complete = [&](const SystemState& state) {
     if (state.broadcasts_done < config_.max_broadcasts) return false;
     for (const ModelNode& node : state.nodes) {
@@ -240,43 +257,51 @@ Checker::LivenessReport Checker::explore_liveness(int walks, int max_steps,
     return true;
   };
 
-  for (int walk = 0; walk < walks && report.violations.empty(); ++walk) {
-    util::Rng rng = rngs.stream("liveness", walk);
-    SystemState state = initial_state();
-    std::vector<std::string> trace;
-    for (int step = 0; step < max_steps; ++step) {
-      if (complete(state)) {
-        ++report.completed;
-        total_steps += step;
-        break;
-      }
-      auto options = successors(state);
-      if (options.empty()) break;
-      // Fairness: adversarial moves (drop/duplicate) are excluded —
-      // liveness is claimed only for intervals where communication works
-      // (the paper promises nothing under unbounded loss). Deliveries are
-      // weighted up so queued messages actually move.
-      std::vector<int> weights;
+  WalkEnd end;
+  SystemState state = initial_state();
+  std::vector<std::string> trace;
+  while (end.moves < max_moves) {
+    if (fair && complete(state)) {
+      end.complete = true;
+      break;
+    }
+    auto options = successors(state);
+    if (options.empty()) break;
+    std::size_t pick = 0;
+    if (fair) {
       int total = 0;
-      weights.reserve(options.size());
-      for (const auto& [description, next] : options) {
-        const bool adversarial = description.rfind("drop ", 0) == 0 ||
-                                 description.rfind("duplicate ", 0) == 0;
-        const bool delivery = description.rfind("deliver ", 0) == 0;
-        weights.push_back(adversarial ? 0 : (delivery ? 16 : 4));
-        total += weights.back();
-      }
+      for (const Transition& t : options) total += fair_weight(t.kind);
       if (total == 0) break;
       std::int64_t roll = rng.uniform_int(0, total - 1);
-      std::size_t pick = 0;
-      while (roll >= weights[pick]) {
-        roll -= weights[pick];
-        ++pick;
+      while (roll >= fair_weight(options[pick].kind)) {
+        roll -= fair_weight(options[pick++].kind);
       }
-      trace.push_back(options[pick].first);
-      state = std::move(options[pick].second);
-      check_invariants(state, trace, report.violations);
-      if (!report.violations.empty()) return report;
+    } else {
+      pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(options.size()) - 1));
+    }
+    trace.push_back(options[pick].description);
+    state = std::move(options[pick].next);
+    ++end.moves;
+    check_invariants(state, trace, violations);
+    if (!violations.empty()) break;
+  }
+  return end;
+}
+
+Checker::LivenessReport Checker::explore_liveness(int walks, int max_steps,
+                                                  std::uint64_t seed) {
+  LivenessReport report;
+  report.walks = walks;
+  util::RngFactory rngs(seed);
+  double total_steps = 0.0;
+  for (int w = 0; w < walks; ++w) {
+    util::Rng rng = rngs.stream("liveness", w);
+    const WalkEnd end = walk(rng, max_steps, /*fair=*/true, report.violations);
+    if (!report.violations.empty()) return report;
+    if (end.complete) {
+      ++report.completed;
+      total_steps += end.moves;
     }
   }
   if (report.completed > 0) {
@@ -289,23 +314,12 @@ ExplorationReport Checker::explore_random(int walks, int steps,
                                           std::uint64_t seed) {
   ExplorationReport report;
   util::RngFactory rngs(seed);
-
-  for (int walk = 0; walk < walks && report.violations.empty(); ++walk) {
-    util::Rng rng = rngs.stream("walk", walk);
-    SystemState state = initial_state();
-    std::vector<std::string> trace;
-    for (int step = 0; step < steps; ++step) {
-      auto options = successors(state);
-      if (options.empty()) break;
-      const auto pick = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(options.size()) - 1));
-      trace.push_back(options[pick].first);
-      state = std::move(options[pick].second);
-      ++report.transitions_fired;
-      ++report.states_explored;
-      check_invariants(state, trace, report.violations);
-      if (!report.violations.empty()) return report;
-    }
+  for (int w = 0; w < walks && report.violations.empty(); ++w) {
+    util::Rng rng = rngs.stream("walk", w);
+    const auto moves = static_cast<std::uint64_t>(
+        walk(rng, steps, /*fair=*/false, report.violations).moves);
+    report.transitions_fired += moves;
+    report.states_explored += moves;
   }
   return report;
 }

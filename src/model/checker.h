@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,6 +39,27 @@ struct SystemState {
   std::vector<std::string> bodies;
 
   [[nodiscard]] std::string fingerprint() const;
+};
+
+// What a transition does: a network move on one in-flight message, or a
+// host step.
+enum class TransitionKind {
+  kBroadcast,      // the source generates the next message
+  kDeliver,        // an in-flight message arrives
+  kDrop,           // an in-flight message is lost
+  kDuplicate,      // an in-flight message is copied
+  kAttach,         // a host runs the attachment procedure
+  kInfo,           // a host sends its INFO report to one peer
+  kGapfill,        // a host fills one peer's gaps
+  kParentTimeout,  // a host declares its parent dead
+  kAttachTimeout,  // a host gives up on the handshake in flight
+};
+
+// One enabled transition and the state it leads to.
+struct Transition {
+  TransitionKind kind;
+  std::string description;
+  SystemState next;
 };
 
 struct Violation {
@@ -89,8 +109,8 @@ class Checker {
 
   [[nodiscard]] SystemState initial_state() const;
 
-  // All transitions enabled in `state`, as (description, successor) pairs.
-  [[nodiscard]] std::vector<std::pair<std::string, SystemState>> successors(
+  // All transitions enabled in `state`.
+  [[nodiscard]] std::vector<Transition> successors(
       const SystemState& state) const;
 
   // Checks the invariants; appends to `violations`.
@@ -101,6 +121,17 @@ class Checker {
  private:
   void enqueue_sends(SystemState& state,
                      std::vector<ModelMessage> messages) const;
+
+  // The walk loop both random explorers share: one walk from the initial
+  // state, at most `max_moves` moves, invariants checked after each. A
+  // fair walk picks by the fair weights and ends once every host holds
+  // every broadcast (`complete`); any other walk picks uniformly.
+  struct WalkEnd {
+    int moves{0};
+    bool complete{false};
+  };
+  WalkEnd walk(util::Rng& rng, int max_moves, bool fair,
+               std::vector<Violation>& violations) const;
 
   ModelConfig config_;
 };

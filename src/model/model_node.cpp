@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "core/gap_filling.h"
 #include "util/assert.h"
 
 namespace rbcast::model {
@@ -65,20 +64,13 @@ std::vector<ModelMessage> ModelNode::attachment_step() {
 
 std::vector<ModelMessage> ModelNode::info_step(HostId to) {
   if (to == self()) return {};
-  send_message(to, core::InfoMsg{state_.info(), state_.parent()});
+  send_info(to);
   return take_sends();
 }
 
 std::vector<ModelMessage> ModelNode::gapfill_step(HostId to) {
   if (to == self()) return {};
-  std::vector<Seq> plan;
-  if (state_.is_child(to) || to == state_.parent()) {
-    plan = core::plan_neighbor_gapfill(state_, to, state_.is_child(to),
-                                       /*burst=*/8);
-  } else {
-    plan = core::plan_far_gapfill(state_, to, /*burst=*/8);
-  }
-  for (Seq seq : plan) send_gapfill(to, seq);
+  fill_gaps(to);
   return take_sends();
 }
 

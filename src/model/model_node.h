@@ -4,9 +4,10 @@
 // specification of the algorithm; this module provides the executable
 // counterpart: a timer-free, side-effect-free model of one protocol host
 // that runs the production rules — core::ProtocolRules, the very code
-// core::BroadcastHost runs for message receipt, the source's first send
-// and the attachment step — over the production HostState, attachment
-// procedure and gap-fill planners. The checker (src/model/checker.h)
+// core::BroadcastHost runs for message receipt, the source's first send,
+// the attachment step and a periodic round's move toward one peer — over
+// the production HostState, attachment procedure and gap-fill planners.
+// The checker (src/model/checker.h)
 // explores interleavings of these transitions under an adversarial
 // network — any delivery order, loss and duplication at any point — and
 // verifies safety invariants in every reachable state.
@@ -15,11 +16,13 @@
 //  * periodic activities are explicit transitions the explorer fires at
 //    arbitrary times (a superset of any timer schedule); there are no
 //    timers, so a parent or attach timeout is a transition too;
-//  * INFO exchange and gap filling target one peer per transition (the
-//    explorer composes broadcasts out of them);
+//  * INFO exchange and gap filling target one peer per transition, which
+//    runs the host's per-peer rule (send_info, fill_gaps, burst and all);
+//    the explorer composes rounds out of them, with no rate classes,
+//    piggyback skip or random pick of non-neighbors;
 //  * no pruning (the checker compares full INFO contents), no offer
-//    suppression, no exclusion of silent candidates, no piggybacking and
-//    no authentication tags;
+//    suppression (recent_offers() is always empty), no exclusion of
+//    silent candidates, no piggybacking and no authentication tags;
 //  * cluster ground truth is a static map, and the cost bit of a delivery
 //    derives from it — equivalent to the paper's assumption that the
 //    network marks inter-cluster deliveries;

@@ -5,7 +5,7 @@
 namespace rbcast::util {
 
 Logger& Logger::instance() {
-  static Logger logger;  // analyze:allow(singleton) observation-only, level-gated logger; parallel-DES shards must inject per-shard sinks
+  static Logger logger;  // analyze:allow(singleton) observation-only, level-gated logger; the simulator is single-threaded
   return logger;
 }
 

@@ -9,8 +9,6 @@
 #include <sstream>
 #include <string>
 
-#include "util/thread_safety.h"
-
 namespace rbcast::util {
 
 enum class LogLevel : int { kNone = 0, kError = 1, kInfo = 2, kDebug = 3 };
@@ -34,9 +32,8 @@ class Logger {
  private:
   Logger() = default;
   // The logger is the one process-wide singleton the shared-state census
-  // waives (see logging.cpp). Single-threaded today; the parallel-DES
-  // shard work must either inject per-shard sinks or guard these with a
-  // mutex and RBCAST_GUARDED_BY so -Wthread-safety proves every access.
+  // waives (see logging.cpp). The simulator is single-threaded; running it
+  // on several threads would need per-thread sinks or a lock here.
   LogLevel level_{LogLevel::kNone};
   const std::int64_t* now_us_{nullptr};
 };

@@ -562,7 +562,7 @@ TEST(BroadcastHost, PiggybackRefreshesMapWithoutInfoMessages) {
   // piggybacked INFO far ahead of anything host 1 has heard via control.)
   SeqSet advanced = SeqSet::contiguous(50);
   ProtocolMessage m{DataMsg{2, "m2", false,
-                            std::make_pair(advanced, kNoHost), std::nullopt}};
+                            InfoMsg{advanced, kNoHost}, std::nullopt}};
   c.node(1).on_delivery(net::Delivery{
       .from = HostId{0},
       .to = HostId{1},
@@ -578,7 +578,7 @@ TEST(BroadcastHost, PiggybackRefreshesMapWithoutInfoMessages) {
 TEST(BroadcastHost, PiggybackIncreasesDataWireSize) {
   DataMsg plain{1, "body", false, std::nullopt, std::nullopt};
   DataMsg loaded{1, "body", false,
-                 std::make_pair(SeqSet::contiguous(100), HostId{3}),
+                 InfoMsg{SeqSet::contiguous(100), HostId{3}},
                  std::nullopt};
   EXPECT_LT(wire_size(ProtocolMessage{plain}),
             wire_size(ProtocolMessage{loaded}));

@@ -187,7 +187,7 @@ TEST(ByzantineTransport, CorruptAndLieLeaveTheSendersMessageIntact) {
                {ByzantineBehavior{ByzantineBehavior::Kind::kCorrupt, 0, 0},
                 ByzantineBehavior{ByzantineBehavior::Kind::kLieInfo, 0, 0}}}});
   DataMsg m = data(2, "hello");
-  m.piggyback = std::make_pair(util::SeqSet::contiguous(2), kNoHost);
+  m.piggyback = InfoMsg{util::SeqSet::contiguous(2), kNoHost};
   const ProtocolMessage original{m};
   rig.send(1, 0, original);
   rig.send(1, 2, original);
@@ -195,15 +195,15 @@ TEST(ByzantineTransport, CorruptAndLieLeaveTheSendersMessageIntact) {
 
   const auto& kept = std::get<DataMsg>(original);
   EXPECT_EQ(kept.body, core::Payload{"hello"});
-  EXPECT_EQ(kept.piggyback->first, util::SeqSet::contiguous(2));
-  EXPECT_EQ(kept.piggyback->second, kNoHost);
+  EXPECT_EQ(kept.piggyback->info, util::SeqSet::contiguous(2));
+  EXPECT_EQ(kept.piggyback->parent, kNoHost);
   for (const int to : {0, 2}) {
     SCOPED_TRACE(to);
     ASSERT_EQ(rig.got[static_cast<std::size_t>(to)].size(), 1u);
     const auto& out = std::get<DataMsg>(rig.got[static_cast<std::size_t>(to)][0]);
     EXPECT_NE(out.body, core::Payload{"hello"});
-    EXPECT_EQ(out.piggyback->first, util::SeqSet::contiguous(10));
-    EXPECT_EQ(out.piggyback->second, HostId{to});
+    EXPECT_EQ(out.piggyback->info, util::SeqSet::contiguous(10));
+    EXPECT_EQ(out.piggyback->parent, HostId{to});
   }
 }
 

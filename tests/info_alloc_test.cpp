@@ -81,7 +81,7 @@ TEST(InfoRoundAllocations, InterRoundAllocatesAtMostOneClone) {
 
 TEST(InfoRoundAllocations, IntraRoundAllocatesAtMostOneClone) {
   Round r;
-  r.host->run_info_intra_now();  // warm-up: the reusable target list
+  r.host->run_info_intra_now();  // warm-up: one-time per-host tables
   r.transport.sends = 0;
   r.shared_sends = 0;
   fill_message_pool();

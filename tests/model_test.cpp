@@ -56,9 +56,10 @@ TEST(Model, BroadcastTransitionGeneratesMessage) {
   const auto next = checker.successors(init);
   // At minimum: the broadcast transition and info exchanges exist.
   bool found_broadcast = false;
-  for (const auto& [description, state] : next) {
+  for (const auto& [kind, description, state] : next) {
     if (description == "broadcast#1") {
       found_broadcast = true;
+      EXPECT_EQ(kind, TransitionKind::kBroadcast);
       EXPECT_EQ(state.broadcasts_done, 1);
       EXPECT_EQ(state.nodes[0].state().info().max_seq(), 1u);
       // No children yet: nothing in flight from the broadcast itself.
@@ -72,7 +73,7 @@ TEST(Model, FingerprintDistinguishesStates) {
   const SystemState init = checker.initial_state();
   const auto next = checker.successors(init);
   ASSERT_FALSE(next.empty());
-  for (const auto& [description, state] : next) {
+  for (const auto& [kind, description, state] : next) {
     EXPECT_NE(state.fingerprint(), init.fingerprint()) << description;
   }
 }

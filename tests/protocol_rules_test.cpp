@@ -1,11 +1,12 @@
 // Differential test of the two hosts that run core::ProtocolRules: one
-// scripted sequence of deliveries goes to a BroadcastHost (on a FakeHub,
-// never started, so no timer fires) and to a model::ModelNode with the same
-// self, host list and clusters. After every step both must hold the same
-// HostState (INFO, MAP, p[], CHILDREN, CLUSTER), the same attach handshake
-// in flight and the same deliveries, and must have sent the same
-// (to, kind, seq) sequence. A second copy of the receive rules that drifts
-// from the first fails here.
+// scripted sequence of deliveries and periodic steps goes to a
+// BroadcastHost (on a FakeHub, never started, so no timer fires) and to a
+// model::ModelNode with the same self, host list and clusters. After every
+// step both must hold the same HostState (INFO, MAP, p[], CHILDREN,
+// CLUSTER), the same attach handshake in flight and the same deliveries,
+// and must have sent the same (to, kind, seq) sequence, INFO reports
+// compared whole. A second copy of the receive rules or of a round's
+// per-peer move that drifts from the first fails here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,11 +35,15 @@ const HostId kSelf{1};
 // Hosts 0 (the source) and 1 share a cluster; 2 and 3 share another.
 const std::vector<int> kClusterOf = {0, 0, 1, 1};
 
-// A send as both sides report it: "to:kind#seq" (seq only for data).
+// A send as both sides report it: "to:kind#seq" for data, "to:info{..}/p"
+// for an INFO report, "to:kind" otherwise.
 std::string describe(HostId to, const ProtocolMessage& m) {
   std::ostringstream os;
   os << to.value << ':' << core::kind_of(m);
   if (const auto* data = std::get_if<DataMsg>(&m)) os << '#' << data->seq;
+  if (const auto* info = std::get_if<InfoMsg>(&m)) {
+    os << info->info.to_string() << "/p=" << info->parent.value;
+  }
   return os.str();
 }
 
@@ -97,20 +102,39 @@ class RulesDifferential : public ::testing::Test {
            kClusterOf[static_cast<std::size_t>(kSelf.value)];
   }
 
-  // Delivers `m` from `from` to both sides; returns what they sent.
+  // Delivers `m` from `from` to both sides with cost bit `cost_bit`
+  // (by default the one kClusterOf gives); returns what they sent.
   std::vector<std::string> deliver(HostId from, const ProtocolMessage& m) {
+    return deliver(from, m, expensive(from));
+  }
+  std::vector<std::string> deliver(HostId from, const ProtocolMessage& m,
+                                   bool cost_bit) {
     net::Delivery d;
     d.from = from;
     d.to = kSelf;
-    d.expensive = expensive(from);
+    d.expensive = cost_bit;
     d.payload = m;
     host_.on_delivery(d);
-    return compare(model_.on_message(from, m, expensive(from)));
+    return compare(model_.on_message(from, m, cost_bit));
   }
 
   std::vector<std::string> attachment_step() {
     host_.run_attachment_now();
     return compare(model_.attachment_step());
+  }
+
+  // The model's `step` toward each of `peers` in turn, as one send list:
+  // what one host round sends them.
+  std::vector<model::ModelMessage> model_round(
+      std::vector<model::ModelMessage> (model::ModelNode::*step)(HostId),
+      const std::vector<HostId>& peers) {
+    std::vector<model::ModelMessage> sends;
+    for (HostId peer : peers) {
+      for (model::ModelMessage& m : (model_.*step)(peer)) {
+        sends.push_back(std::move(m));
+      }
+    }
+    return sends;
   }
 
   // Checks both sides agree; returns the sends of this step.
@@ -222,6 +246,44 @@ TEST_F(RulesDifferential, SwitchingParentsNotifiesTheOldOne) {
   EXPECT_EQ(deliver(h0, AttachAccept{SeqSet::of({1, 2, 3}), kNoHost}),
             (Sends{"2:detach"}));
   ASSERT_EQ(host_.parent(), h0);
+}
+
+TEST_F(RulesDifferential, PeriodicRoundsSendWhatTheModelStepsSend) {
+  const HostId h0{0}, h2{2}, h3{3};
+  const SeqSet have = SeqSet::contiguous(20);
+  // Attach to the source and take seqs 1..20 from it.
+  EXPECT_EQ(deliver(h0, InfoMsg{have, kNoHost}), Sends{});
+  EXPECT_EQ(attachment_step(), (Sends{"0:attach_req"}));
+  EXPECT_EQ(deliver(h0, AttachAccept{have, kNoHost}), Sends{});
+  for (Seq seq = 1; seq <= 20; ++seq) {
+    EXPECT_EQ(deliver(h0, data(seq)), Sends{});
+  }
+  // h2 names us its parent and lacks seqs 1..20. Its report takes a cheap
+  // path, so it joins CLUSTER and the frequent rounds serve it.
+  EXPECT_EQ(deliver(h2, InfoMsg{SeqSet{}, kSelf}, /*cost_bit=*/false),
+            Sends{});
+  ASSERT_TRUE(host_.state().is_child(h2));
+  ASSERT_TRUE(host_.state().in_cluster(h2));
+
+  // The frequent INFO round reaches the parent and the child, the rare one
+  // everyone else.
+  host_.run_info_intra_now();
+  EXPECT_EQ(compare(model_round(&model::ModelNode::info_step, {h0, h2})),
+            (Sends{"0:info{1..20}/p=0", "2:info{1..20}/p=0"}));
+  host_.run_info_inter_now();
+  EXPECT_EQ(compare(model_round(&model::ModelNode::info_step, {h3})),
+            (Sends{"3:info{1..20}/p=0"}));
+
+  // One neighbor gap-fill round sends the child one burst of what it
+  // lacks; the parent lacks nothing. (A second round would differ: the
+  // host suppresses what it just offered, and the model has no offers.)
+  Sends burst;
+  for (Seq seq = 1; seq <= core::kGapfillBurst; ++seq) {
+    burst.push_back("2:gapfill#" + std::to_string(seq));
+  }
+  host_.run_gapfill_neighbor_now();
+  EXPECT_EQ(compare(model_round(&model::ModelNode::gapfill_step, {h0, h2})),
+            burst);
 }
 
 }  // namespace

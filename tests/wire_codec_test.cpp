@@ -57,9 +57,9 @@ TEST(WireCodec, DataWithPiggybackRoundTrip) {
   const auto* out = std::get_if<DataMsg>(&*decoded);
   ASSERT_NE(out, nullptr);
   ASSERT_TRUE(out->piggyback.has_value());
-  EXPECT_TRUE(out->piggyback->first.contains(3));
-  EXPECT_EQ(out->piggyback->first.count(), 4u);
-  EXPECT_EQ(out->piggyback->second, HostId{9});
+  EXPECT_TRUE(out->piggyback->info.contains(3));
+  EXPECT_EQ(out->piggyback->info.count(), 4u);
+  EXPECT_EQ(out->piggyback->parent, HostId{9});
 }
 
 TEST(WireCodec, InfoRoundTrip) {

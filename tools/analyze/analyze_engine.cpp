@@ -221,8 +221,9 @@ void census_pass(FileAnalysis& fa) {
       if (!looks_like_variable(stmt)) return;
       add(fa, line, "mutable-global",
           "namespace-scope mutable variable '" + declared_name(stmt) +
-              "': hidden shared state blocks sharded parallel simulation; "
-              "make it const, pass it explicitly, or waive with a reason");
+              "': hidden shared state couples every simulation in the "
+              "process; make it const, pass it explicitly, or waive with a "
+              "reason");
       return;
     }
 

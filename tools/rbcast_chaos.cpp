@@ -50,18 +50,7 @@ void usage() {
 }
 
 bool parse(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  auto number = [&](int& i, auto& out) {
-    const char* flag = argv[i];
-    const char* value = need_value(i);
-    return value != nullptr && tools::parse_number(flag, value, out);
-  };
+  const tools::ArgReader args{argc, argv};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
@@ -73,17 +62,17 @@ bool parse(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--print-spec") {
       options.print_spec = true;
     } else if (arg == "--spec") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       options.spec_path = value;
     } else if (arg == "--runs") {
-      if (!number(i, options.runs)) return false;
+      if (!args.number(i, options.runs)) return false;
     } else if (arg == "--seed") {
-      if (!number(i, options.seed)) return false;
+      if (!args.number(i, options.seed)) return false;
     } else if (arg == "--out") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       options.out_dir = value;
     } else if (arg == "--shrink-attempts") {
-      if (!number(i, options.shrink_attempts)) return false;
+      if (!args.number(i, options.shrink_attempts)) return false;
     } else {
       std::cerr << "unknown flag: " << arg << " (try --help)\n";
       return false;

@@ -206,24 +206,16 @@ int main(int argc, char** argv) {
   bool batch = false;
   std::string expect_path;
 
+  const tools::ArgReader args{argc, argv};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 < argc) return argv[++i];
-      std::cerr << "missing value for " << arg << "\n";
-      return nullptr;
-    };
-    auto number = [&](auto& out) {
-      const char* text = value();
-      return text != nullptr && tools::parse_number(arg, text, out);
-    };
     if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
     } else if (arg == "--hosts") {
-      if (!number(config.hosts)) return 2;
+      if (!args.number(i, config.hosts)) return 2;
     } else if (arg == "--clusters") {
-      const char* list = value();
+      const char* list = args.value(i);
       if (list == nullptr) return 2;
       config.cluster_of.clear();
       std::stringstream ss(list);
@@ -235,31 +227,31 @@ int main(int argc, char** argv) {
       }
       clusters_given = true;
     } else if (arg == "--broadcasts") {
-      if (!number(config.max_broadcasts)) return 2;
+      if (!args.number(i, config.max_broadcasts)) return 2;
     } else if (arg == "--inflight") {
-      if (!number(config.max_inflight)) return 2;
+      if (!args.number(i, config.max_inflight)) return 2;
     } else if (arg == "--depth") {
-      if (!number(depth)) return 2;
+      if (!args.number(i, depth)) return 2;
     } else if (arg == "--max-states") {
-      if (!number(max_states)) return 2;
+      if (!args.number(i, max_states)) return 2;
     } else if (arg == "--walks") {
-      if (!number(walks)) return 2;
+      if (!args.number(i, walks)) return 2;
     } else if (arg == "--liveness") {
-      if (!number(liveness_walks)) return 2;
+      if (!args.number(i, liveness_walks)) return 2;
     } else if (arg == "--steps") {
-      if (!number(steps)) return 2;
+      if (!args.number(i, steps)) return 2;
     } else if (arg == "--seed") {
-      if (!number(seed)) return 2;
+      if (!args.number(i, seed)) return 2;
     } else if (arg == "--determinism-check") {
       determinism_check = true;
     } else if (arg == "--batch") {
       batch = true;
     } else if (arg == "--expect") {
-      const char* path = value();
+      const char* path = args.value(i);
       if (path == nullptr) return 2;
       expect_path = path;
     } else if (arg == "--mutant") {
-      const char* mutant = value();
+      const char* mutant = args.value(i);
       if (mutant == nullptr) return 2;
       const std::string m = mutant;
       if (m == "double-delivery") {

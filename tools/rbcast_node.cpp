@@ -248,18 +248,7 @@ void usage() {
 }
 
 bool parse(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  auto number = [&](int& i, auto& out) {
-    const char* flag = argv[i];
-    const char* value = need_value(i);
-    return value != nullptr && tools::parse_number(flag, value, out);
-  };
+  const tools::ArgReader args{argc, argv};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
@@ -269,24 +258,24 @@ bool parse(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--all-hosts") {
       options.all_hosts = true;
     } else if (arg == "--config") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       options.config_path = value;
     } else if (arg == "--host") {
-      if (!number(i, options.host)) return false;
+      if (!args.number(i, options.host)) return false;
     } else if (arg == "--trace-out") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       options.trace_out = value;
     } else if (arg == "--run-s") {
-      if (!number(i, options.run_s.emplace())) return false;
+      if (!args.number(i, options.run_s.emplace())) return false;
     } else if (arg == "--seed") {
-      if (!number(i, options.seed.emplace())) return false;
+      if (!args.number(i, options.seed.emplace())) return false;
     } else if (arg == "--admin-port") {
-      if (!number(i, options.admin_port)) return false;
+      if (!args.number(i, options.admin_port)) return false;
     } else if (arg == "--admin-port-file") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       options.admin_port_file = value;
     } else if (arg == "--linger-s") {
-      if (!number(i, options.linger_s)) return false;
+      if (!args.number(i, options.linger_s)) return false;
     } else {
       std::cerr << "unknown flag: " << arg << " (try --help)\n";
       return false;

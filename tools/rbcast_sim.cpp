@@ -148,18 +148,7 @@ void usage() {
 }
 
 bool parse(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  auto number = [&](int& i, auto& out) {
-    const char* flag = argv[i];
-    const char* value = need_value(i);
-    return value != nullptr && tools::parse_number(flag, value, out);
-  };
+  const tools::ArgReader args{argc, argv};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
@@ -175,11 +164,11 @@ bool parse(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--arpanet") {
       options.arpanet = true;
     } else if (arg == "--clusters") {
-      if (!number(i, options.clusters)) return false;
+      if (!args.number(i, options.clusters)) return false;
     } else if (arg == "--hosts") {
-      if (!number(i, options.hosts)) return false;
+      if (!args.number(i, options.hosts)) return false;
     } else if (arg == "--shape") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       const std::string s = value;
       if (s == "line") {
         options.shape = topo::TrunkShape::kLine;
@@ -194,7 +183,7 @@ bool parse(int argc, char** argv, CliOptions& options) {
         return false;
       }
     } else if (arg == "--protocol") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       const std::string p = value;
       if (p == "paper") {
         options.kind = harness::ProtocolKind::kPaper;
@@ -207,11 +196,11 @@ bool parse(int argc, char** argv, CliOptions& options) {
         return false;
       }
     } else if (arg == "--messages") {
-      if (!number(i, options.messages)) return false;
+      if (!args.number(i, options.messages)) return false;
     } else if (arg == "--interval-ms") {
-      if (!number(i, options.interval_ms)) return false;
+      if (!args.number(i, options.interval_ms)) return false;
     } else if (arg == "--arrivals") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       const std::string a = value;
       if (a == "uniform") {
         options.arrivals = harness::ArrivalProcess::kUniform;
@@ -226,40 +215,40 @@ bool parse(int argc, char** argv, CliOptions& options) {
         return false;
       }
     } else if (arg == "--burst") {
-      if (!number(i, options.burst_size)) return false;
+      if (!args.number(i, options.burst_size)) return false;
     } else if (arg == "--loss") {
-      if (!number(i, options.loss)) return false;
+      if (!args.number(i, options.loss)) return false;
     } else if (arg == "--dup") {
-      if (!number(i, options.duplication)) return false;
+      if (!args.number(i, options.duplication)) return false;
     } else if (arg == "--dot") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       options.dot_prefix = value;
     } else if (arg == "--metrics-csv") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       options.csv_prefix = value;
     } else if (arg == "--trace-out") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       options.trace_out = value;
     } else if (arg == "--chrome-trace") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       options.chrome_trace = value;
     } else if (arg == "--batch-flush-ms") {
-      if (!number(i, options.batch_flush_ms)) return false;
+      if (!args.number(i, options.batch_flush_ms)) return false;
     } else if (arg == "--sample-period-ms") {
-      if (!number(i, options.sample_period_ms)) return false;
+      if (!args.number(i, options.sample_period_ms)) return false;
     } else if (arg == "--seed") {
-      if (!number(i, options.seed)) return false;
+      if (!args.number(i, options.seed)) return false;
     } else if (arg == "--chaos-spec") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       options.chaos_spec = value;
     } else if (arg == "--chaos-seed") {
-      if (!number(i, options.chaos_seed)) return false;
+      if (!args.number(i, options.chaos_seed)) return false;
     } else if (arg == "--partition-at") {
-      if (!number(i, options.partition_at)) return false;
+      if (!args.number(i, options.partition_at)) return false;
     } else if (arg == "--partition-heal") {
-      if (!number(i, options.partition_heal)) return false;
+      if (!args.number(i, options.partition_heal)) return false;
     } else if (arg == "--deadline") {
-      if (!number(i, options.deadline_s)) return false;
+      if (!args.number(i, options.deadline_s)) return false;
     } else {
       std::cerr << "unknown flag: " << arg << " (try --help)\n";
       return false;

@@ -68,18 +68,7 @@ void usage() {
 }
 
 bool parse(int argc, char** argv, Options& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  auto number = [&](int& i, auto& out) {
-    const char* flag = argv[i];
-    const char* value = need_value(i);
-    return value != nullptr && tools::parse_number(flag, value, out);
-  };
+  const tools::ArgReader args{argc, argv};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
@@ -91,12 +80,12 @@ bool parse(int argc, char** argv, Options& options) {
     } else if (arg == "--json") {
       options.json = true;
     } else if (arg == "--endpoints-file") {
-      if ((value = need_value(i)) == nullptr) return false;
+      if ((value = args.value(i)) == nullptr) return false;
       options.endpoints_file = value;
     } else if (arg == "--interval-s") {
-      if (!number(i, options.interval_s)) return false;
+      if (!args.number(i, options.interval_s)) return false;
     } else if (arg == "--timeout-ms") {
-      if (!number(i, options.timeout_ms)) return false;
+      if (!args.number(i, options.timeout_ms)) return false;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag: " << arg << " (try --help)\n";
       return false;

@@ -58,18 +58,7 @@ void usage() {
 }
 
 bool parse(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  auto number = [&](int& i, auto& out) {
-    const char* flag = argv[i];
-    const char* value = need_value(i);
-    return value != nullptr && tools::parse_number(flag, value, out);
-  };
+  const tools::ArgReader args{argc, argv};
   int paths = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -83,10 +72,10 @@ bool parse(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--compare") {
       options.mode = Mode::kCompare;
     } else if (arg == "--timeline") {
-      if (!number(i, options.host)) return false;
+      if (!args.number(i, options.host)) return false;
       options.mode = Mode::kTimeline;
     } else if (arg == "--lineage") {
-      if (!number(i, options.seq)) return false;
+      if (!args.number(i, options.seq)) return false;
       options.mode = Mode::kLineage;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag: " << arg << " (try --help)\n";
